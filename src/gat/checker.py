@@ -14,8 +14,9 @@ incrementally.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .equality import EqEngineConfig, Equal, eq_sort
 from .syntax import (
     Cut,
     OpDecl,
@@ -112,13 +113,6 @@ class CheckedTheory:
         return out
 
     # -- lookups used by the equality engine -------------------------------
-
-    def tele_of(self, head: str) -> Telescope | None:
-        if head in self.sort_decls:
-            return self.sort_decls[head]
-        if head in self.op_decls:
-            return self.op_decls[head][0]
-        return None
 
     def flex_of(self, head: str) -> tuple[bool, ...]:
         return self._flex.get(head, ())
@@ -312,8 +306,6 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
         if cacheable:
             th._accept_cache.add((psi, m, a))
         return None
-    from .equality import EqEngineConfig, Equal, eq_sort
-
     verdict = eq_sort(th, psi, inferred, a, cfg or EqEngineConfig())
     if isinstance(verdict, Equal):
         if cacheable:

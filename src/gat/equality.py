@@ -10,10 +10,11 @@ Strategy:
   * axioms whose two sides are distinct telescope variables mark their sort
     as proof-irrelevant; terms are compared modulo arguments at irrelevant
     positions, and such axioms never drive rewriting;
-  * sorts are compared by normalizing their arguments, then searching a
-    small neighbourhood under the sort axioms, including a "bridge" step
-    that matches one axiom side against each sort and reconciles the two
-    instantiations.
+  * sorts are normalized exactly like terms, their roots rewritten with the
+    theory's oriented sort axioms; when two normal forms still differ, a
+    "bridge" step tries to exhibit them as the two sides of one sort axiom
+    under a common instantiation, which covers axioms no orientation can
+    use as a rewrite rule.
 
 Pattern matching distinguishes forced argument positions from flex ones.  A
 telescope position is flex when its variable is determined by the sort of a
@@ -27,10 +28,12 @@ always match strictly, which is what keeps distinct axioms apart.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .checker import CheckedTheory
 from .syntax import (
+    LR,
+    RL,
     Cut,
     Sort,
     Subst,
@@ -39,10 +42,14 @@ from .syntax import (
     Var,
     free_vars,
     replace_at,
+    subst_apply_sort,
     subst_apply_term,
     subterm_at,
     term_size,
 )
+
+if TYPE_CHECKING:
+    from .checker import CheckedTheory
 
 # Step kinds appearing in traces.
 TERM_AXIOM = "term-axiom"
@@ -50,15 +57,11 @@ SORT_AXIOM = "sort-axiom"
 IRRELEVANCE = "irrelevance"
 IRRELEVANT_SORT = "irrelevant-sort"
 
-_SORT_SEARCH_DEPTH = 4
-
 
 @dataclass(frozen=True)
 class EqEngineConfig:
     fuel: int = 10000
     max_term_size: int = 5000
-    # Per-axiom direction overrides, keyed by axiom label or item index.
-    orientation: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.fuel <= 0 or self.max_term_size <= 0:
@@ -128,9 +131,10 @@ def record_verdicts():
         _verdict_log = previous
 
 
-def _log_verdict(th: CheckedTheory, trace: EqTrace) -> None:
+def _equal(th: CheckedTheory, trace: EqTrace) -> Equal:
     if _verdict_log is not None:
         _verdict_log.append((th, trace))
+    return Equal(trace)
 
 
 # Accumulator for fuel spent across queries, for reporting.
@@ -148,11 +152,16 @@ def record_fuel():
         _fuel_meter = previous
 
 
+def _sides(ax, direction: str):
+    """An axiom's (source, target) when used in `direction`."""
+    return (ax.lhs, ax.rhs) if direction == LR else (ax.rhs, ax.lhs)
+
+
 def _flip(direction: str | None) -> str | None:
-    if direction == "lr":
-        return "rl"
-    if direction == "rl":
-        return "lr"
+    if direction == LR:
+        return RL
+    if direction == RL:
+        return LR
     return direction
 
 
@@ -163,35 +172,32 @@ def _invert(steps) -> tuple[EqStep, ...]:
     )
 
 
+def _orient(kind: str, axioms) -> list:
+    """Rewrite rules (kind, item index, source, target, direction, axiom)
+    from the axioms the `.gat` file orients."""
+    rules = []
+    for idx, ax in axioms:
+        if ax.orientation not in (LR, RL):
+            continue
+        src, dst = _sides(ax, ax.orientation)
+        # A variable source matches everything; such axioms (the
+        # proof-irrelevance ones) are handled by comparison instead.
+        if not isinstance(src, Var):
+            rules.append((kind, idx, src, dst, ax.orientation, ax))
+    return rules
+
+
 class _Engine:
     def __init__(self, th: CheckedTheory, cfg: EqEngineConfig) -> None:
         self.th = th
         self.cfg = cfg
         self.fuel = cfg.fuel
         self._pending_depth = 0
-        # term -> (normal form, steps with paths relative to the term)
+        # term or sort -> (normal form, steps with paths relative to it);
+        # sort and operation symbols are disjoint, so the two never collide.
         self._nf_cache: dict[Term, tuple[Term, tuple[EqStep, ...]]] = {}
-        self.term_rules = self._orient(th.term_axioms)
-        self.sort_rules = self._orient(th.sort_axioms)
-
-    def _orient(self, axioms):
-        rules = []
-        for idx, ax in axioms:
-            ori = self.cfg.orientation.get(ax.label if ax.label else None)
-            if ori is None:
-                ori = self.cfg.orientation.get(idx, ax.orientation)
-            pairs = []
-            if ori == "lr":
-                pairs = [("lr", ax.lhs, ax.rhs)]
-            elif ori == "rl":
-                pairs = [("rl", ax.rhs, ax.lhs)]
-            for direction, src, dst in pairs:
-                # A variable source matches everything; such axioms (the
-                # proof-irrelevance ones) are handled by comparison instead.
-                if isinstance(src, Var):
-                    continue
-                rules.append((idx, src, dst, direction, ax))
-        return rules
+        self.rules = (_orient(TERM_AXIOM, th.term_axioms)
+                      + _orient(SORT_AXIOM, th.sort_axioms))
 
     def _spend(self) -> None:
         self.fuel -= 1
@@ -330,7 +336,7 @@ class _Engine:
                 return False
         return True
 
-    # -- term normalization ------------------------------------------------
+    # -- normalization of sorts and terms ---------------------------------
 
     def normalize(self, t: Term):
         steps: list[EqStep] = []
@@ -358,7 +364,7 @@ class _Engine:
         for i, (target, value) in enumerate(t.args.entries):
             entries.append((target, self._norm(value, (i,), steps)))
         t = Cut(t.head, Subst(tuple(entries)))
-        for idx, src, dst, direction, ax in self.term_rules:
+        for kind, idx, src, dst, direction, ax in self.rules:
             if src.head != t.head:
                 continue
             sigma = self.match_rule(src, dst, t, ax)
@@ -368,92 +374,42 @@ class _Engine:
             self._spend()
             if term_size(new) > self.cfg.max_term_size:
                 raise _SizeExceeded()
-            steps.append(EqStep(TERM_AXIOM, idx, direction, (), t, new))
+            steps.append(EqStep(kind, idx, direction, (), t, new))
             return self._norm(new, (), steps)
         return t
 
-    def normalize_sort_args(self, a: Sort):
-        steps: list[EqStep] = []
-        entries = []
-        for i, (target, value) in enumerate(a.args.entries):
-            entries.append((target, self._norm(value, (i,), steps)))
-        return Cut(a.head, Subst(tuple(entries))), steps
+    # -- equality --------------------------------------------------------
 
-    # -- sort equality -----------------------------------------------------
+    def join(self, x, y, tele, reason: str):
+        """Rewrite both sides to normal form and compare modulo irrelevance;
+        when the normal forms differ, try one bridge step between them.  An
+        `Equal` trace runs x -> nf(x) -> nf(y) -> y; otherwise `NotProven`
+        with `reason`."""
+        nx, steps_x = self.normalize(x)
+        ny, steps_y = self.normalize(y)
+        if nx == ny:
+            mid = ()
+        elif self.equal_mod_irr(nx, ny):
+            mid = (EqStep(IRRELEVANCE, None, None, (), nx, ny),)
+        else:
+            bridge = self._bridge(nx, ny)
+            if bridge is None:
+                return NotProven(False, reason, nx, ny)
+            mid = (bridge,)
+        steps = tuple(steps_x) + mid + _invert(steps_y)
+        return _equal(self.th, EqTrace(x, y, steps, tele))
 
-    def sorts_equal(self, a: Sort, b: Sort):
-        na, steps_a = self.normalize_sort_args(a)
-        nb, steps_b = self.normalize_sort_args(b)
-
-        # Breadth-first neighbourhoods of both sides under root applications
-        # of the sort axioms, arguments kept normal.
-        side_a = [(na, ())]
-        side_b = [(nb, ())]
-        seen_a = {na}
-        seen_b = {nb}
-        for _ in range(_SORT_SEARCH_DEPTH):
-            found = self._join_sides(side_a, side_b)
-            if found is not None:
-                x_steps, mid_steps, y_steps = found
-                steps = (tuple(steps_a) + x_steps + mid_steps
-                         + _invert(y_steps) + _invert(steps_b))
-                return Equal(EqTrace(a, b, steps))
-            grew = False
-            for side, seen in ((side_a, seen_a), (side_b, seen_b)):
-                for sort, steps_so_far in list(side):
-                    for nxt, extra in self._sort_successors(sort):
-                        if nxt in seen:
-                            continue
-                        seen.add(nxt)
-                        side.append((nxt, steps_so_far + extra))
-                        grew = True
-            if not grew:
-                break
-        found = self._join_sides(side_a, side_b)
-        if found is not None:
-            x_steps, mid_steps, y_steps = found
-            steps = (tuple(steps_a) + x_steps + mid_steps
-                     + _invert(y_steps) + _invert(steps_b))
-            return Equal(EqTrace(a, b, steps))
-        return NotProven(False, "sorts do not join", na, nb)
-
-    def _join_sides(self, side_a, side_b):
-        for x, xs in side_a:
-            for y, ys in side_b:
-                if self.equal_mod_irr(x, y):
-                    mid = () if x == y else (
-                        EqStep(IRRELEVANCE, None, None, (), x, y),)
-                    return xs, mid, ys
-        for x, xs in side_a:
-            for y, ys in side_b:
-                bridge = self._bridge(x, y)
-                if bridge is not None:
-                    return xs, (bridge,), ys
-        return None
-
-    def _sort_successors(self, sort: Sort):
-        out = []
-        for idx, src, dst, direction, ax in self.sort_rules:
-            if src.head != sort.head:
-                continue
-            sigma = self.match_rule(src, dst, sort, ax)
-            if sigma is None:
-                continue
-            new = self._instantiate(dst, sigma)
-            self._spend()
-            step = EqStep(SORT_AXIOM, idx, direction, (), sort, new)
-            nf, extra = self.normalize_sort_args(new)
-            out.append((nf, (step,) + tuple(extra)))
-        return out
-
-    def _bridge(self, x: Sort, y: Sort) -> EqStep | None:
-        """Exhibit x and y as the two sides of one sort axiom under a common
-        instantiation.  One strict match seeds the bindings, a soft match on
-        the opposite side recovers variables that side alone determines, and
-        both instances are re-normalized and compared modulo irrelevance."""
+    def _bridge(self, x, y) -> EqStep | None:
+        """Exhibit sorts x and y as the two sides of one sort axiom under a
+        common instantiation.  One strict match seeds the bindings, a soft
+        match on the opposite side recovers variables that side alone
+        determines, and both instances are re-normalized and compared modulo
+        irrelevance.  Term normal forms (including variables) never match."""
+        if not isinstance(x, Cut) or not isinstance(y, Cut):
+            return None
         for idx, ax in self.th.sort_axioms:
-            for direction, left, right in (("lr", ax.lhs, ax.rhs),
-                                           ("rl", ax.rhs, ax.lhs)):
+            for direction in (LR, RL):
+                left, right = _sides(ax, direction)
                 if left.head != x.head or right.head != y.head:
                     continue
                 if self._bridge_instance(ax, left, right, x, y):
@@ -479,8 +435,8 @@ class _Engine:
             needed = free_vars(left) | free_vars(right)
             if not self._complete(sigma, needed, ax.params):
                 continue
-            lx, _ = self.normalize_sort_args(self._instantiate(left, sigma))
-            ry, _ = self.normalize_sort_args(self._instantiate(right, sigma))
+            lx = self._norm_quiet(self._instantiate(left, sigma))
+            ry = self._norm_quiet(self._instantiate(right, sigma))
             if self.equal_mod_irr(lx, x) and self.equal_mod_irr(ry, y):
                 return True
         return False
@@ -506,14 +462,11 @@ class _Engine:
             return self._validate_bridge_step(step)
         return f"unknown step kind {step.kind!r}"
 
-    def _axiom_sides(self, ax, direction):
-        return (ax.lhs, ax.rhs) if direction == "lr" else (ax.rhs, ax.lhs)
-
     def _validate_axiom_step(self, step: EqStep, axioms: dict) -> str | None:
         ax = axioms.get(step.axiom)
         if ax is None:
             return f"no axiom at item {step.axiom}"
-        src, dst = self._axiom_sides(ax, step.direction)
+        src, dst = _sides(ax, step.direction)
         sigma: dict = {}
         pending: list = []
         if isinstance(src, Var):
@@ -537,9 +490,9 @@ class _Engine:
         ax = dict(self.th.sort_axioms).get(step.axiom)
         if ax is None:
             return f"no sort axiom at item {step.axiom}"
-        left, right = self._axiom_sides(ax, step.direction)
-        bx, _ = self.normalize_sort_args(step.before)
-        by, _ = self.normalize_sort_args(step.after)
+        left, right = _sides(ax, step.direction)
+        bx = self._norm_quiet(step.before)
+        by = self._norm_quiet(step.after)
         if not self._bridge_instance(ax, left, right, bx, by):
             return "sorts are not a joint instance of the axiom"
         return None
@@ -563,14 +516,8 @@ def eq_sort(th: CheckedTheory, psi: Telescope, a: Sort, b: Sort,
             cfg: EqEngineConfig | None = None):
     def body(engine: _Engine):
         if a == b:
-            result = Equal(EqTrace(a, b, (), psi))
-        else:
-            result = engine.sorts_equal(a, b)
-            if isinstance(result, Equal):
-                result = Equal(replace(result.trace, tele=psi))
-        if isinstance(result, Equal):
-            _log_verdict(th, result.trace)
-        return result
+            return _equal(th, EqTrace(a, b, (), psi))
+        return engine.join(a, b, psi, "sorts do not join")
     return _bounded(th, cfg, body)
 
 
@@ -580,26 +527,14 @@ def eq_term(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort,
         if isinstance(a, Cut) and a.head in th.irrelevant_heads:
             steps = () if m == n else (
                 EqStep(IRRELEVANT_SORT, None, None, (), m, n, note=a),)
-            result = Equal(EqTrace(m, n, steps, psi))
-            _log_verdict(th, result.trace)
-            return result
-        nm, steps_m = engine.normalize(m)
-        nn, steps_n = engine.normalize(n)
-        if not engine.equal_mod_irr(nm, nn):
-            return NotProven(False, "normal forms differ", nm, nn)
-        mid = () if nm == nn else (EqStep(IRRELEVANCE, None, None, (), nm, nn),)
-        steps = tuple(steps_m) + mid + _invert(steps_n)
-        result = Equal(EqTrace(m, n, steps, psi))
-        _log_verdict(th, result.trace)
-        return result
+            return _equal(th, EqTrace(m, n, steps, psi))
+        return engine.join(m, n, psi, "normal forms differ")
     return _bounded(th, cfg, body)
 
 
 def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
              target: Telescope, cfg: EqEngineConfig | None = None):
     """Entry-wise term equality at the progressively instantiated sorts."""
-    from .syntax import subst_apply_sort
-
     if len(p0) != len(p1) or len(p0) != len(target):
         return NotProven(False, "substitution lengths differ")
     entry_traces = []
@@ -650,6 +585,7 @@ def replay_trace(th: CheckedTheory, start, trace: EqTrace,
         if err is not None:
             return ReplayError(i, err)
         if step.kind == IRRELEVANT_SORT and trace.tele is not None:
+            # Imported here because gat.checker imports this module.
             from .checker import check_term
 
             for side in (step.before, step.after):

@@ -28,7 +28,7 @@ equal syntax tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     Cut,
@@ -45,7 +45,6 @@ from .syntax import (
     LR,
     RL,
     UNORIENTED,
-    is_valid_name,
 )
 
 KEYWORDS = {"SORT", "OP", "SORTAX", "TERMAX", "NOTATION", "EXTENDS"}
@@ -353,11 +352,6 @@ def _print_term(m: Term, table: dict) -> str:
 
 def print_sort(a: Sort, notations=()) -> str:
     return print_term(a, notations)
-
-
-def print_subst(psi: Subst, notations=()) -> str:
-    table = _notation_table(notations)
-    return ", ".join(f"{_print_term(v, table)}/{t}" for t, v in psi.entries)
 
 
 def print_telescope(tele: Telescope, notations=()) -> str:

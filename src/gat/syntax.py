@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 _NAME_RE = re.compile(r"^[^\W\d][\w-]*$", re.UNICODE)
 
@@ -153,14 +153,6 @@ class Theory:
 
     items: tuple[Item, ...] = ()
 
-    def index(self) -> dict[str, int]:
-        """Map each declared symbol name to its item position."""
-        out: dict[str, int] = {}
-        for i, item in enumerate(self.items):
-            if isinstance(item, (SortDecl, OpDecl)) and item.name not in out:
-                out[item.name] = i
-        return out
-
     def extended(self, items: tuple[Item, ...]) -> "Theory":
         return Theory(self.items + items)
 
@@ -246,52 +238,3 @@ def replace_at(obj: Term, path: tuple[int, ...], new: Term) -> Term:
     t, v = entries[i]
     entries[i] = (t, replace_at(v, path[1:], new))
     return Cut(obj.head, Subst(tuple(entries)))
-
-
-def iter_cuts(obj: Term) -> Iterator[Cut]:
-    """All cut subterms, outermost first."""
-    if isinstance(obj, Cut):
-        yield obj
-        for _, v in obj.args.entries:
-            yield from iter_cuts(v)
-
-
-# ---------------------------------------------------------------------------
-# Alpha-comparison of telescoped objects
-
-def rename_positional(tele: Telescope, *objs: Term):
-    """Rename telescope variables to positional names, rewriting `objs` too.
-
-    Telescopes forbid shadowing, so positional renaming is capture-free;
-    alpha-equivalence of axioms and declarations reduces to structural
-    equality after this renaming.
-    """
-    mapping = Subst(
-        tuple((n, Var(f"%{i}")) for i, n in enumerate(tele.names()))
-    )
-    new_bindings = []
-    for i, (n, s) in enumerate(tele.bindings):
-        new_bindings.append((f"%{i}", subst_apply_sort(mapping, s)))
-    renamed = tuple(subst_apply_term(mapping, o) for o in objs)
-    return Telescope(tuple(new_bindings)), renamed
-
-
-def alpha_equal_item(x: Item, y: Item) -> bool:
-    """Structural equality up to positional renaming of telescope variables."""
-    if type(x) is not type(y):
-        return False
-    if isinstance(x, SortDecl):
-        tx, _ = rename_positional(x.params)
-        ty, _ = rename_positional(y.params)
-        return x.name == y.name and tx == ty
-    if isinstance(x, OpDecl):
-        tx, (rx,) = rename_positional(x.params, x.result)
-        ty, (ry,) = rename_positional(y.params, y.result)
-        return x.name == y.name and tx == ty and rx == ry
-    if isinstance(x, SortAxiom):
-        tx, (lx, rx) = rename_positional(x.params, x.lhs, x.rhs)
-        ty, (ly, ry) = rename_positional(y.params, y.lhs, y.rhs)
-        return tx == ty and lx == ly and rx == ry
-    tx, (lx, rx, sx) = rename_positional(x.params, x.lhs, x.rhs, x.sort)
-    ty, (ly, ry, sy) = rename_positional(y.params, y.lhs, y.rhs, y.sort)
-    return tx == ty and lx == ly and rx == ry and sx == sy

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import replay_ok
 from gat.equality import (
+    SORT_AXIOM,
     EqEngineConfig,
     EqTrace,
     Equal,
@@ -81,6 +82,49 @@ def test_element_sorts_are_lift_invariant(mltt):
     high = parse_sort("el{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A}")
     assert isinstance(eq_sort(mltt, tele, low, high), Equal)
     assert isinstance(eq_sort(mltt, tele, high, low), Equal)
+
+
+def test_element_sort_is_not_a_type(mltt):
+    tele = parse_telescope("a: lvl{}, g: ob{}, A: ty{a/l, g/g}")
+    verdict = eq_sort(mltt, tele, parse_sort("el{a/l, g/g, A/A}"),
+                      parse_sort("ty{a/l, g/g}"))
+    assert isinstance(verdict, NotProven)
+    assert not verdict.fuel_exhausted
+
+
+def test_lifted_pi_elements_join_through_the_bridge(mltt):
+    # "pi lifting" pushes lift inside pi, so no oriented rule rewrites one
+    # side into the other; one "element lifting" step relates them.
+    tele = parse_telescope(
+        "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}, "
+        "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
+    low = parse_sort("el{a/l, g/g, pi{a/l, g/g, A/A, B/B}/A}")
+    high = parse_sort(
+        "el{b/l, g/g, pi{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A, "
+        "lift{a/a, b/b, p/p, ext{a/l, g/g, A/A}/g, B/A}/B}/A}")
+    for x, y in ((high, low), (low, high)):
+        verdict = eq_sort(mltt, tele, x, y)
+        assert isinstance(verdict, Equal)
+        sort_steps = [s for s in verdict.trace.steps if s.kind == SORT_AXIOM]
+        assert [s.axiom for s in sort_steps] == [
+            mltt.axiom_labels["element lifting"]]
+        assert replay_ok(mltt, verdict.trace)
+
+
+def test_sort_step_must_name_the_axiom_it_uses(mltt):
+    tele = parse_telescope("a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}")
+    u_el = parse_sort("el{b/l, g/g, univ{a/a, b/b, p/p, g/g}/A}")
+    verdict = eq_sort(mltt, tele, u_el, parse_sort("ty{a/l, g/g}"))
+    assert isinstance(verdict, Equal)
+    trace = verdict.trace
+    assert replay_ok(mltt, trace)
+    wrong = mltt.axiom_labels["element lifting"]
+    steps = tuple(
+        dataclasses.replace(s, axiom=wrong) if s.kind == SORT_AXIOM else s
+        for s in trace.steps)
+    assert wrong not in (s.axiom for s in trace.steps)
+    out = replay_trace(mltt, u_el, dataclasses.replace(trace, steps=steps))
+    assert isinstance(out, ReplayError)
 
 
 def test_empty_substitutions_are_equal(monoid):
