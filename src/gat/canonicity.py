@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .checker import CheckedTheory, CheckError, check_term, infer_term
-from .equality import EqEngineConfig, normalize_term
+from .equality import normalize_term
 from .library import level_numeral
 from .syntax import Cut, Subst, Telescope, Term
 
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _EMPTY_TELE = Telescope(())
+# Generated terms live at levels 0.._LEVEL_CAP.
+_LEVEL_CAP = 2
 
 
 @dataclass(frozen=True)
@@ -49,123 +51,42 @@ class Stuck:
 class GenBudget:
     max_depth: int = 6
     seed: int = 0
-    level_cap: int = 2
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
 
 
-# -- term builders ---------------------------------------------------------
+def _op(th: CheckedTheory, head: str, *values: Term) -> Cut:
+    """`head` applied to `values`, named by the telescope `th` declares for
+    it; a wrong number of values raises rather than truncating."""
+    decl = th.op_decls.get(head)
+    params = decl[0] if decl is not None else th.sort_decls[head]
+    return Cut(head, Subst(tuple(zip(params.names(), values, strict=True))))
 
 
-def _cut(head: str, *entries) -> Term:
-    return Cut(head, Subst(tuple(entries)))
-
-
-def _emp() -> Term:
-    return _cut("emp")
-
-
-def _obs(l: Term, g: Term) -> Term:
-    return _cut("obs", ("l", l), ("g", g))
-
-
-def _const(name: str, l: Term, g: Term) -> Term:
-    return _cut(name, ("l", l), ("g", g))
-
-
-def _homid(g: Term) -> Term:
-    return _cut("homid", ("g", g))
-
-
-def _bang(g: Term) -> Term:
-    return _cut("bang", ("g", g))
-
-
-def _homcmp(e: Term, d: Term, c: Term, f: Term, g: Term) -> Term:
-    return _cut("homcmp", ("e", e), ("d", d), ("c", c), ("f", f), ("g", g))
-
-
-def _ext(l: Term, g: Term, a: Term) -> Term:
-    return _cut("ext", ("l", l), ("g", g), ("A", a))
-
-
-def _proj(l: Term, g: Term, a: Term) -> Term:
-    return _cut("proj", ("l", l), ("g", g), ("A", a))
-
-
-def _vr(l: Term, g: Term, a: Term) -> Term:
-    return _cut("vr", ("l", l), ("g", g), ("A", a))
-
-
-def _snoc(l: Term, d: Term, g: Term, a: Term, f: Term, m: Term) -> Term:
-    return _cut("snoc", ("l", l), ("d", d), ("g", g), ("A", a), ("f", f),
-                ("M", m))
-
-
-def _tyact(l: Term, d: Term, g: Term, f: Term, a: Term) -> Term:
-    return _cut("tyact", ("l", l), ("d", d), ("g", g), ("f", f), ("A", a))
-
-
-def _elact(l: Term, d: Term, g: Term, f: Term, a: Term, m: Term) -> Term:
-    return _cut("elact", ("l", l), ("d", d), ("g", g), ("f", f), ("A", a),
-                ("M", m))
-
-
-def _lam(l: Term, g: Term, a: Term, b: Term, m: Term) -> Term:
-    return _cut("lam", ("l", l), ("g", g), ("A", a), ("B", b), ("M", m))
-
-
-def _app(l: Term, g: Term, a: Term, b: Term, m: Term, n: Term) -> Term:
-    return _cut("app", ("l", l), ("g", g), ("A", a), ("B", b), ("M", m),
-                ("N", n))
-
-
-def _lift(a: int, b: int, g: Term, ty: Term) -> Term:
-    return _cut("lift", ("a", level_numeral(a)), ("b", level_numeral(b)),
-                ("p", _lt_proof(a, b)), ("g", g), ("A", ty))
-
-
-def _univ(a: int, b: int, g: Term) -> Term:
-    return _cut("univ", ("a", level_numeral(a)), ("b", level_numeral(b)),
-                ("p", _lt_proof(a, b)), ("g", g))
-
-
-def _lt_proof(a: int, b: int) -> Term:
+def _lt_proof(th: CheckedTheory, a: int, b: int) -> Term:
     """A proof term of level a < level b, built from lts and ltcmp."""
     if not a < b:
         raise ValueError("requires a < b")
+    step = _op(th, "lts", level_numeral(a))
     if b == a + 1:
-        return _cut("lts", ("u", level_numeral(a)))
-    return _cut(
-        "ltcmp",
-        ("u", level_numeral(a)),
-        ("v", level_numeral(a + 1)),
-        ("w", level_numeral(b)),
-        ("p", _cut("lts", ("u", level_numeral(a)))),
-        ("q", _lt_proof(a + 1, b)),
-    )
-
-
-def _el_obs_sort(level: int) -> Cut:
-    l = level_numeral(level)
-    return _cut("el", ("l", l), ("g", _emp()), ("A", _obs(l, _emp())))
+        return step
+    return _op(th, "ltcmp", level_numeral(a), level_numeral(a + 1),
+               level_numeral(b), step, _lt_proof(th, a + 1, b))
 
 
 # -- evaluation ------------------------------------------------------------
 
 
-def evaluate_closed(th_mltt: CheckedTheory, m: Term,
-                    cfg: EqEngineConfig | None = None):
+def evaluate_closed(th_mltt: CheckedTheory, m: Term):
     """Normalize a closed term of sort el(empty, obs) and read off the
     constant.  Returns RED, GREEN, or Stuck(normal form)."""
-    cfg = cfg or EqEngineConfig()
     sort = infer_term(th_mltt, _EMPTY_TELE, m)
     if isinstance(sort, CheckError):
         raise ValueError(f"term does not check over the empty telescope: {sort}")
-    _require_el_obs(th_mltt, sort, cfg)
-    nf, _ = normalize_term(th_mltt, m, cfg)
+    _require_el_obs(th_mltt, sort)
+    nf, _ = normalize_term(th_mltt, m)
     if isinstance(nf, Cut) and nf.head == "red":
         return RED
     if isinstance(nf, Cut) and nf.head == "green":
@@ -173,15 +94,16 @@ def evaluate_closed(th_mltt: CheckedTheory, m: Term,
     return Stuck(nf)
 
 
-def _require_el_obs(th: CheckedTheory, sort, cfg: EqEngineConfig) -> None:
+def _require_el_obs(th: CheckedTheory, sort) -> None:
     # el at the empty context with the type argument normalizing to obs,
     # at any level (generated terms live at several levels).
     ok = isinstance(sort, Cut) and sort.head == "el"
     if ok:
-        g_nf, _ = normalize_term(th, sort.args.lookup("g"), cfg)
-        a_nf, _ = normalize_term(th, sort.args.lookup("A"), cfg)
-        ok = (g_nf == _emp() and isinstance(a_nf, Cut) and a_nf.head == "obs"
-              and a_nf.args.lookup("g") == _emp())
+        emp = _op(th, "emp")
+        g_nf, _ = normalize_term(th, sort.args.lookup("g"))
+        a_nf, _ = normalize_term(th, sort.args.lookup("A"))
+        ok = (g_nf == emp and isinstance(a_nf, Cut) and a_nf.head == "obs"
+              and a_nf.args.lookup("g") == emp)
     if not ok:
         raise ValueError("term is not a closed element of the observable type")
 
@@ -197,14 +119,13 @@ def generate_closed_obs_terms(th_mltt: CheckedTheory,
     wrap recursively generated terms in beta redexes, lift-collapsing
     redexes, universe-annotated wrappers, and substitution actions.  Each
     term is re-checked before it is returned."""
-    rng = random.Random(
-        f"{budget.max_depth}:{budget.seed}:{budget.level_cap}")
-    gen = _Generator(th_mltt, budget, rng)
+    rng = random.Random(f"{budget.max_depth}:{budget.seed}:{_LEVEL_CAP}")
+    gen = _Generator(th_mltt, rng)
     if budget.max_depth == 1:
-        candidates = [_const("red", level_numeral(0), _emp()),
-                      _const("green", level_numeral(0), _emp())]
+        candidates = [_op(th_mltt, name, level_numeral(0), gen.emp)
+                      for name in ("red", "green")]
     else:
-        candidates = [gen.term(budget.max_depth, rng.randint(0, budget.level_cap))
+        candidates = [gen.term(budget.max_depth, rng.randint(0, _LEVEL_CAP))
                       for _ in range(40)]
     for t in candidates:
         gen.post_check(t)
@@ -212,108 +133,111 @@ def generate_closed_obs_terms(th_mltt: CheckedTheory,
 
 
 class _Generator:
-    def __init__(self, th: CheckedTheory, budget: GenBudget,
-                 rng: random.Random):
+    def __init__(self, th: CheckedTheory, rng: random.Random):
         self.th = th
-        self.budget = budget
         self.rng = rng
-        self.cfg = EqEngineConfig()
+        self.emp = _op(th, "emp")
+
+    def obs(self, level: int) -> Cut:
+        return _op(self.th, "obs", level_numeral(level), self.emp)
 
     def post_check(self, t: Term) -> None:
         sort = infer_term(self.th, _EMPTY_TELE, t)
         if isinstance(sort, CheckError):
             raise AssertionError(f"generated term fails to check: {sort}")
-        _require_el_obs(self.th, sort, self.cfg)
+        _require_el_obs(self.th, sort)
 
     def term(self, depth: int, level: int) -> Term:
         if depth <= 1:
             name = self.rng.choice(("red", "green"))
-            return _const(name, level_numeral(level), _emp())
+            return _op(self.th, name, level_numeral(level), self.emp)
         makers = [self._const_beta, self._identity_beta, self._action_wrapper]
         if level >= 1:
             makers.append(self._lifted_beta)
-        if level < self.budget.level_cap:
+        if level < _LEVEL_CAP:
             makers.append(self._universe_annotated)
         return self.rng.choice(makers)(depth, level)
 
     def _obs_redex(self, level: int, a_ty: Term, body_of, n: Term) -> Term:
         """app of a lam at type a_ty whose codomain is a_ty weakened."""
-        l = level_numeral(level)
-        ctx = _ext(l, _emp(), a_ty)
-        p = _proj(l, _emp(), a_ty)
-        b_ty = _tyact(l, ctx, _emp(), p, a_ty)
-        fn = _lam(l, _emp(), a_ty, b_ty, body_of(l, ctx, p, b_ty))
-        return _app(l, _emp(), a_ty, b_ty, fn, n)
+        th, l, emp = self.th, level_numeral(level), self.emp
+        ctx = _op(th, "ext", l, emp, a_ty)
+        p = _op(th, "proj", l, emp, a_ty)
+        b_ty = _op(th, "tyact", l, ctx, emp, p, a_ty)
+        fn = _op(th, "lam", l, emp, a_ty, b_ty, body_of(l, ctx, p))
+        return _op(th, "app", l, emp, a_ty, b_ty, fn, n)
 
     def _const_beta(self, depth: int, level: int) -> Term:
         # constant function: body is a weakened recursive term
         inner = self.term(depth - 1, level)
-        l = level_numeral(level)
-        a_ty = _obs(l, _emp())
+        a_ty = self.obs(level)
 
-        def body(l, ctx, p, b_ty):
-            return _elact(l, ctx, _emp(), p, a_ty, inner)
+        def body(l, ctx, p):
+            return _op(self.th, "elact", l, ctx, self.emp, p, a_ty, inner)
 
         n = self.term(1, level)
         return self._obs_redex(level, a_ty, body, n)
 
     def _identity_beta(self, depth: int, level: int) -> Term:
         # identity function applied to a recursive argument
-        l = level_numeral(level)
-        a_ty = _obs(l, _emp())
+        a_ty = self.obs(level)
 
-        def body(l, ctx, p, b_ty):
-            return _vr(l, _emp(), a_ty)
+        def body(l, ctx, p):
+            return _op(self.th, "vr", l, self.emp, a_ty)
 
         return self._obs_redex(level, a_ty, body, self.term(depth - 1, level))
 
     def _lifted_beta(self, depth: int, level: int) -> Term:
         # same redex with the domain written as a lifted lower-level obs
         low = self.rng.randint(0, level - 1)
-        l = level_numeral(level)
-        a_ty = _lift(low, level, _emp(), _obs(level_numeral(low), _emp()))
+        a_ty = _op(self.th, "lift", level_numeral(low), level_numeral(level),
+                   _lt_proof(self.th, low, level), self.emp, self.obs(low))
 
-        def body(l, ctx, p, b_ty):
-            return _elact(l, ctx, _emp(), p, a_ty, self.term(depth - 1, level))
+        def body(l, ctx, p):
+            return _op(self.th, "elact", l, ctx, self.emp, p, a_ty,
+                       self.term(depth - 1, level))
 
         return self._obs_redex(level, a_ty, body, self.term(1, level))
 
     def _universe_annotated(self, depth: int, level: int) -> Term:
         # obs inhabits the universe one level up; confirm that reading of
         # the type, then use obs itself as the annotation of an action
-        high = self.rng.randint(level + 1, self.budget.level_cap)
-        l = level_numeral(level)
-        a_ty = _obs(l, _emp())
-        univ_sort = _cut("el", ("l", level_numeral(high)), ("g", _emp()),
-                         ("A", _univ(level, high, _emp())))
-        err = check_term(self.th, _EMPTY_TELE, a_ty, univ_sort, self.cfg)
+        th, emp = self.th, self.emp
+        high = self.rng.randint(level + 1, _LEVEL_CAP)
+        a_ty = self.obs(level)
+        univ = _op(th, "univ", level_numeral(level), level_numeral(high),
+                   _lt_proof(th, level, high), emp)
+        univ_sort = _op(th, "el", level_numeral(high), emp, univ)
+        err = check_term(th, _EMPTY_TELE, a_ty, univ_sort)
         if err is not None:
             raise AssertionError(f"obs fails to check at the universe: {err}")
-        return _elact(l, _emp(), _emp(), _homid(_emp()), a_ty,
-                      self.term(depth - 1, level))
+        return _op(th, "elact", level_numeral(level), emp, emp,
+                   _op(th, "homid", emp), a_ty, self.term(depth - 1, level))
 
     def _action_wrapper(self, depth: int, level: int) -> Term:
-        l = level_numeral(level)
-        a_ty = _obs(l, _emp())
+        a_ty = self.obs(level)
         inner = self.term(depth - 1, level)
         gamma = self._endo_arrow(level)
-        return _elact(l, _emp(), _emp(), gamma, a_ty, inner)
+        return _op(self.th, "elact", level_numeral(level), self.emp, self.emp,
+                   gamma, a_ty, inner)
 
     def _endo_arrow(self, level: int) -> Term:
         """A closed arrow from the empty context to itself."""
-        l = level_numeral(level)
-        a_ty = _obs(l, _emp())
+        th, l, emp = self.th, level_numeral(level), self.emp
+        a_ty = self.obs(level)
+        homid = _op(th, "homid", emp)
         kind = self.rng.randrange(4)
         if kind == 0:
-            return _homid(_emp())
+            return homid
         if kind == 1:
-            return _bang(_emp())
+            return _op(th, "bang", emp)
         if kind == 2:
-            return _homcmp(_emp(), _emp(), _emp(), _homid(_emp()),
-                           _bang(_emp()))
+            return _op(th, "homcmp", emp, emp, emp, homid,
+                       _op(th, "bang", emp))
         # proj composed with a section of the comprehension of obs
-        witness = _elact(l, _emp(), _emp(), _homid(_emp()), a_ty,
-                         self.term(1, level))
-        ctx = _ext(l, _emp(), a_ty)
-        section = _snoc(l, _emp(), _emp(), a_ty, _homid(_emp()), witness)
-        return _homcmp(_emp(), ctx, _emp(), _proj(l, _emp(), a_ty), section)
+        witness = _op(th, "elact", l, emp, emp, homid, a_ty,
+                      self.term(1, level))
+        ctx = _op(th, "ext", l, emp, a_ty)
+        section = _op(th, "snoc", l, emp, emp, a_ty, homid, witness)
+        return _op(th, "homcmp", emp, ctx, emp, _op(th, "proj", l, emp, a_ty),
+                   section)

@@ -166,21 +166,21 @@ class CheckedTheory:
                 self.irrelevant_heads = self.irrelevant_heads | {item.sort.head}
 
 
-def check_theory(raw: Theory, cfg=None) -> CheckedTheory | CheckError:
+def check_theory(raw: Theory) -> CheckedTheory | CheckError:
     """Validate items left to right, returning the first failure."""
     th = CheckedTheory()
-    err = _extend_checked(th, raw.items, cfg)
+    err = _extend_checked(th, raw.items)
     return th if err is None else err
 
 
-def theory_extends(base: CheckedTheory, ext: Theory, cfg=None):
+def theory_extends(base: CheckedTheory, ext: Theory):
     """Append `ext`'s items to a checked theory, rechecking incrementally."""
     th = base.copy()
-    err = _extend_checked(th, ext.items, cfg)
+    err = _extend_checked(th, ext.items)
     return th if err is None else err
 
 
-def _extend_checked(th: CheckedTheory, items, cfg) -> CheckError | None:
+def _extend_checked(th: CheckedTheory, items) -> CheckError | None:
     for item in items:
         index = len(th.theory.items)
         if isinstance(item, (SortDecl, OpDecl)):
@@ -212,10 +212,10 @@ def _extend_checked(th: CheckedTheory, items, cfg) -> CheckError | None:
                 e = check_sort(th, item.params, item.sort)
                 err = e.at("sort") if e is not None else None
             if err is None:
-                e = check_term(th, item.params, item.lhs, item.sort, cfg)
+                e = check_term(th, item.params, item.lhs, item.sort)
                 err = e.at("lhs") if e is not None else None
             if err is None:
-                e = check_term(th, item.params, item.rhs, item.sort, cfg)
+                e = check_term(th, item.params, item.rhs, item.sort)
                 err = e.at("rhs") if e is not None else None
         else:
             raise TypeError(f"not a theory item: {item!r}")
@@ -291,8 +291,11 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
     well-formed sort over `psi`, the judgment instance is meaningless and a
     PresuppositionViolation is reported rather than a mismatch.
     """
-    cacheable = cfg is None
-    if cacheable and (psi, m, a) in th._accept_cache:
+    cfg = cfg or EqEngineConfig()
+    # keyed on the config: an accept under more fuel does not carry over
+    # to a query with less
+    key = (psi, m, a, cfg)
+    if key in th._accept_cache:
         return None
     sort_err = check_sort(th, psi, a)
     if sort_err is not None:
@@ -303,13 +306,11 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
     if isinstance(inferred, CheckError):
         return inferred
     if inferred == a:
-        if cacheable:
-            th._accept_cache.add((psi, m, a))
+        th._accept_cache.add(key)
         return None
-    verdict = eq_sort(th, psi, inferred, a, cfg or EqEngineConfig())
+    verdict = eq_sort(th, psi, inferred, a, cfg)
     if isinstance(verdict, Equal):
-        if cacheable:
-            th._accept_cache.add((psi, m, a))
+        th._accept_cache.add(key)
         return None
     if verdict.fuel_exhausted:
         return CheckError(ErrorKind.EQUALITY_FUEL_EXHAUSTED,
@@ -321,7 +322,7 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
 
 
 def check_subst(th: CheckedTheory, phi: Telescope, psi: Subst,
-                target: Telescope, cfg=None) -> CheckError | None:
+                target: Telescope) -> CheckError | None:
     """`psi` maps `phi` into `target`: entry i checks against target sort i
     instantiated by the preceding entries; target names must match."""
     if len(psi) != len(target):
@@ -338,7 +339,7 @@ def check_subst(th: CheckedTheory, phi: Telescope, psi: Subst,
                                       f"match telescope variable {vname!r}",
                               expected=vname, found=tname)
         inst_sort = subst_apply_sort(Subst(tuple(prefix_entries)), vsort)
-        err = check_term(th, phi, value, inst_sort, cfg)
+        err = check_term(th, phi, value, inst_sort)
         if err is not None:
             return err.at(i)
         prefix_entries.append((tname, value))

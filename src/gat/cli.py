@@ -37,7 +37,6 @@ from .surface import (
     parse_telescope,
     parse_term,
     print_sort,
-    print_telescope,
     print_term,
 )
 from .syntax import Cut, Var

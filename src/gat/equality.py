@@ -469,9 +469,7 @@ class _Engine:
         src, dst = _sides(ax, step.direction)
         sigma: dict = {}
         pending: list = []
-        if isinstance(src, Var):
-            sigma[src.name] = step.before
-        elif not self.match(src, step.before, sigma, pending):
+        if not self.match(src, step.before, sigma, pending):
             return "source side does not match the rewritten subterm"
         self.soft_match(dst, step.after, sigma)
         needed = set(free_vars(dst))
@@ -533,7 +531,7 @@ def eq_term(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort,
 
 
 def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
-             target: Telescope, cfg: EqEngineConfig | None = None):
+             target: Telescope):
     """Entry-wise term equality at the progressively instantiated sorts."""
     if len(p0) != len(p1) or len(p0) != len(target):
         return NotProven(False, "substitution lengths differ")
@@ -544,7 +542,7 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
         if t0 != name or t1 != name:
             return NotProven(False, f"target names do not match {name!r}")
         inst = subst_apply_sort(Subst(tuple(prefix)), sort)
-        verdict = eq_term(th, phi, v0, v1, inst, cfg)
+        verdict = eq_term(th, phi, v0, v1, inst)
         if not isinstance(verdict, Equal):
             return verdict
         entry_traces.append(verdict.trace)
@@ -552,22 +550,18 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
     return Equal(EqTrace(p0, p1, (), phi, tuple(entry_traces)))
 
 
-def normalize_term(th: CheckedTheory, m: Term,
-                   cfg: EqEngineConfig | None = None):
+def normalize_term(th: CheckedTheory, m: Term):
     """Normal form of `m` with the oriented axioms, plus the trace there."""
-    cfg = cfg or EqEngineConfig()
-    engine = _Engine(th, cfg)
+    engine = _Engine(th, EqEngineConfig())
     nf, steps = engine.normalize(m)
     return nf, EqTrace(m, nf, tuple(steps))
 
 
-def replay_trace(th: CheckedTheory, start, trace: EqTrace,
-                 cfg: EqEngineConfig | None = None):
+def replay_trace(th: CheckedTheory, start, trace: EqTrace):
     """Independently re-check a trace: each step must be an instance of the
     named axiom at the stated position, and the rewritten subterm must match
     the recorded one exactly."""
-    cfg = cfg or EqEngineConfig()
-    engine = _Engine(th, cfg)
+    engine = _Engine(th, EqEngineConfig())
     if trace.start != start:
         return ReplayError(-1, "trace start differs from the given object")
     current = start
@@ -589,7 +583,7 @@ def replay_trace(th: CheckedTheory, start, trace: EqTrace,
             from .checker import check_term
 
             for side in (step.before, step.after):
-                if check_term(th, trace.tele, side, step.note, cfg) is not None:
+                if check_term(th, trace.tele, side, step.note) is not None:
                     return ReplayError(i, "term does not check at the stated sort")
         current = replace_at(current, step.path, step.after)
     if trace.end is not None and current != trace.end:

@@ -87,13 +87,15 @@ class SourceFile:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# Blanks and comments match no named group and are dropped; `bad` catches
+# any character no token can start with.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>--[^\n]*)
+    [ \t\r\n]+ | --[^\n]*
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<name>[^\W\d][\w-]*)
   | (?P<punct>[(){}\[\],:/=])
+  | (?P<bad>.)
     """,
     re.VERBOSE | re.UNICODE,
 )
@@ -103,35 +105,29 @@ _TOKEN_RE = re.compile(
 class _Token:
     kind: str  # "name", "string", "punct", "eof"
     value: str
-    line: int
-    col: int
+    offset: int
+
+
+def _error(text: str, offset: int, message: str, expected=()) -> ParseError:
+    """A ParseError located at `offset`, with 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - line_start + 1, expected)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        col = pos - line_start + 1
-        if kind == "ws" or kind == "comment":
-            pass
-        elif kind == "string":
-            tokens.append(_Token("string", value[1:-1].replace('\\"', '"')
-                                 .replace("\\\\", "\\"), line, col))
-        else:
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
-    last_line = line
-    tokens.append(_Token("eof", "", last_line, len(text) - line_start + 1))
+        if kind == "bad":
+            raise _error(text, m.start(),
+                         f"unexpected character {m.group()!r}")
+        if kind == "string":
+            tokens.append(_Token(kind, m.group()[1:-1].replace('\\"', '"')
+                                 .replace("\\\\", "\\"), m.start()))
+        elif kind is not None:
+            tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -139,8 +135,9 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self) -> _Token:
@@ -153,8 +150,7 @@ class _Parser:
         return tok
 
     def fail(self, message: str, expected=()):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
+        raise _error(self.text, self.peek().offset, message, expected)
 
     def expect_punct(self, ch: str) -> _Token:
         tok = self.peek()
@@ -290,7 +286,7 @@ class _Parser:
 
 
 def parse_source(text: str, path: str | None = None) -> SourceFile:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     theory, notations, extends = parser.parse_file()
     return SourceFile(path, text, theory, notations, extends)
 
@@ -300,7 +296,7 @@ def parse_theory(text: str) -> Theory:
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     term = parser.parse_term()
     if parser.peek().kind != "eof":
         parser.fail("trailing input after term")
@@ -308,7 +304,7 @@ def parse_term(text: str) -> Term:
 
 
 def parse_sort(text: str) -> Sort:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     sort = parser.parse_sort()
     if parser.peek().kind != "eof":
         parser.fail("trailing input after sort")
@@ -316,7 +312,7 @@ def parse_sort(text: str) -> Sort:
 
 
 def parse_telescope(text: str) -> Telescope:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     tele = parser.parse_telescope()
     if parser.peek().kind != "eof":
         parser.fail("trailing input after telescope")

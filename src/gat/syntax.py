@@ -81,9 +81,6 @@ class Subst:
         return len(self.entries)
 
 
-EMPTY_SUBST = Subst()
-
-
 @dataclass(frozen=True)
 class Telescope:
     """Ordered typed context; each sort may mention earlier variables only."""
@@ -101,9 +98,6 @@ class Telescope:
 
     def __len__(self) -> int:
         return len(self.bindings)
-
-
-EMPTY_TELESCOPE = Telescope()
 
 
 @dataclass(frozen=True)

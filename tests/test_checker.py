@@ -158,10 +158,16 @@ def test_check_term_reports_fuel_exhaustion_separately(mltt):
     m = parse_term(
         "elact{a/l, g/d, g/g, homid{g/g}/f, "
         "tyact{a/l, g/d, g/g, homid{g/g}/f, A/A}/A, " + inner + "/M}")
-    err = check_term(mltt, tele, m, parse_sort("el{a/l, g/g, A/A}"),
-                     EqEngineConfig(fuel=1))
-    assert err is not None
-    assert err.kind == ErrorKind.EQUALITY_FUEL_EXHAUSTED
+    sort = parse_sort("el{a/l, g/g, A/A}")
+    for warm in (False, True):
+        # a judgement accepted under the default config must not be
+        # accepted from cache under a smaller one
+        th = mltt.copy()
+        if warm:
+            assert check_term(th, tele, m, sort) is None
+        err = check_term(th, tele, m, sort, EqEngineConfig(fuel=1))
+        assert err is not None
+        assert err.kind == ErrorKind.EQUALITY_FUEL_EXHAUSTED
 
 
 # -- substitutions ---------------------------------------------------------

@@ -50,6 +50,20 @@ def test_unbalanced_brace_is_located():
     assert exc.value.col >= 13
 
 
+@pytest.mark.parametrize("text, message, line, col, expected", [
+    ("-- a comment\nSORT ob)", "expected '(', found ')'", 2, 8, ("(",)),
+    ("SORT ob()\n\n\n  OP $", "unexpected character '$'", 4, 6, ()),
+    ("SORT ob()\nOP id() : ob{", "expected term, found 'end of file'", 2, 14,
+     ("term",)),
+], ids=["after-a-comment-line", "after-blank-lines", "at-end-of-file"])
+def test_error_line_and_column(text, message, line, col, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_theory(text)
+    assert (exc.value.message, exc.value.line, exc.value.col,
+            exc.value.expected) == (message, line, col, expected)
+    assert str(exc.value) == f"{line}:{col}: {message}"
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ParseError):
         parse_theory('TERMAX "a" [sideways] (x: ob{}) x = x : ob{}')
