@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .checker import CheckedTheory, CheckError, check_term, infer_term
 from .equality import normalize_term
-from .library import level_numeral
 from .syntax import Cut, Subst, Telescope, Term
 
 __all__ = [
@@ -65,17 +64,6 @@ def _op(th: CheckedTheory, head: str, *values: Term) -> Cut:
     return Cut(head, Subst(tuple(zip(params.names(), values, strict=True))))
 
 
-def _lt_proof(th: CheckedTheory, a: int, b: int) -> Term:
-    """A proof term of level a < level b, built from lts and ltcmp."""
-    if not a < b:
-        raise ValueError("requires a < b")
-    step = _op(th, "lts", level_numeral(a))
-    if b == a + 1:
-        return step
-    return _op(th, "ltcmp", level_numeral(a), level_numeral(a + 1),
-               level_numeral(b), step, _lt_proof(th, a + 1, b))
-
-
 # -- evaluation ------------------------------------------------------------
 
 
@@ -122,7 +110,7 @@ def generate_closed_obs_terms(th_mltt: CheckedTheory,
     rng = random.Random(f"{budget.max_depth}:{budget.seed}:{_LEVEL_CAP}")
     gen = _Generator(th_mltt, rng)
     if budget.max_depth == 1:
-        candidates = [_op(th_mltt, name, level_numeral(0), gen.emp)
+        candidates = [_op(th_mltt, name, gen.levels[0], gen.emp)
                       for name in ("red", "green")]
     else:
         candidates = [gen.term(budget.max_depth, rng.randint(0, _LEVEL_CAP))
@@ -137,9 +125,24 @@ class _Generator:
         self.th = th
         self.rng = rng
         self.emp = _op(th, "emp")
+        # one shared numeral per level: ls applied n times to lz
+        self.levels = [_op(th, "lz")]
+        for _ in range(_LEVEL_CAP):
+            self.levels.append(_op(th, "ls", self.levels[-1]))
 
     def obs(self, level: int) -> Cut:
-        return _op(self.th, "obs", level_numeral(level), self.emp)
+        return _op(self.th, "obs", self.levels[level], self.emp)
+
+    def lt_proof(self, a: int, b: int) -> Term:
+        """A proof term of level a < level b, built from lts and ltcmp."""
+        if not a < b:
+            raise ValueError("requires a < b")
+        th, lv = self.th, self.levels
+        step = _op(th, "lts", lv[a])
+        if b == a + 1:
+            return step
+        return _op(th, "ltcmp", lv[a], lv[a + 1], lv[b], step,
+                   self.lt_proof(a + 1, b))
 
     def post_check(self, t: Term) -> None:
         sort = infer_term(self.th, _EMPTY_TELE, t)
@@ -150,7 +153,7 @@ class _Generator:
     def term(self, depth: int, level: int) -> Term:
         if depth <= 1:
             name = self.rng.choice(("red", "green"))
-            return _op(self.th, name, level_numeral(level), self.emp)
+            return _op(self.th, name, self.levels[level], self.emp)
         makers = [self._const_beta, self._identity_beta, self._action_wrapper]
         if level >= 1:
             makers.append(self._lifted_beta)
@@ -160,7 +163,7 @@ class _Generator:
 
     def _obs_redex(self, level: int, a_ty: Term, body_of, n: Term) -> Term:
         """app of a lam at type a_ty whose codomain is a_ty weakened."""
-        th, l, emp = self.th, level_numeral(level), self.emp
+        th, l, emp = self.th, self.levels[level], self.emp
         ctx = _op(th, "ext", l, emp, a_ty)
         p = _op(th, "proj", l, emp, a_ty)
         b_ty = _op(th, "tyact", l, ctx, emp, p, a_ty)
@@ -190,8 +193,8 @@ class _Generator:
     def _lifted_beta(self, depth: int, level: int) -> Term:
         # same redex with the domain written as a lifted lower-level obs
         low = self.rng.randint(0, level - 1)
-        a_ty = _op(self.th, "lift", level_numeral(low), level_numeral(level),
-                   _lt_proof(self.th, low, level), self.emp, self.obs(low))
+        a_ty = _op(self.th, "lift", self.levels[low], self.levels[level],
+                   self.lt_proof(low, level), self.emp, self.obs(low))
 
         def body(l, ctx, p):
             return _op(self.th, "elact", l, ctx, self.emp, p, a_ty,
@@ -202,28 +205,28 @@ class _Generator:
     def _universe_annotated(self, depth: int, level: int) -> Term:
         # obs inhabits the universe one level up; confirm that reading of
         # the type, then use obs itself as the annotation of an action
-        th, emp = self.th, self.emp
+        th, lv, emp = self.th, self.levels, self.emp
         high = self.rng.randint(level + 1, _LEVEL_CAP)
         a_ty = self.obs(level)
-        univ = _op(th, "univ", level_numeral(level), level_numeral(high),
-                   _lt_proof(th, level, high), emp)
-        univ_sort = _op(th, "el", level_numeral(high), emp, univ)
+        univ = _op(th, "univ", lv[level], lv[high], self.lt_proof(level, high),
+                   emp)
+        univ_sort = _op(th, "el", lv[high], emp, univ)
         err = check_term(th, _EMPTY_TELE, a_ty, univ_sort)
         if err is not None:
             raise AssertionError(f"obs fails to check at the universe: {err}")
-        return _op(th, "elact", level_numeral(level), emp, emp,
-                   _op(th, "homid", emp), a_ty, self.term(depth - 1, level))
+        return _op(th, "elact", lv[level], emp, emp, _op(th, "homid", emp),
+                   a_ty, self.term(depth - 1, level))
 
     def _action_wrapper(self, depth: int, level: int) -> Term:
         a_ty = self.obs(level)
         inner = self.term(depth - 1, level)
         gamma = self._endo_arrow(level)
-        return _op(self.th, "elact", level_numeral(level), self.emp, self.emp,
+        return _op(self.th, "elact", self.levels[level], self.emp, self.emp,
                    gamma, a_ty, inner)
 
     def _endo_arrow(self, level: int) -> Term:
         """A closed arrow from the empty context to itself."""
-        th, l, emp = self.th, level_numeral(level), self.emp
+        th, l, emp = self.th, self.levels[level], self.emp
         a_ty = self.obs(level)
         homid = _op(th, "homid", emp)
         kind = self.rng.randrange(4)

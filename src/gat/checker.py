@@ -96,6 +96,16 @@ class CheckedTheory:
         # could be fixed by later items and must not be cached.
         self._infer_cache: dict = {}
         self._accept_cache: set = set()
+        self._reset_engine_tables()
+
+    def _reset_engine_tables(self) -> None:
+        # Built by gat.equality and valid only for the items they were built
+        # from, so dropped whenever an item is added: the normal-form memo
+        # every equality query shares, and the oriented rules and match
+        # plans indexed by head symbol (None until first use).  Concurrent
+        # queries may both fill them; they store equal values.
+        self.nf_memo: dict = {}
+        self.rule_index = None
 
     def copy(self) -> "CheckedTheory":
         out = CheckedTheory()
@@ -142,6 +152,7 @@ class CheckedTheory:
         self._arg_heads[name] = tuple(s.head for _, s in params.bindings)
 
     def _add_item(self, item) -> None:
+        self._reset_engine_tables()
         index = len(self.theory.items)
         self.theory = self.theory.extended((item,))
         if isinstance(item, SortDecl):

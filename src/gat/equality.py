@@ -23,6 +23,20 @@ trial: a failed or conflicting sub-match there is skipped rather than
 failing the whole match, because normalization may have rewritten an
 annotation the axiom spells out in constructor form.  Forced positions
 always match strictly, which is what keeps distinct axioms apart.
+
+Every query (`eq_sort`, `eq_term`, `normalize_term`, `replay_trace`) runs
+its own engine with its own fuel and its own table of the terms it has
+normalized, but all of them share one normal-form memo and one rule index
+held by the `CheckedTheory`; adding an item to the theory drops both.  A
+memo entry records how its term normalized: the entries of its arguments,
+the terms its deferred positions made it normalize, and its root rewrite.
+When a query takes an entry from the memo rather than from its own table,
+it walks those records in order and, for each term not yet in its table,
+spends the fuel and makes the size check a cold engine would.  So a
+verdict, its trace and the fuel it used never depend on what the memo
+holds.  Normal forms found after a query hit the cap on nested deferred
+positions are kept out of the memo, and an entry is taken only where its
+nested deferrals stay under that cap.
 """
 
 from __future__ import annotations
@@ -187,17 +201,85 @@ def _orient(kind: str, axioms) -> list:
     return rules
 
 
+def _rule_index(th: CheckedTheory) -> tuple[dict, dict]:
+    """The theory's rules by the head of their source, term axioms before
+    sort axioms; and per symbol, the argument positions in the order
+    `match` visits them (strict before loose) with the mask of loose ones.
+    Built once per theory and dropped by it whenever an item is added."""
+    if th.rule_index is None:
+        rules: dict[str, list] = {}
+        for rule in (_orient(TERM_AXIOM, th.term_axioms)
+                     + _orient(SORT_AXIOM, th.sort_axioms)):
+            rules.setdefault(rule[2].head, []).append(rule)
+        plans = {}
+        for head in (*th.sort_decls, *th.op_decls):
+            # loose: flex, or of a proof-irrelevant sort
+            loose = tuple(f or h in th.irrelevant_heads for f, h in
+                          zip(th.flex_of(head), th.arg_heads_of(head)))
+            plans[head] = (sorted(range(len(loose)), key=loose.__getitem__),
+                           loose)
+        th.rule_index = (rules, plans)
+    return th.rule_index
+
+
+# Discharging a deferred position normalizes terms, which matches rules,
+# which may defer again.  The terms shrink in practice; this cap on the
+# nesting makes termination unconditional.
+_PENDING_CAP = 20
+
+
+@dataclass(eq=False, slots=True)
+class _Entry:
+    """How one term normalized, shared through the theory's `nf_memo`.
+
+    `kids` pairs argument indices with the entries of arguments that took
+    steps; `step` is the root rewrite, if a rule fired, to a term of size
+    `size` whose entry is `rest`.  `pending` lists the terms normalized
+    while deferred positions were discharged, in order, and `height` how
+    deeply such discharges nested.  Steps are kept unflattened: `_emit`
+    prefixes paths only when a query asks for them."""
+
+    nf: Term
+    kids: tuple[tuple[int, "_Entry"], ...]
+    step: EqStep | None
+    size: int | None
+    rest: "_Entry | None"
+    pending: tuple[Term, ...]
+    height: int
+
+
+def _emit(e: _Entry | None, path: tuple[int, ...], out: list) -> None:
+    """Append the steps of `e`, with `path` prefixed, to `out`."""
+    while e is not None:
+        for i, kid in e.kids:
+            _emit(kid, path + (i,), out)
+        s = e.step
+        if s is None:
+            return
+        out.append(EqStep(s.kind, s.axiom, s.direction, path, s.before,
+                          s.after) if path else s)
+        e = e.rest
+
+
 class _Engine:
     def __init__(self, th: CheckedTheory, cfg: EqEngineConfig) -> None:
         self.th = th
         self.cfg = cfg
         self.fuel = cfg.fuel
         self._pending_depth = 0
-        # term or sort -> (normal form, steps with paths relative to it);
-        # sort and operation symbols are disjoint, so the two never collide.
-        self._nf_cache: dict[Term, tuple[Term, tuple[EqStep, ...]]] = {}
-        self.rules = (_orient(TERM_AXIOM, th.term_axioms)
-                      + _orient(SORT_AXIOM, th.sort_axioms))
+        # Set once a deferred discharge hits `_PENDING_CAP`: what this query
+        # normalizes from then on may differ from a normal form computed
+        # anywhere else, so it neither reads nor fills the shared memo.
+        self._capped = False
+        # The terms this query has normalized, as a cold engine would have
+        # cached them; sort and operation symbols are disjoint, so sorts
+        # and terms never collide.
+        self._table: dict[Cut, _Entry] = {}
+        # One list per rule search in progress, logging the terms that
+        # deferred discharges normalize.
+        self._frames: list[list] = []
+        self.rules, self._plans = _rule_index(th)
+        self._memo = th.nf_memo
 
     def _spend(self) -> None:
         self.fuel -= 1
@@ -223,13 +305,6 @@ class _Engine:
 
     # -- matching ----------------------------------------------------------
 
-    def _loose(self, head: str, i: int) -> bool:
-        flex = self.th.flex_of(head)
-        heads = self.th.arg_heads_of(head)
-        if i < len(heads) and heads[i] in self.th.irrelevant_heads:
-            return True
-        return i < len(flex) and flex[i]
-
     def match(self, pattern: Term, subject: Term, sigma: dict,
               pending: list) -> bool:
         """Strict match, except at flex and irrelevant argument positions,
@@ -249,11 +324,10 @@ class _Engine:
         sv = subject.args.values()
         if len(pv) != len(sv):
             return False
-        n = len(pv)
-        order = [i for i in range(n) if not self._loose(pattern.head, i)]
-        order += [i for i in range(n) if self._loose(pattern.head, i)]
+        # patterns are sides of checked axioms, so of their symbol's arity
+        order, loose = self._plans[pattern.head]
         for i in order:
-            if self._loose(pattern.head, i):
+            if loose[i]:
                 trial_sigma = dict(sigma)
                 trial_pending = list(pending)
                 if self.match(pv[i], sv[i], trial_sigma, trial_pending):
@@ -267,21 +341,22 @@ class _Engine:
         return True
 
     def _norm_quiet(self, t: Term) -> Term:
-        return self._norm(t, (), [])
+        return t if isinstance(t, Var) else self._entry(t).nf
 
     def _check_pending(self, sigma: dict, pending: list) -> bool:
         if not pending:
             return True
-        # Depth guard: discharging a deferred position normalizes terms,
-        # which matches rules, which may defer again.  The terms shrink in
-        # practice; the cap makes termination unconditional.
-        if self._pending_depth >= 20:
+        if self._pending_depth >= _PENDING_CAP:
+            self._capped = True
             return False
+        log = self._frames[-1] if self._frames else []
         self._pending_depth += 1
         try:
             for pattern, subject in pending:
-                inst = self._norm_quiet(self._instantiate(pattern, sigma))
-                if not self.equal_mod_irr(inst, self._norm_quiet(subject)):
+                inst = self._instantiate(pattern, sigma)
+                log += (inst, subject)
+                if not self.equal_mod_irr(self._norm_quiet(inst),
+                                          self._norm_quiet(subject)):
                     return False
             return True
         finally:
@@ -339,44 +414,95 @@ class _Engine:
     # -- normalization of sorts and terms ---------------------------------
 
     def normalize(self, t: Term):
-        steps: list[EqStep] = []
-        nf = self._norm(t, (), steps)
-        return nf, steps
-
-    def _norm(self, t: Term, path, steps) -> Term:
         if isinstance(t, Var):
-            return t
-        hit = self._nf_cache.get(t)
-        if hit is None:
-            local: list[EqStep] = []
-            nf = self._norm_fresh(t, local)
-            hit = (nf, tuple(local))
-            self._nf_cache[t] = hit
-        nf, rel = hit
-        if path:
-            steps.extend(replace(s, path=path + s.path) for s in rel)
-        else:
-            steps.extend(rel)
-        return nf
+            return t, []
+        e = self._entry(t)
+        steps: list[EqStep] = []
+        _emit(e, (), steps)
+        return e.nf, steps
 
-    def _norm_fresh(self, t: Cut, steps) -> Term:
-        entries = []
-        for i, (target, value) in enumerate(t.args.entries):
-            entries.append((target, self._norm(value, (i,), steps)))
-        t = Cut(t.head, Subst(tuple(entries)))
-        for kind, idx, src, dst, direction, ax in self.rules:
-            if src.head != t.head:
-                continue
-            sigma = self.match_rule(src, dst, t, ax)
-            if sigma is None:
-                continue
-            new = self._instantiate(dst, sigma)
+    def _entry(self, t: Cut) -> _Entry:
+        """The normalization of `t`: from this query's table, else from the
+        theory's memo at the fuel and size checks a cold engine would make,
+        else computed afresh."""
+        e = self._table.get(t)
+        if e is not None:
+            return e
+        e = self._memo.get(t)
+        if (e is not None and not self._capped
+                and self._pending_depth + e.height <= _PENDING_CAP):
+            self._spend_as_cold(t, e)
+        else:
+            e = self._fresh(t)
+            if not self._capped:
+                self._memo[t] = e
+        self._table[t] = e
+        return e
+
+    def _spend_as_cold(self, t: Cut, e: _Entry) -> None:
+        """Visit what computing `t` afresh would normalize, in the same
+        order: its arguments, the deferred discharges, the rewritten term.
+        Each visit this query has not made yet costs its own rewrites, and
+        `e`'s own rewrite costs 1 fuel and the size check."""
+        for v in t.args.values():
+            if isinstance(v, Cut):
+                self._entry(v)
+        if e.pending:
+            self._pending_depth += 1
+            try:
+                for v in e.pending:
+                    if isinstance(v, Cut):
+                        self._entry(v)
+            finally:
+                self._pending_depth -= 1
+        if e.step is not None:
             self._spend()
-            if term_size(new) > self.cfg.max_term_size:
+            if e.size > self.cfg.max_term_size:
                 raise _SizeExceeded()
-            steps.append(EqStep(kind, idx, direction, (), t, new))
-            return self._norm(new, (), steps)
-        return t
+            if e.rest is not None:
+                self._entry(e.step.after)
+
+    def _fresh(self, t: Cut) -> _Entry:
+        values = t.args.values()
+        args = [self._entry(v) if isinstance(v, Cut) else None
+                for v in values]
+        kids = tuple((i, a) for i, a in enumerate(args)
+                     if a is not None and (a.kids or a.step is not None))
+        if kids:
+            t = Cut(t.head, Subst(tuple(
+                (name, v if a is None else a.nf)
+                for (name, v), a in zip(t.args.entries, args))))
+        log: list = []
+        self._frames.append(log)
+        try:
+            for kind, idx, src, dst, direction, ax in self.rules.get(t.head, ()):
+                sigma = self.match_rule(src, dst, t, ax)
+                if sigma is None:
+                    continue
+                new = self._instantiate(dst, sigma)
+                self._spend()
+                size = term_size(new)
+                if size > self.cfg.max_term_size:
+                    raise _SizeExceeded()
+                step = EqStep(kind, idx, direction, (), t, new)
+                break
+            else:
+                step = size = new = None
+        finally:
+            self._frames.pop()
+        rest = self._entry(new) if isinstance(new, Cut) else None
+        if step is None:
+            nf = t
+        else:
+            nf = new if rest is None else rest.nf
+        heights = [a.height for a in args if a is not None]
+        if log:
+            heights.append(1 + max((self._table[v].height for v in log
+                                    if isinstance(v, Cut)), default=0))
+        if rest is not None:
+            heights.append(rest.height)
+        return _Entry(nf, kids, step, size, rest, tuple(log),
+                      max(heights, default=0))
 
     # -- equality --------------------------------------------------------
 

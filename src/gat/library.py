@@ -13,7 +13,6 @@ from importlib import resources
 
 from .checker import CheckedTheory, CheckError, check_theory, theory_extends
 from .surface import parse_source
-from .syntax import Cut, Subst, Term
 
 __all__ = [
     "LibraryEntry",
@@ -21,7 +20,6 @@ __all__ = [
     "entry",
     "library_names",
     "library_path",
-    "level_numeral",
     "load",
     "theory_extends",
 ]
@@ -98,12 +96,3 @@ def load(name: str) -> CheckedTheory:
         # first build wins; concurrent builders produce equal values
         return _cache.setdefault(name, built)
 
-
-def level_numeral(n: int) -> Term:
-    """The n-th level numeral: ls applied n times to lz."""
-    if n < 0:
-        raise ValueError("level numerals are non-negative")
-    t: Term = Cut("lz", Subst(()))
-    for _ in range(n):
-        t = Cut("ls", Subst((("u", t),)))
-    return t

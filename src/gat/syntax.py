@@ -13,7 +13,7 @@ binding structure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 _NAME_RE = re.compile(r"^[^\W\d][\w-]*$", re.UNICODE)
@@ -24,22 +24,24 @@ def is_valid_name(text: str) -> bool:
     return bool(_NAME_RE.match(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """A declared symbol applied to a substitution for its telescope."""
 
     head: str
     args: "Subst"
-
     # terms nest deeply and are used as dict keys throughout the checker
     # and the equality engine, so the recursive hash is computed once
+    _hash: int | None = field(default=None, compare=False, repr=False,
+                              init=False)
+
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.head, self.args))
             object.__setattr__(self, "_hash", h)
@@ -52,14 +54,16 @@ Term = Union[Var, Cut]
 Sort = Cut
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subst:
     """Ordered assignment of terms to target variables; targets distinct."""
 
     entries: tuple[tuple[str, Term], ...] = ()
+    _hash: int | None = field(default=None, compare=False, repr=False,
+                              init=False)
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash(self.entries)
             object.__setattr__(self, "_hash", h)

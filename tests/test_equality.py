@@ -16,11 +16,14 @@ from gat.equality import (
     eq_subst,
     eq_term,
     normalize_term,
+    record_fuel,
     replay_trace,
 )
+from gat.canonicity import GenBudget, generate_closed_obs_terms
+from gat.checker import check_theory, infer_term, theory_extends
 from gat.library import load
-from gat.surface import parse_sort, parse_telescope, parse_term
-from gat.syntax import Subst, Telescope, Var, subst_apply_term
+from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
+from gat.syntax import Cut, Subst, Telescope, Var, subst_apply_term
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +239,124 @@ def test_replay_rejects_wrong_start(monoid):
     out = replay_trace(monoid, parse_term("id{}"), trace)
     assert isinstance(out, ReplayError)
     assert out.step == -1
+
+
+# -- the shared normal-form memo ---------------------------------------------
+
+
+def _query(th, tele, m, n, sort, fuel=10000, size=5000):
+    with record_fuel() as meter:
+        verdict = eq_term(th, tele, m, n, sort, EqEngineConfig(fuel, size))
+    return verdict, meter[0]
+
+
+def _assert_warm_is_cold(th, warm, tele, m, n, sort):
+    """`warm` has `th`'s items and a filled memo.  Every query on it must
+    give the verdict, trace and fuel of the same query on a copy of `th`,
+    which starts with an empty memo: also at the fuel the query needs, at
+    one less, and under small term size caps.  Returns the cold verdict and
+    the fuel it used."""
+    cold = _query(th.copy(), tele, m, n, sort)
+    assert _query(warm, tele, m, n, sort) == cold
+    used = cold[1]
+    bounds = [(fuel, 5000) for fuel in (used, used - 1) if fuel > 0]
+    bounds += [(10000, size) for size in (6, 12, 24)]
+    for fuel, size in bounds:
+        assert (_query(warm, tele, m, n, sort, fuel, size)
+                == _query(th.copy(), tele, m, n, sort, fuel, size))
+    return cold
+
+
+def test_warm_memo_matches_a_cold_engine_on_sweep_terms(mltt):
+    empty = Telescope()
+    terms = [t for depth in range(3, 7) for t in generate_closed_obs_terms(
+        mltt, GenBudget(max_depth=depth, seed=0))[:6]]
+    warm = mltt.copy()
+    nfs = [normalize_term(warm, t)[0] for t in terms]
+    for t, nf in zip(terms, nfs):
+        sort = infer_term(mltt, empty, t)
+        (verdict, used) = _assert_warm_is_cold(mltt, warm, empty, t, nf, sort)
+        assert isinstance(verdict, Equal) and used > 1
+        assert isinstance(_query(warm, empty, t, nf, sort, used)[0], Equal)
+        short = _query(warm, empty, t, nf, sort, used - 1)[0]
+        assert isinstance(short, NotProven) and short.fuel_exhausted
+
+
+def test_warm_memo_matches_a_cold_engine_on_open_queries(monoid):
+    cat = load("cat")
+    queries = [
+        (monoid, parse_telescope("x: ob{}, y: ob{}, z: ob{}"),
+         parse_term("cmp{cmp{x/a, id{}/b}/a, cmp{y/a, cmp{id{}/a, z/b}/b}/b}"),
+         parse_term("cmp{cmp{x/a, y/b}/a, z/b}"), OB),
+        (cat, parse_telescope("a: ob{}, b: ob{}, c: ob{}, "
+                              "f: hom{a/d, b/c}, g: hom{b/d, c/c}"),
+         parse_term("homcmp{a/e, b/d, c/c, g/f, "
+                    "homcmp{a/e, a/d, b/c, f/f, homid{a/g}/g}/g}"),
+         parse_term("homcmp{a/e, b/d, c/c, homcmp{b/e, c/d, c/c, "
+                    "homid{c/g}/f, g/g}/f, f/g}"),
+         parse_sort("hom{a/d, c/c}")),
+    ]
+    for th, tele, m, n, sort in queries:
+        warm = th.copy()
+        normalize_term(warm, m)
+        normalize_term(warm, n)
+        verdict, used = _assert_warm_is_cold(th, warm, tele, m, n, sort)
+        assert isinstance(verdict, Equal) and used > 1
+
+
+def test_extension_rewrites_with_its_axiom_and_the_base_does_not(monoid):
+    base = monoid.copy()
+    m = parse_term("cmp{x/a, y/b}")
+    assert normalize_term(base, m)[0] == m
+    ext = theory_extends(base, parse_source(
+        'TERMAX "left projection" (x: ob{}, y: ob{}) '
+        'cmp{x/a, y/b} = x : ob{}').theory)
+    assert normalize_term(ext, m)[0] == Var("x")
+    assert normalize_term(base, m)[0] == m
+
+
+# h{n, c{n}} normalizes only through k nested discharges of its deferred
+# first argument when n is the k-th numeral.
+NESTED = """
+SORT N()
+SORT T(n: N{})
+OP z() : N{}
+OP s(m: N{}) : N{}
+OP c(n: N{}) : T{n/n}
+OP h(n: N{}, x: T{n/n}) : N{}
+OP pair(a: N{}, b: N{}) : N{}
+SORTAX "succ index" (m: N{}) T{s{m/m}/n} = T{m/n}
+SORTAX "h index" (n: N{}, x: T{n/n}) T{h{n/n, x/x}/n} = T{n/n}
+TERMAX "base" () h{z{}/n, c{z{}/n}/x} = s{z{}/m} : N{}
+TERMAX "step" (m: N{}) h{h{m/n, c{m/n}/x}/n, c{s{m/m}/n}/x} = s{s{m/m}/m} : N{}
+"""
+
+
+def _numeral(k):
+    t = Cut("z", Subst())
+    for _ in range(k):
+        t = Cut("s", Subst((("m", t),)))
+    return t
+
+
+def _nested(k):
+    n = _numeral(k)
+    return Cut("h", Subst((("n", n), ("x", Cut("c", Subst((("n", n),)))))))
+
+
+def test_memo_keeps_the_pending_depth_cap_of_a_cold_engine():
+    th = check_theory(parse_source(NESTED).theory)
+    u20, u21 = _nested(20), _nested(21)
+    warm = th.copy()
+    assert normalize_term(warm, u20)[0] == _numeral(21)
+    # u21 discharges u20 at depth 1, where u20's 20 levels hit the cap
+    assert normalize_term(warm, u21) == normalize_term(th.copy(), u21)
+    assert normalize_term(warm, u21)[0] == u21
+    # after the cap, a query keeps what it computed under it, as a cold
+    # engine does, rather than the memo's s{u20} => s^22{z}
+    s_u20 = Cut("s", Subst((("m", u20),)))
+    pair = Cut("pair", Subst((("a", u21), ("b", s_u20))))
+    warm = th.copy()
+    assert normalize_term(warm, s_u20)[0] == _numeral(22)
+    assert normalize_term(warm, pair) == normalize_term(th.copy(), pair)
+    assert normalize_term(warm, pair)[0] == pair

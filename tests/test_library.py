@@ -7,7 +7,6 @@ from gat.equality import EqEngineConfig, Equal, eq_term
 from gat.library import (
     LibraryError,
     entry,
-    level_numeral,
     library_names,
     library_path,
     load,
@@ -83,10 +82,9 @@ def test_mltt_checks_as_one_flat_theory():
 
 def test_level_numerals_check_at_lvl():
     th = load("mltt")
-    assert level_numeral(0) == parse_term("lz{}")
-    assert level_numeral(2) == parse_term("ls{ls{lz{}/u}/u}")
     for n in range(4):
-        assert check_term(th, Telescope(), level_numeral(n),
+        numeral = parse_term("ls{" * n + "lz{}" + "/u}" * n)
+        assert check_term(th, Telescope(), numeral,
                           parse_sort("lvl{}")) is None
 
 

@@ -145,3 +145,16 @@ def test_term_size_counts_nodes():
     assert term_size(Var("x")) == 1
     assert term_size(cut("k")) == 1
     assert term_size(cut("f", ("a", Var("x")))) == 2
+
+
+def test_terms_have_slots_and_hide_their_cached_hash():
+    for obj in (Var("x"), cut("f", ("a", Var("x"))), Subst()):
+        assert not hasattr(obj, "__dict__")
+    a = cut("f", ("a", cut("g")), ("b", Var("x")))
+    b = cut("f", ("a", cut("g")), ("b", Var("x")))
+    h = hash(a)
+    assert a._hash == h and a.args._hash is not None
+    assert b._hash is None and b.args._hash is None
+    assert a == b and a.args == b.args
+    assert hash(b) == h and hash(b.args) == hash(a.args)
+    assert repr(a) == repr(b) and "_hash" not in repr(a)
