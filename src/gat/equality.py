@@ -59,7 +59,6 @@ from .syntax import (
     subst_apply_sort,
     subst_apply_term,
     subterm_at,
-    term_size,
 )
 
 if TYPE_CHECKING:
@@ -233,16 +232,15 @@ class _Entry:
     """How one term normalized, shared through the theory's `nf_memo`.
 
     `kids` pairs argument indices with the entries of arguments that took
-    steps; `step` is the root rewrite, if a rule fired, to a term of size
-    `size` whose entry is `rest`.  `pending` lists the terms normalized
-    while deferred positions were discharged, in order, and `height` how
-    deeply such discharges nested.  Steps are kept unflattened: `_emit`
-    prefixes paths only when a query asks for them."""
+    steps; `step` is the root rewrite, if a rule fired, to a term whose
+    entry is `rest`.  `pending` lists the terms normalized while deferred
+    positions were discharged, in order, and `height` how deeply such
+    discharges nested.  Steps are kept unflattened: `_emit` prefixes paths
+    only when a query asks for them."""
 
     nf: Term
     kids: tuple[tuple[int, "_Entry"], ...]
     step: EqStep | None
-    size: int | None
     rest: "_Entry | None"
     pending: tuple[Term, ...]
     height: int
@@ -275,6 +273,8 @@ class _Engine:
         # cached them; sort and operation symbols are disjoint, so sorts
         # and terms never collide.
         self._table: dict[Cut, _Entry] = {}
+        # The (term, pending depth) pairs whose `_fresh` is in progress.
+        self._active: set[tuple[Cut, int]] = set()
         # One list per rule search in progress, logging the terms that
         # deferred discharges normalize.
         self._frames: list[list] = []
@@ -433,7 +433,18 @@ class _Engine:
                 and self._pending_depth + e.height <= _PENDING_CAP):
             self._spend_as_cold(t, e)
         else:
-            e = self._fresh(t)
+            key = (t, self._pending_depth)
+            if key in self._active:
+                # A rewrite led back to a term being normalized at this
+                # depth: a cold engine would repeat the same rewrites, each
+                # costing fuel, until the fuel ran out.
+                self.fuel = 0
+                self._spend()
+            self._active.add(key)
+            try:
+                e = self._fresh(t)
+            finally:
+                self._active.discard(key)
             if not self._capped:
                 self._memo[t] = e
         self._table[t] = e
@@ -457,7 +468,7 @@ class _Engine:
                 self._pending_depth -= 1
         if e.step is not None:
             self._spend()
-            if e.size > self.cfg.max_term_size:
+            if e.step.after.size > self.cfg.max_term_size:
                 raise _SizeExceeded()
             if e.rest is not None:
                 self._entry(e.step.after)
@@ -481,13 +492,12 @@ class _Engine:
                     continue
                 new = self._instantiate(dst, sigma)
                 self._spend()
-                size = term_size(new)
-                if size > self.cfg.max_term_size:
+                if new.size > self.cfg.max_term_size:
                     raise _SizeExceeded()
                 step = EqStep(kind, idx, direction, (), t, new)
                 break
             else:
-                step = size = new = None
+                step = new = None
         finally:
             self._frames.pop()
         rest = self._entry(new) if isinstance(new, Cut) else None
@@ -501,7 +511,7 @@ class _Engine:
                                     if isinstance(v, Cut)), default=0))
         if rest is not None:
             heights.append(rest.height)
-        return _Entry(nf, kids, step, size, rest, tuple(log),
+        return _Entry(nf, kids, step, rest, tuple(log),
                       max(heights, default=0))
 
     # -- equality --------------------------------------------------------

@@ -6,14 +6,22 @@ checked.  Sort- and term-level validation lives in `gat.checker`.
 Terms are first-order: a term is either a variable or a symbol cut against
 a substitution supplying the symbol's telescope.  Sorts are cuts that must
 resolve to a sort declaration (checked later).  There are no binders inside
-terms, so term equality is plain structural equality; telescopes carry all
+terms, so term equality is structural equality; telescopes carry all
 binding structure.
+
+`Var`, `Cut` and `Subst` are hash-consed: a constructor returns the live
+node of that structure when there is one, so equal structures are one
+object, and `==` and `hash` are object identity.  The table of live nodes
+holds them weakly and forgets a node when it dies.  Each node carries its
+node count in `size`.  Nodes are immutable, and copying or unpickling one
+returns the interned node.  Terms are built from one thread at a time.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 _NAME_RE = re.compile(r"^[^\W\d][\w-]*$", re.UNICODE)
@@ -24,28 +32,86 @@ def is_valid_name(text: str) -> bool:
     return bool(_NAME_RE.match(text))
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+# ---------------------------------------------------------------------------
+# Hash-consed terms
+
+# The live nodes by structure: a `Var` by its name, a `Cut` by (head, args)
+# and a `Subst` by its entries.  The three key shapes never compare equal.
+_table: dict = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Cut:
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref, table: dict = _table) -> None:
+    # A newer node of the same structure may already own the key.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+_init = object.__setattr__
+
+
+def _new(cls, key):
+    """A new node of `cls`, entered in the table at `key`."""
+    node = object.__new__(cls)
+    ref = _table[key] = _Ref(node, _drop)
+    ref.key = key
+    return node
+
+
+class _Node:
+    """Immutable, with `==` and `hash` by identity as `object` has them."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through the constructor
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Var(_Node):
+    __slots__ = ("name", "size")
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        ref = _table.get(name)
+        node = ref and ref()
+        if node is None:
+            node = _new(cls, name)
+            _init(node, "name", name)
+            _init(node, "size", 1)
+        return node
+
+
+class Cut(_Node):
     """A declared symbol applied to a substitution for its telescope."""
 
-    head: str
-    args: "Subst"
-    # terms nest deeply and are used as dict keys throughout the checker
-    # and the equality engine, so the recursive hash is computed once
-    _hash: int | None = field(default=None, compare=False, repr=False,
-                              init=False)
+    __slots__ = ("head", "args", "size")
+    __match_args__ = ("head", "args")
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.head, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, head: str, args: Subst):
+        key = (head, args)
+        ref = _table.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _new(cls, key)
+            _init(node, "head", head)
+            _init(node, "args", args)
+            _init(node, "size", 1 + args.size)
+        return node
 
 
 Term = Union[Var, Cut]
@@ -54,20 +120,20 @@ Term = Union[Var, Cut]
 Sort = Cut
 
 
-@dataclass(frozen=True, slots=True)
-class Subst:
+class Subst(_Node):
     """Ordered assignment of terms to target variables; targets distinct."""
 
-    entries: tuple[tuple[str, Term], ...] = ()
-    _hash: int | None = field(default=None, compare=False, repr=False,
-                              init=False)
+    __slots__ = ("entries", "size")
+    __match_args__ = ("entries",)
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, entries: tuple[tuple[str, Term], ...] = ()):
+        ref = _table.get(entries)
+        node = ref and ref()
+        if node is None:
+            node = _new(cls, entries)
+            _init(node, "entries", entries)
+            _init(node, "size", sum(v.size for _, v in entries))
+        return node
 
     def targets(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.entries)
@@ -210,11 +276,7 @@ def _collect_free(obj, out: set[str]) -> None:
 
 def term_size(obj: Term | Subst) -> int:
     """Node count, used for the rewrite engine's size cap."""
-    if isinstance(obj, Var):
-        return 1
-    if isinstance(obj, Cut):
-        return 1 + term_size(obj.args)
-    return sum(term_size(v) for _, v in obj.entries)
+    return obj.size
 
 
 def subterm_at(obj: Term, path: tuple[int, ...]) -> Term:

@@ -170,6 +170,19 @@ def test_check_term_reports_fuel_exhaustion_separately(mltt):
         assert err.kind == ErrorKind.EQUALITY_FUEL_EXHAUSTED
 
 
+def test_deeply_nested_level_infers_and_checks(mltt):
+    # 200 nested successors: comparing and hashing terms must not recurse
+    # through them
+    level = "lz{}"
+    for _ in range(200):
+        level = f"ls{{{level}/u}}"
+    m = parse_term(f"red{{{level}/l, emp{{}}/g}}")
+    sort = infer_term(mltt, Telescope(()), m)
+    assert sort == parse_sort(
+        f"el{{{level}/l, emp{{}}/g, obs{{{level}/l, emp{{}}/g}}/A}}")
+    assert check_term(mltt, Telescope(()), m, sort) is None
+
+
 # -- substitutions ---------------------------------------------------------
 
 

@@ -20,7 +20,13 @@ from gat.equality import (
     replay_trace,
 )
 from gat.canonicity import GenBudget, generate_closed_obs_terms
-from gat.checker import check_theory, infer_term, theory_extends
+from gat.checker import (
+    CheckError,
+    ErrorKind,
+    check_theory,
+    infer_term,
+    theory_extends,
+)
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
 from gat.syntax import Cut, Subst, Telescope, Var, subst_apply_term
@@ -360,3 +366,36 @@ def test_memo_keeps_the_pending_depth_cap_of_a_cold_engine():
     assert normalize_term(warm, s_u20)[0] == _numeral(22)
     assert normalize_term(warm, pair) == normalize_term(th.copy(), pair)
     assert normalize_term(warm, pair)[0] == pair
+
+
+# -- rewrite cycles end in fuel exhaustion ------------------------------------
+
+
+def test_rewrite_cycle_exhausts_fuel_rather_than_the_stack():
+    th = check_theory(parse_source(
+        'SORT ob()\nOP cmp(a: ob{}, b: ob{}) : ob{}\n'
+        'TERMAX "comm" (x: ob{}, y: ob{}) '
+        'cmp{x/a, y/b} = cmp{y/a, x/b} : ob{}').theory)
+    tele = parse_telescope("x: ob{}, y: ob{}")
+    m, n = parse_term("cmp{x/a, y/b}"), parse_term("cmp{y/a, x/b}")
+    for cfg in (EqEngineConfig(), EqEngineConfig(fuel=50)):
+        with record_fuel() as meter:
+            verdict = eq_term(th, tele, m, n, OB, cfg)
+        assert isinstance(verdict, NotProven) and verdict.fuel_exhausted
+        assert meter[0] == cfg.fuel
+
+
+def test_sort_rewrite_cycle_is_a_fuel_error_at_its_item():
+    # "collapse" applies again to its own result T{z{}/n}
+    err = check_theory(parse_source("""
+SORT N()
+OP z() : N{}
+SORT T(n: N{})
+SORTAX "collapse" (n: N{}) T{n/n} = T{z{}/n}
+OP c(n: N{}) : T{n/n}
+OP d() : T{z{}/n}
+TERMAX "pick" (n: N{}) c{n/n} = d{} : T{z{}/n}
+""").theory)
+    assert isinstance(err, CheckError)
+    assert err.kind == ErrorKind.EQUALITY_FUEL_EXHAUSTED
+    assert err.item == 6

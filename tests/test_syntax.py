@@ -1,7 +1,16 @@
 """Raw syntax: substitution action, composition, and their laws."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
+import pytest
+from hypothesis import given, strategies as st
+
+from gat import syntax
+from gat.surface import parse_term
 from gat.syntax import (
     Cut,
     Subst,
@@ -9,6 +18,7 @@ from gat.syntax import (
     Var,
     free_vars,
     identity_subst,
+    replace_at,
     subst_apply_sort,
     subst_apply_term,
     subst_compose,
@@ -147,14 +157,75 @@ def test_term_size_counts_nodes():
     assert term_size(cut("f", ("a", Var("x")))) == 2
 
 
-def test_terms_have_slots_and_hide_their_cached_hash():
+def test_terms_have_slots_and_equal_structures_are_one_node():
     for obj in (Var("x"), cut("f", ("a", Var("x"))), Subst()):
         assert not hasattr(obj, "__dict__")
     a = cut("f", ("a", cut("g")), ("b", Var("x")))
     b = cut("f", ("a", cut("g")), ("b", Var("x")))
-    h = hash(a)
-    assert a._hash == h and a.args._hash is not None
-    assert b._hash is None and b.args._hash is None
-    assert a == b and a.args == b.args
-    assert hash(b) == h and hash(b.args) == hash(a.args)
-    assert repr(a) == repr(b) and "_hash" not in repr(a)
+    assert a is b and a.args is b.args
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == (
+        "Cut(head='f', args=Subst(entries=(('a', Cut(head='g', "
+        "args=Subst(entries=()))), ('b', Var(name='x')))))")
+    assert a != cut("f", ("a", cut("g")), ("b", Var("y")))
+
+
+def test_every_way_of_building_a_term_gives_the_interned_node():
+    m = cut("f", ("a", cut("g", ("a", Var("x")), ("b", RED))))
+    assert Cut("f", Subst((("a", cut("g", ("a", Var("x")), ("b", RED))),))) is m
+    assert parse_term("f{g{x/a, red{}/b}/a}") is m
+    assert subst_apply_term(Subst((("y", Var("x")),)),
+                            parse_term("f{g{y/a, red{}/b}/a}")) is m
+    assert replace_at(cut("f", ("a", cut("g", ("a", Var("x")), ("b", Var("z"))))),
+                      (0, 1), RED) is m
+    for obj in (m, m.args, Var("x")):
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+
+
+def test_terms_are_immutable():
+    m = cut("f", ("a", Var("x")))
+    for obj, name in ((m, "head"), (m.args, "entries"), (Var("x"), "name"),
+                      (m, "size")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert m.head == "f" and m.size == 2
+
+
+def _count_nodes(obj):
+    if isinstance(obj, Var):
+        return 1
+    if isinstance(obj, Cut):
+        return 1 + _count_nodes(obj.args)
+    return sum(_count_nodes(v) for _, v in obj.entries)
+
+
+TERMS = st.recursive(
+    st.builds(Var, st.sampled_from(VARS)),
+    lambda kids: st.builds(
+        lambda head, values: Cut(head, Subst(tuple(zip("abc", values)))),
+        st.sampled_from("fgk"), st.lists(kids, max_size=3)),
+    max_leaves=40)
+
+
+@given(TERMS)
+def test_term_size_is_the_node_count(m):
+    assert term_size(m) == m.size == _count_nodes(m)
+    if isinstance(m, Cut):
+        assert term_size(m.args) == _count_nodes(m.args)
+
+
+def test_dead_terms_leave_the_table():
+    gc.collect()
+    before = len(syntax._table)
+    terms = [cut("unique", ("a", cut("leaf", ("n", Var(f"v{i}")))))
+             for i in range(200)]
+    refs = [weakref.ref(m) for m in terms]
+    assert len(syntax._table) >= before + 600
+    del terms
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(syntax._table) <= before
