@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .checker import CheckedTheory, CheckError, check_term, infer_term
-from .equality import normalize_term
+from .equality import NotProven, normalize_term
 from .syntax import Cut, Subst, Telescope, Term
 
 __all__ = [
@@ -69,12 +69,14 @@ def _op(th: CheckedTheory, head: str, *values: Term) -> Cut:
 
 def evaluate_closed(th_mltt: CheckedTheory, m: Term):
     """Normalize a closed term of sort el(empty, obs) and read off the
-    constant.  Returns RED, GREEN, or Stuck(normal form)."""
+    constant.  Returns RED, GREEN, or Stuck(normal form).  Raises
+    ValueError when the term does not check, is not of that sort, or its
+    normalization gives up within the engine's bounds."""
     sort = infer_term(th_mltt, _EMPTY_TELE, m)
     if isinstance(sort, CheckError):
         raise ValueError(f"term does not check over the empty telescope: {sort}")
     _require_el_obs(th_mltt, sort)
-    nf, _ = normalize_term(th_mltt, m)
+    nf = _nf(th_mltt, m)
     if isinstance(nf, Cut) and nf.head == "red":
         return RED
     if isinstance(nf, Cut) and nf.head == "green":
@@ -88,12 +90,19 @@ def _require_el_obs(th: CheckedTheory, sort) -> None:
     ok = isinstance(sort, Cut) and sort.head == "el"
     if ok:
         emp = _op(th, "emp")
-        g_nf, _ = normalize_term(th, sort.args.lookup("g"))
-        a_nf, _ = normalize_term(th, sort.args.lookup("A"))
+        g_nf = _nf(th, sort.args.lookup("g"))
+        a_nf = _nf(th, sort.args.lookup("A"))
         ok = (g_nf == emp and isinstance(a_nf, Cut) and a_nf.head == "obs"
               and a_nf.args.lookup("g") == emp)
     if not ok:
         raise ValueError("term is not a closed element of the observable type")
+
+
+def _nf(th: CheckedTheory, t: Term) -> Term:
+    out = normalize_term(th, t)
+    if isinstance(out, NotProven):
+        raise ValueError(f"normalization gave up: {out.reason}")
+    return out[0]
 
 
 # -- generation ------------------------------------------------------------

@@ -99,13 +99,15 @@ class CheckedTheory:
         self._reset_engine_tables()
 
     def _reset_engine_tables(self) -> None:
-        # Built by gat.equality and valid only for the items they were built
-        # from, so dropped whenever an item is added: the normal-form memo
-        # every equality query shares, and the oriented rules and match
-        # plans indexed by head symbol (None until first use).  Concurrent
-        # queries may both fill them; they store equal values.
+        # Built by gat.equality and gat.kernel and valid only for the items
+        # they were built from, so dropped whenever an item is added: the
+        # normal-form memo every equality query shares, the oriented rules
+        # and match plans indexed by head symbol (None until first use), and
+        # the axiom instances replay has validated.  Concurrent queries may
+        # both fill them; they store equal values.
         self.nf_memo: dict = {}
         self.rule_index = None
+        self.instances: dict = {}
 
     def copy(self) -> "CheckedTheory":
         out = CheckedTheory()
@@ -129,6 +131,11 @@ class CheckedTheory:
 
     def arg_heads_of(self, head: str) -> tuple[str, ...]:
         return self._arg_heads.get(head, ())
+
+    def accepts(self, psi: Telescope, m: Term, a: Sort) -> bool:
+        """Whether `m` checks at sort `a` over `psi`: the sort check the
+        replay kernel is given."""
+        return check_term(self, psi, m, a) is None
 
     def counts(self) -> dict[str, int]:
         return {

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: check, sort-of, eq, norm, lib, canonicity.  Exit codes: 0 on
-success, 1 when a judgment fails (check error, NotProven, stuck term), 2 on
-usage errors (bad flags, missing files).
+success, 1 when a judgment fails (check error, NotProven, stuck term) or
+`norm` gives up within the engine's bounds, 2 on usage errors (bad flags,
+missing files).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .checker import (
 from .equality import (
     EqEngineConfig,
     Equal,
+    NotProven,
     eq_sort,
     eq_term,
     normalize_term,
@@ -195,8 +197,11 @@ def _cmd_norm(args) -> int:
     if isinstance(sort, CheckError):
         print(str(sort), file=sys.stderr)
         return 1
-    nf, _ = normalize_term(th, term)
-    print(print_term(nf, notations))
+    out = normalize_term(th, term)
+    if isinstance(out, NotProven):
+        print(f"NotProven: {out.reason}")
+        return 1
+    print(print_term(out[0], notations))
     return 0
 
 

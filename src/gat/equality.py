@@ -24,10 +24,10 @@ failing the whole match, because normalization may have rewritten an
 annotation the axiom spells out in constructor form.  Forced positions
 always match strictly, which is what keeps distinct axioms apart.
 
-Every query (`eq_sort`, `eq_term`, `normalize_term`, `replay_trace`) runs
-its own engine with its own fuel and its own table of the terms it has
-normalized, but all of them share one normal-form memo and one rule index
-held by the `CheckedTheory`; adding an item to the theory drops both.  A
+Every query (`eq_sort`, `eq_term`, `normalize_term`) runs its own engine
+with its own fuel and its own table of the terms it has normalized, but all
+of them share one normal-form memo and one rule index held by the
+`CheckedTheory`; adding an item to the theory drops both.  A
 memo entry records how its term normalized: the entries of its arguments,
 the terms its deferred positions made it normalize, and its root rewrite.
 When a query takes an entry from the memo rather than from its own table,
@@ -37,14 +37,52 @@ verdict, its trace and the fuel it used never depend on what the memo
 holds.  Normal forms found after a query hit the cap on nested deferred
 positions are kept out of the memo, and an entry is taken only where its
 nested deferrals stay under that cap.
+
+Traces.  An `EqTrace` lists `EqStep`s, each rewriting the subterm at `path`
+from `before` to `after`.  A step of kind `TERM_AXIOM` or `SORT_AXIOM` uses
+the axiom at item `axiom` in `direction`, under the instantiation `sigma`
+(a `Subst` binding every variable of both sides, and nothing outside the
+axiom's telescope), with two sub-traces at paths relative to the step:
+`pre` from `before` to the source side's instance, and `post` from the
+target side's instance to `after`.  A rewrite's `pre` covers the positions
+`match` deferred, each as subject -> normal form ~ normal form <- instance,
+then one irrelevance step where a repeated pattern variable matched only
+modulo irrelevance; its `post` is empty.  A bridge step keeps x -> left
+instance in `pre` and right instance -> y in `post`.  An `IRRELEVANCE` step
+changes only arguments at positions of proof-irrelevant sort; an
+`IRRELEVANT_SORT` step relates two terms of the proof-irrelevant sort in
+`note`.  Sub-traces stay nested in their step, so a trace's top-level steps
+are exactly the rewrites, irrelevance and bridge steps between its ends.
+Inverting a trace reverses it, flips each direction and swaps and inverts
+each step's `pre` and `post`.
+
+`replay_trace` checks a trace with `gat.kernel`, which imports nothing from
+this engine.  The kernel trusts the theory's tables, `gat.syntax` and a
+sort-check callback (`CheckedTheory.accepts` over the trace's telescope),
+which it asks about IRRELEVANT_SORT steps and about values in `sigma` for
+variables the source side lacks, other than `?` placeholders at
+proof-irrelevant sorts.  It caches each validated (kind, axiom, direction,
+sigma) instance in the theory's `instances`, which is dropped with the
+memo when an item is added.  Replay spends no fuel.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .kernel import (
+    IRRELEVANCE,
+    IRRELEVANT_SORT,
+    SORT_AXIOM,
+    TERM_AXIOM,
+    ReplayError,
+    equal_mod_irr,
+    replay,
+    sides,
+)
 from .syntax import (
     LR,
     RL,
@@ -58,18 +96,10 @@ from .syntax import (
     replace_at,
     subst_apply_sort,
     subst_apply_term,
-    subterm_at,
 )
 
 if TYPE_CHECKING:
     from .checker import CheckedTheory
-
-# Step kinds appearing in traces.
-TERM_AXIOM = "term-axiom"
-SORT_AXIOM = "sort-axiom"
-IRRELEVANCE = "irrelevance"
-IRRELEVANT_SORT = "irrelevant-sort"
-
 
 @dataclass(frozen=True)
 class EqEngineConfig:
@@ -90,6 +120,11 @@ class EqStep:
     before: Term
     after: Term
     note: object = None
+    # axiom steps: the instantiation, and the sub-traces from `before` to
+    # the source side's instance and from the target side's to `after`
+    sigma: Subst | None = None
+    pre: tuple["EqStep", ...] = ()
+    post: tuple["EqStep", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -113,12 +148,6 @@ class NotProven:
     reason: str = ""
     lhs_nf: object = None
     rhs_nf: object = None
-
-
-@dataclass(frozen=True)
-class ReplayError:
-    step: int
-    reason: str
 
 
 class _OutOfFuel(Exception):
@@ -165,11 +194,6 @@ def record_fuel():
         _fuel_meter = previous
 
 
-def _sides(ax, direction: str):
-    """An axiom's (source, target) when used in `direction`."""
-    return (ax.lhs, ax.rhs) if direction == LR else (ax.rhs, ax.lhs)
-
-
 def _flip(direction: str | None) -> str | None:
     if direction == LR:
         return RL
@@ -179,10 +203,12 @@ def _flip(direction: str | None) -> str | None:
 
 
 def _invert(steps) -> tuple[EqStep, ...]:
+    """The steps backwards: each one flipped, its sub-traces swapped and
+    inverted."""
     return tuple(
-        replace(s, direction=_flip(s.direction), before=s.after, after=s.before)
-        for s in reversed(steps)
-    )
+        EqStep(s.kind, s.axiom, _flip(s.direction), s.path, s.after, s.before,
+               s.note, s.sigma, _invert(s.post), _invert(s.pre))
+        for s in reversed(steps)) if steps else ()
 
 
 def _orient(kind: str, axioms) -> list:
@@ -192,7 +218,7 @@ def _orient(kind: str, axioms) -> list:
     for idx, ax in axioms:
         if ax.orientation not in (LR, RL):
             continue
-        src, dst = _sides(ax, ax.orientation)
+        src, dst = sides(ax, ax.orientation)
         # A variable source matches everything; such axioms (the
         # proof-irrelevance ones) are handled by comparison instead.
         if not isinstance(src, Var):
@@ -255,7 +281,8 @@ def _emit(e: _Entry | None, path: tuple[int, ...], out: list) -> None:
         if s is None:
             return
         out.append(EqStep(s.kind, s.axiom, s.direction, path, s.before,
-                          s.after) if path else s)
+                          s.after, s.note, s.sigma, s.pre, s.post)
+                   if path else s)
         e = e.rest
 
 
@@ -275,6 +302,9 @@ class _Engine:
         self._table: dict[Cut, _Entry] = {}
         # The (term, pending depth) pairs whose `_fresh` is in progress.
         self._active: set[tuple[Cut, int]] = set()
+        # Set by `match` when a repeated pattern variable matched a term
+        # equal to its binding only modulo irrelevance.
+        self._inexact = False
         # One list per rule search in progress, logging the terms that
         # deferred discharges normalize.
         self._frames: list[list] = []
@@ -286,38 +316,25 @@ class _Engine:
         if self.fuel < 0:
             raise _OutOfFuel()
 
-    # -- comparison modulo proof irrelevance -------------------------------
-
-    def equal_mod_irr(self, x, y) -> bool:
-        if x == y:
-            return True
-        if not isinstance(x, Cut) or not isinstance(y, Cut):
-            return False
-        if x.head != y.head or x.args.targets() != y.args.targets():
-            return False
-        heads = self.th.arg_heads_of(x.head)
-        for i, (xv, yv) in enumerate(zip(x.args.values(), y.args.values())):
-            if i < len(heads) and heads[i] in self.th.irrelevant_heads:
-                continue
-            if not self.equal_mod_irr(xv, yv):
-                return False
-        return True
-
     # -- matching ----------------------------------------------------------
 
     def match(self, pattern: Term, subject: Term, sigma: dict,
-              pending: list) -> bool:
+              pending: list, path: tuple[int, ...] = ()) -> bool:
         """Strict match, except at flex and irrelevant argument positions,
-        which are matched by trial: a failing trial defers the (pattern,
-        subject) pair to `pending` instead of failing the whole match.
-        Deferred pairs must later be discharged by `_check_pending`, which
-        keeps skipping sound: the instantiated pattern has to normalize to
-        the subject, it is not simply ignored."""
+        which are matched by trial: a failing trial defers the (path,
+        pattern, subject) triple to `pending` instead of failing the whole
+        match.  Deferred pairs must later be discharged by `_check_pending`,
+        which keeps skipping sound: the instantiated pattern has to
+        normalize to the subject, it is not simply ignored."""
         if isinstance(pattern, Var):
-            if pattern.name in sigma:
-                return self.equal_mod_irr(sigma[pattern.name], subject)
-            sigma[pattern.name] = subject
-            return True
+            bound = sigma.get(pattern.name)
+            if bound is None:
+                sigma[pattern.name] = subject
+                return True
+            if bound is subject:
+                return True
+            self._inexact = True
+            return equal_mod_irr(self.th, bound, subject)
         if not isinstance(subject, Cut) or subject.head != pattern.head:
             return False
         pv = pattern.args.values()
@@ -330,54 +347,63 @@ class _Engine:
             if loose[i]:
                 trial_sigma = dict(sigma)
                 trial_pending = list(pending)
-                if self.match(pv[i], sv[i], trial_sigma, trial_pending):
+                if self.match(pv[i], sv[i], trial_sigma, trial_pending,
+                              path + (i,)):
                     sigma.clear()
                     sigma.update(trial_sigma)
                     pending[:] = trial_pending
                 else:
-                    pending.append((pv[i], sv[i]))
-            elif not self.match(pv[i], sv[i], sigma, pending):
+                    pending.append((path + (i,), pv[i], sv[i]))
+            elif not self.match(pv[i], sv[i], sigma, pending, path + (i,)):
                 return False
         return True
 
     def _norm_quiet(self, t: Term) -> Term:
         return t if isinstance(t, Var) else self._entry(t).nf
 
-    def _check_pending(self, sigma: dict, pending: list) -> bool:
+    def _check_pending(self, sigma: dict, pending: list):
+        """The (path, subject, instance) of each deferred position once
+        every instance normalizes to its subject's normal form modulo
+        irrelevance; else None."""
         if not pending:
-            return True
+            return []
         if self._pending_depth >= _PENDING_CAP:
             self._capped = True
-            return False
+            return None
         log = self._frames[-1] if self._frames else []
+        sub = Subst(tuple(sigma.items()))
         self._pending_depth += 1
         try:
-            for pattern, subject in pending:
-                inst = self._instantiate(pattern, sigma)
+            out = []
+            for path, pattern, subject in pending:
+                inst = subst_apply_term(sub, pattern)
                 log += (inst, subject)
-                if not self.equal_mod_irr(self._norm_quiet(inst),
-                                          self._norm_quiet(subject)):
-                    return False
-            return True
+                if not equal_mod_irr(self.th, self._norm_quiet(inst),
+                                     self._norm_quiet(subject)):
+                    return None
+                out.append((path, subject, inst))
+            return out
         finally:
             self._pending_depth -= 1
 
     def match_rule(self, src: Term, dst: Term, subject: Term, ax):
         """Bindings making `subject` an instance of `src`, usable to build
-        the corresponding instance of `dst`; None when the rule does not
-        apply."""
+        the corresponding instance of `dst`; the discharged deferred
+        positions; and whether `subject` is exactly `src`'s instance.  None
+        when the rule does not apply."""
         sigma: dict = {}
         pending: list = []
+        self._inexact = False
         if not self.match(src, subject, sigma, pending):
             return None
+        exact = not (pending or self._inexact)
         needed = set(free_vars(dst))
-        for pattern, _ in pending:
+        for _, pattern, _ in pending:
             needed |= free_vars(pattern)
         if not self._complete(sigma, needed, ax.params):
             return None
-        if not self._check_pending(sigma, pending):
-            return None
-        return sigma
+        deferred = self._check_pending(sigma, pending)
+        return None if deferred is None else (sigma, deferred, exact)
 
     def soft_match(self, pattern: Term, subject: Term, sigma: dict) -> None:
         """Harvest bindings wherever pattern and subject line up; never
@@ -395,10 +421,6 @@ class _Engine:
         for p, s in zip(pv, sv):
             self.soft_match(p, s, sigma)
 
-    def _instantiate(self, obj, sigma: dict):
-        sub = Subst(tuple(sigma.items()))
-        return subst_apply_term(sub, obj)
-
     def _complete(self, sigma: dict, needed: set[str], params: Telescope) -> bool:
         """Fill unbound variables at proof-irrelevant sorts with fresh
         placeholders (their value never takes part in comparison); any other
@@ -411,14 +433,42 @@ class _Engine:
                 return False
         return True
 
+    def _meet(self, x: Term, y: Term, path: tuple[int, ...]):
+        """The steps between two normal forms: none when they are one term,
+        an irrelevance step when they differ only at irrelevant positions,
+        else None."""
+        if x is y:
+            return []
+        if equal_mod_irr(self.th, x, y):
+            return [EqStep(IRRELEVANCE, None, None, path, x, y)]
+        return None
+
+    def _pre(self, before: Cut, source: Term, deferred) -> tuple[EqStep, ...]:
+        """Steps from `before` to the rule's source instance: at each
+        deferred position, subject -> nf ~ nf <- instance; then one
+        irrelevance step for where a repeated pattern variable matched a
+        term equal to its binding only modulo irrelevance."""
+        steps: list[EqStep] = []
+        t = before
+        for path, subject, inst in deferred:
+            ns, to_nf = self.normalize(subject, path)
+            ni, from_nf = self.normalize(inst, path)
+            steps += to_nf + self._meet(ns, ni, path)
+            steps += _invert(from_nf)
+            t = replace_at(t, path, inst)
+        if t is not source:
+            steps.append(EqStep(IRRELEVANCE, None, None, (), t, source))
+        return tuple(steps)
+
     # -- normalization of sorts and terms ---------------------------------
 
-    def normalize(self, t: Term):
+    def normalize(self, t: Term, path: tuple[int, ...] = ()):
+        """The normal form of `t` and the steps there, at `path`."""
         if isinstance(t, Var):
             return t, []
         e = self._entry(t)
         steps: list[EqStep] = []
-        _emit(e, (), steps)
+        _emit(e, path, steps)
         return e.nf, steps
 
     def _entry(self, t: Cut) -> _Entry:
@@ -487,14 +537,18 @@ class _Engine:
         self._frames.append(log)
         try:
             for kind, idx, src, dst, direction, ax in self.rules.get(t.head, ()):
-                sigma = self.match_rule(src, dst, t, ax)
-                if sigma is None:
+                found = self.match_rule(src, dst, t, ax)
+                if found is None:
                     continue
-                new = self._instantiate(dst, sigma)
+                sigma, deferred, exact = found
+                sub = Subst(tuple(sigma.items()))
+                new = subst_apply_term(sub, dst)
                 self._spend()
                 if new.size > self.cfg.max_term_size:
                     raise _SizeExceeded()
-                step = EqStep(kind, idx, direction, (), t, new)
+                pre = () if exact else self._pre(
+                    t, subst_apply_term(sub, src), deferred)
+                step = EqStep(kind, idx, direction, (), t, new, None, sub, pre)
                 break
             else:
                 step = new = None
@@ -523,41 +577,41 @@ class _Engine:
         with `reason`."""
         nx, steps_x = self.normalize(x)
         ny, steps_y = self.normalize(y)
-        if nx == ny:
-            mid = ()
-        elif self.equal_mod_irr(nx, ny):
-            mid = (EqStep(IRRELEVANCE, None, None, (), nx, ny),)
-        else:
+        mid = self._meet(nx, ny, ())
+        if mid is None:
             bridge = self._bridge(nx, ny)
             if bridge is None:
                 return NotProven(False, reason, nx, ny)
-            mid = (bridge,)
-        steps = tuple(steps_x) + mid + _invert(steps_y)
+            mid = [bridge]
+        steps = tuple(steps_x + mid) + _invert(steps_y)
         return _equal(self.th, EqTrace(x, y, steps, tele))
 
     def _bridge(self, x, y) -> EqStep | None:
         """Exhibit sorts x and y as the two sides of one sort axiom under a
-        common instantiation.  One strict match seeds the bindings, a soft
-        match on the opposite side recovers variables that side alone
-        determines, and both instances are re-normalized and compared modulo
-        irrelevance.  Term normal forms (including variables) never match."""
+        common instantiation: a step whose `pre` runs x ~ nf(left) <- left
+        and whose `post` runs right -> nf(right) ~ y, where ~ is equality
+        modulo irrelevance.  Term normal forms (including variables) never
+        match."""
         if not isinstance(x, Cut) or not isinstance(y, Cut):
             return None
         for idx, ax in self.th.sort_axioms:
             for direction in (LR, RL):
-                left, right = _sides(ax, direction)
+                left, right = sides(ax, direction)
                 if left.head != x.head or right.head != y.head:
                     continue
-                if self._bridge_instance(ax, left, right, x, y):
-                    return EqStep(SORT_AXIOM, idx, direction, (), x, y)
+                found = self._bridge_instance(ax, left, right, x, y)
+                if found is not None:
+                    return EqStep(SORT_AXIOM, idx, direction, (), x, y,
+                                  None, *found)
         return None
 
-    def _bridge_instance(self, ax, left, right, x: Sort, y: Sort) -> bool:
-        """Try to instantiate left ↦ x and right ↦ y under one substitution.
-        Either side may seed the strict match; the soft match on the other
-        side recovers variables only that side determines.  Deferred
-        positions are subsumed by the final normalize-and-compare check on
-        whole instances, so pending is dropped."""
+    def _bridge_instance(self, ax, left, right, x: Sort, y: Sort):
+        """Try to instantiate left ↦ x and right ↦ y under one substitution;
+        its `sigma`, `pre` and `post` on success, else None.  Either side
+        may seed the strict match; the soft match on the other side recovers
+        variables only that side determines.  Deferred positions are
+        subsumed by the final normalize-and-compare check on whole
+        instances, so pending is dropped."""
         for seed_left in (True, False):
             sigma: dict = {}
             if seed_left:
@@ -571,68 +625,20 @@ class _Engine:
             needed = free_vars(left) | free_vars(right)
             if not self._complete(sigma, needed, ax.params):
                 continue
-            lx = self._norm_quiet(self._instantiate(left, sigma))
-            ry = self._norm_quiet(self._instantiate(right, sigma))
-            if self.equal_mod_irr(lx, x) and self.equal_mod_irr(ry, y):
-                return True
-        return False
-
-    # -- trace validation --------------------------------------------------
-
-    def validate_step(self, step: EqStep) -> str | None:
-        if step.kind == IRRELEVANCE:
-            if self.equal_mod_irr(step.before, step.after):
-                return None
-            return "sides differ at a relevant position"
-        if step.kind == IRRELEVANT_SORT:
-            sort = step.note
-            if not isinstance(sort, Cut) or sort.head not in self.th.irrelevant_heads:
-                return "sort is not proof-irrelevant"
-            return None
-        if step.kind == TERM_AXIOM:
-            return self._validate_axiom_step(step, dict(self.th.term_axioms))
-        if step.kind == SORT_AXIOM:
-            err = self._validate_axiom_step(step, dict(self.th.sort_axioms))
-            if err is None:
-                return None
-            return self._validate_bridge_step(step)
-        return f"unknown step kind {step.kind!r}"
-
-    def _validate_axiom_step(self, step: EqStep, axioms: dict) -> str | None:
-        ax = axioms.get(step.axiom)
-        if ax is None:
-            return f"no axiom at item {step.axiom}"
-        src, dst = _sides(ax, step.direction)
-        sigma: dict = {}
-        pending: list = []
-        if not self.match(src, step.before, sigma, pending):
-            return "source side does not match the rewritten subterm"
-        self.soft_match(dst, step.after, sigma)
-        needed = set(free_vars(dst))
-        for pattern, _ in pending:
-            needed |= free_vars(pattern)
-        if not self._complete(sigma, needed, ax.params):
-            return "axiom instantiation incomplete"
-        if not self._check_pending(sigma, pending):
-            return "deferred argument positions do not reconcile"
-        inst = self._norm_quiet(self._instantiate(dst, sigma))
-        if not self.equal_mod_irr(inst, self._norm_quiet(step.after)):
-            return "target side does not match the replacement"
-        return None
-
-    def _validate_bridge_step(self, step: EqStep) -> str | None:
-        ax = dict(self.th.sort_axioms).get(step.axiom)
-        if ax is None:
-            return f"no sort axiom at item {step.axiom}"
-        left, right = _sides(ax, step.direction)
-        bx = self._norm_quiet(step.before)
-        by = self._norm_quiet(step.after)
-        if not self._bridge_instance(ax, left, right, bx, by):
-            return "sorts are not a joint instance of the axiom"
+            sub = Subst(tuple(sigma.items()))
+            lx, to_left = self.normalize(subst_apply_term(sub, left))
+            ry, from_right = self.normalize(subst_apply_term(sub, right))
+            pre = self._meet(x, lx, ())
+            post = self._meet(ry, y, ())
+            if pre is not None and post is not None:
+                return sub, tuple(pre) + _invert(to_left), tuple(from_right + post)
         return None
 
 
-def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
+def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
+             metered: bool = True):
+    """Run `body` on a fresh engine; a bound it hits becomes `NotProven`.
+    `metered` adds the fuel it spent to `record_fuel`."""
     cfg = cfg or EqEngineConfig()
     engine = _Engine(th, cfg)
     try:
@@ -641,8 +647,14 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
         return NotProven(True, "rewrite fuel exhausted")
     except _SizeExceeded:
         return NotProven(True, "term size cap exceeded")
+    except RecursionError:
+        # The engine recurses once per nesting level of a term, so a deep
+        # enough term runs out of interpreter stack before it runs out of
+        # fuel.
+        return NotProven(True, "term nesting deeper than the recursion limit "
+                               f"({sys.getrecursionlimit()}) allows")
     finally:
-        if _fuel_meter is not None:
+        if metered and _fuel_meter is not None:
             _fuel_meter[0] += cfg.fuel - max(engine.fuel, 0)
 
 
@@ -687,41 +699,19 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
 
 
 def normalize_term(th: CheckedTheory, m: Term):
-    """Normal form of `m` with the oriented axioms, plus the trace there."""
-    engine = _Engine(th, EqEngineConfig())
-    nf, steps = engine.normalize(m)
-    return nf, EqTrace(m, nf, tuple(steps))
+    """Normal form of `m` with the oriented axioms, plus the trace there;
+    `NotProven` when a bound ends the rewriting first.  Its fuel is not
+    counted by `record_fuel`, which meters equality queries."""
+    def body(engine: _Engine):
+        nf, steps = engine.normalize(m)
+        return nf, EqTrace(m, nf, tuple(steps))
+    return _bounded(th, None, body, metered=False)
 
 
 def replay_trace(th: CheckedTheory, start, trace: EqTrace):
-    """Independently re-check a trace: each step must be an instance of the
-    named axiom at the stated position, and the rewritten subterm must match
-    the recorded one exactly."""
-    engine = _Engine(th, EqEngineConfig())
-    if trace.start != start:
-        return ReplayError(-1, "trace start differs from the given object")
-    current = start
-    for i, step in enumerate(trace.steps):
-        try:
-            sub = subterm_at(current, step.path)
-        except IndexError:
-            return ReplayError(i, "path leads outside the term")
-        if sub != step.before:
-            return ReplayError(i, "recorded subterm differs from the current one")
-        try:
-            err = engine.validate_step(step)
-        except (_OutOfFuel, _SizeExceeded):
-            return ReplayError(i, "validation exceeded engine bounds")
-        if err is not None:
-            return ReplayError(i, err)
-        if step.kind == IRRELEVANT_SORT and trace.tele is not None:
-            # Imported here because gat.checker imports this module.
-            from .checker import check_term
-
-            for side in (step.before, step.after):
-                if check_term(th, trace.tele, side, step.note) is not None:
-                    return ReplayError(i, "term does not check at the stated sort")
-        current = replace_at(current, step.path, step.after)
-    if trace.end is not None and current != trace.end:
-        return ReplayError(len(trace.steps), "trace end differs from the result")
-    return current
+    """Re-check a trace with the kernel in `gat.kernel`, which shares no
+    code with this engine: the term the trace reaches from `start`, or a
+    `ReplayError`.  Terms in steps are checked against `trace.tele`."""
+    tele = trace.tele
+    check = None if tele is None else (lambda m, a: th.accepts(tele, m, a))
+    return replay(th, start, trace, check)

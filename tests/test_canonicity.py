@@ -12,10 +12,10 @@ from gat.canonicity import (
     evaluate_closed,
     generate_closed_obs_terms,
 )
-from gat.checker import check_term, infer_term
+from gat.checker import check_term, infer_term, theory_extends
 from gat.equality import Equal, eq_term
 from gat.library import load
-from gat.surface import parse_sort, parse_term, print_term
+from gat.surface import parse_sort, parse_source, parse_term, print_term
 from gat.syntax import Cut, Telescope, term_size
 
 
@@ -101,6 +101,18 @@ def test_evaluate_rejects_non_observation_input(mltt):
         evaluate_closed(mltt, parse_term("lz{}"))
     with pytest.raises(ValueError):
         evaluate_closed(mltt, parse_term("homid{emp{}/g}"))
+
+
+def test_evaluation_that_gives_up_is_a_value_error(mltt):
+    el = "el{l/l, emp{}/g, obs{l/l, emp{}/g}/A}"
+    th = theory_extends(mltt, parse_source(
+        f"OP sw(l: lvl{{}}, M: {el}, N: {el}) : {el}\n"
+        f'TERMAX "swap" (l: lvl{{}}, M: {el}, N: {el}) '
+        f"sw{{l/l, M/M, N/N}} = sw{{l/l, N/M, M/N}} : {el}").theory)
+    t = parse_term("sw{lz{}/l, red{lz{}/l, emp{}/g}/M, "
+                   "green{lz{}/l, emp{}/g}/N}")
+    with pytest.raises(ValueError, match="rewrite fuel exhausted"):
+        evaluate_closed(th, t)
 
 
 def test_open_term_is_rejected(mltt):

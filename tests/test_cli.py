@@ -140,6 +140,17 @@ def test_norm(capsys):
     assert out.strip() == "x"
 
 
+def test_norm_that_gives_up_exits_1(capsys, tmp_path):
+    comm = tmp_path / "comm.gat"
+    comm.write_text('SORT ob()\nOP cmp(a: ob{}, b: ob{}) : ob{}\n'
+                    'TERMAX "comm" (x: ob{}, y: ob{}) '
+                    'cmp{x/a, y/b} = cmp{y/a, x/b} : ob{}\n')
+    code, out, _ = run(capsys, "norm", str(comm), "--telescope",
+                       "x: ob{}, y: ob{}", "--term", "cmp{x/a, y/b}")
+    assert code == 1
+    assert out.strip() == "NotProven: rewrite fuel exhausted"
+
+
 def test_lib_list(capsys):
     code, out, _ = run(capsys, "lib", "list")
     assert code == 0

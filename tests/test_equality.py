@@ -1,6 +1,7 @@
 """Bounded equality engine: verdicts, traces, replay."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -371,11 +372,13 @@ def test_memo_keeps_the_pending_depth_cap_of_a_cold_engine():
 # -- rewrite cycles end in fuel exhaustion ------------------------------------
 
 
-def test_rewrite_cycle_exhausts_fuel_rather_than_the_stack():
-    th = check_theory(parse_source(
-        'SORT ob()\nOP cmp(a: ob{}, b: ob{}) : ob{}\n'
+COMM = ('SORT ob()\nOP cmp(a: ob{}, b: ob{}) : ob{}\n'
         'TERMAX "comm" (x: ob{}, y: ob{}) '
-        'cmp{x/a, y/b} = cmp{y/a, x/b} : ob{}').theory)
+        'cmp{x/a, y/b} = cmp{y/a, x/b} : ob{}')
+
+
+def test_rewrite_cycle_exhausts_fuel_rather_than_the_stack():
+    th = check_theory(parse_source(COMM).theory)
     tele = parse_telescope("x: ob{}, y: ob{}")
     m, n = parse_term("cmp{x/a, y/b}"), parse_term("cmp{y/a, x/b}")
     for cfg in (EqEngineConfig(), EqEngineConfig(fuel=50)):
@@ -383,6 +386,36 @@ def test_rewrite_cycle_exhausts_fuel_rather_than_the_stack():
             verdict = eq_term(th, tele, m, n, OB, cfg)
         assert isinstance(verdict, NotProven) and verdict.fuel_exhausted
         assert meter[0] == cfg.fuel
+
+
+def test_normalizing_a_rewrite_cycle_is_not_proven():
+    th = check_theory(parse_source(COMM).theory)
+    verdict = normalize_term(th, parse_term("cmp{x/a, y/b}"))
+    assert isinstance(verdict, NotProven) and verdict.fuel_exhausted
+    assert verdict.reason == "rewrite fuel exhausted"
+
+
+def _numerals(n):
+    t = Cut("lz", Subst())
+    for _ in range(n):
+        t = Cut("ls", Subst((("u", t),)))
+    return t
+
+
+def test_nesting_deeper_than_the_stack_is_not_proven(mltt):
+    # a stop-gap until the engine walks terms without recursing
+    th = mltt.copy()
+    n = sys.getrecursionlimit()
+    lvl = parse_sort("lvl{}")
+    verdict = eq_term(th, Telescope(), _numerals(n), _numerals(n + 1), lvl)
+    assert isinstance(verdict, NotProven) and verdict.fuel_exhausted
+    assert f"recursion limit ({n})" in verdict.reason
+    assert isinstance(normalize_term(th, _numerals(n)), NotProven)
+    # the theory still answers as a fresh copy of it does
+    small, other = _numerals(3), _numerals(4)
+    for m in (small, other):
+        assert (_query(th, Telescope(), small, m, lvl)
+                == _query(mltt.copy(), Telescope(), small, m, lvl))
 
 
 def test_sort_rewrite_cycle_is_a_fuel_error_at_its_item():

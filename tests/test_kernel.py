@@ -1,0 +1,447 @@
+"""The replay kernel: recorded traces replay, mutated and forged ones do not.
+
+Every mutation here must be rejected with a `ReplayError`.  The property at
+the end compares the kernel, with its zipper walk and its instance cache,
+against a definitional replay that walks from the root and caches nothing.
+"""
+
+import ast
+import dataclasses
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gat import kernel
+from gat.canonicity import GenBudget, generate_closed_obs_terms
+from gat.checker import infer_term, theory_extends
+from gat.equality import (
+    IRRELEVANCE,
+    IRRELEVANT_SORT,
+    SORT_AXIOM,
+    TERM_AXIOM,
+    EqStep,
+    EqTrace,
+    Equal,
+    ReplayError,
+    eq_sort,
+    eq_term,
+    normalize_term,
+    replay_trace,
+)
+from gat.library import load
+from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
+from gat.syntax import (
+    LR,
+    RL,
+    Cut,
+    Subst,
+    Telescope,
+    Var,
+    free_vars,
+    replace_at,
+    subst_apply_sort,
+    subst_apply_term,
+    subterm_at,
+)
+
+EMPTY = Telescope()
+OB = parse_sort("ob{}")
+
+
+@pytest.fixture(scope="module")
+def monoid():
+    return load("monoid")
+
+
+@pytest.fixture(scope="module")
+def mltt():
+    return load("mltt")
+
+
+def _with_step(trace: EqTrace, i: int, **changes) -> EqTrace:
+    step = dataclasses.replace(trace.steps[i], **changes)
+    return dataclasses.replace(
+        trace, steps=trace.steps[:i] + (step,) + trace.steps[i + 1:])
+
+
+def _rejected(th, trace: EqTrace) -> bool:
+    return isinstance(replay_trace(th, trace.start, trace), ReplayError)
+
+
+def _proof(th, tele, m, n, sort) -> EqTrace:
+    verdict = eq_term(th, tele, m, n, sort)
+    assert isinstance(verdict, Equal)
+    assert replay_trace(th, m, verdict.trace) == n
+    return verdict.trace
+
+
+@pytest.fixture(scope="module")
+def monoid_trace(monoid):
+    # rewrites below the root in both halves of the join
+    return _proof(monoid, parse_telescope("x: ob{}, y: ob{}, z: ob{}"),
+                  parse_term("cmp{cmp{x/a, id{}/b}/a, "
+                             "cmp{y/a, cmp{id{}/a, z/b}/b}/b}"),
+                  parse_term("cmp{cmp{id{}/a, x/b}/a, cmp{y/a, z/b}/b}"), OB)
+
+
+def _sweep_traces(mltt, depths, count):
+    out = []
+    for depth in depths:
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0))[:count]:
+            nf = normalize_term(mltt, t)[0]
+            out.append(_proof(mltt, EMPTY, t, nf, infer_term(mltt, EMPTY, t)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def sweep(mltt):
+    return _sweep_traces(mltt, (2, 3, 4), 8)
+
+
+@pytest.fixture(scope="module")
+def pre_step(sweep):
+    """A sweep trace and the index of a step with a `pre` sub-trace: a
+    rewrite that deferred a flex position."""
+    return next((t, i) for t in sweep for i, s in enumerate(t.steps) if s.pre)
+
+
+BRIDGE_TELE = parse_telescope(
+    "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}, "
+    "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
+LOW = parse_sort("el{a/l, g/g, pi{a/l, g/g, A/A, B/B}/A}")
+HIGH = parse_sort(
+    "el{b/l, g/g, pi{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A, "
+    "lift{a/a, b/b, p/p, ext{a/l, g/g, A/A}/g, B/A}/B}/A}")
+
+
+def _bridge(mltt, x, y):
+    verdict = eq_sort(mltt, BRIDGE_TELE, x, y)
+    assert isinstance(verdict, Equal)
+    trace = verdict.trace
+    (i,) = [i for i, s in enumerate(trace.steps) if s.kind == SORT_AXIOM]
+    return trace, i
+
+
+# -- recorded traces ---------------------------------------------------------
+
+
+def test_steps_record_sigma_and_sub_traces(monoid_trace, pre_step, mltt):
+    assert all(isinstance(s.sigma, Subst) for s in monoid_trace.steps)
+    trace, i = pre_step
+    assert trace.steps[i].post == ()
+    # the bridge keeps x -> left[sigma] in pre, right[sigma] -> y in post
+    trace, i = _bridge(mltt, LOW, HIGH)
+    assert trace.steps[i].pre == () and trace.steps[i].post
+    trace, i = _bridge(mltt, HIGH, LOW)
+    assert trace.steps[i].pre and trace.steps[i].post == ()
+
+
+def test_inverted_steps_swap_and_invert_their_sub_traces(mltt, pre_step):
+    trace, i = pre_step
+    sort = infer_term(mltt, EMPTY, trace.start)
+    back = _proof(mltt, EMPTY, trace.end, trace.start, sort)
+    step = trace.steps[i]
+    (inverse,) = [s for s in back.steps if s.sigma is step.sigma
+                  and s.axiom == step.axiom and s.after is step.before]
+    assert inverse.direction != step.direction and inverse.pre == ()
+    assert [s.before for s in inverse.post] == [s.after for s in
+                                                reversed(step.pre)]
+
+
+# -- mutations ---------------------------------------------------------------
+
+
+def test_wrong_after_is_rejected(monoid_trace, pre_step, mltt, monoid):
+    for i, s in enumerate(monoid_trace.steps):
+        assert _rejected(monoid, _with_step(monoid_trace, i, after=s.before))
+        assert _rejected(monoid, _with_step(monoid_trace, i,
+                                            after=parse_term("id{}")))
+    trace, i = pre_step
+    assert _rejected(mltt, _with_step(trace, i, after=trace.steps[i].before))
+
+
+def test_wrong_axiom_index_is_rejected(monoid_trace, monoid, mltt, pre_step):
+    for th, trace in ((monoid, monoid_trace), (mltt, pre_step[0])):
+        items = range(len(th.theory.items) + 2)
+        for i, s in enumerate(trace.steps):
+            for k in items:
+                if k != s.axiom:
+                    assert _rejected(th, _with_step(trace, i, axiom=k))
+            other = SORT_AXIOM if s.kind == TERM_AXIOM else TERM_AXIOM
+            assert _rejected(th, _with_step(trace, i, kind=other))
+
+
+def test_flipped_direction_is_rejected(monoid_trace, monoid, pre_step, mltt):
+    for th, trace in ((monoid, monoid_trace), (mltt, pre_step[0])):
+        for i, s in enumerate(trace.steps):
+            for d in (LR, RL, None, "sideways"):
+                if d != s.direction:
+                    assert _rejected(th, _with_step(trace, i, direction=d))
+
+
+def test_wrong_path_is_rejected(monoid_trace, monoid):
+    for i, s in enumerate(monoid_trace.steps):
+        # every cmp has two arguments, so i - 2 indexes like i from the end
+        for path in {s.path + (0,), s.path + (1,), s.path[:-1], (0, 0, 0, 0),
+                     (-1,) + s.path, (2,), tuple(i - 2 for i in s.path)
+                     } - {s.path}:
+            assert _rejected(monoid, _with_step(monoid_trace, i, path=path))
+
+
+def test_perturbed_sigma_is_rejected(monoid_trace, monoid, pre_step, mltt):
+    for th, trace in ((monoid, monoid_trace), (mltt, pre_step[0])):
+        for i, s in enumerate(trace.steps):
+            entries = s.sigma.entries
+            changes = [None, Subst(entries + (("stray", s.before),))]
+            if entries:
+                name, value = entries[0]
+                changes += [Subst(entries + ((name, value),)),
+                            Subst(((name, Var("elsewhere")),) + entries[1:])]
+            changes += [Subst(entries[:j] + entries[j + 1:])
+                        for j in range(len(entries))]
+            for sigma in changes:
+                assert _rejected(th, _with_step(trace, i, sigma=sigma))
+
+
+def test_dropped_or_truncated_sub_traces_are_rejected(pre_step, mltt):
+    trace, i = pre_step
+    pre = trace.steps[i].pre
+    for cut in {(), pre[:-1], pre[1:]} - {pre}:
+        assert _rejected(mltt, _with_step(trace, i, pre=cut))
+    for x, y in ((LOW, HIGH), (HIGH, LOW)):
+        trace, i = _bridge(mltt, x, y)
+        s = trace.steps[i]
+        for field in ("pre", "post"):
+            sub = getattr(s, field)
+            for cut in {(), sub[:-1], sub[1:]} - {sub}:
+                assert _rejected(mltt, _with_step(trace, i, **{field: cut}))
+
+
+def test_lone_unit_steps_between_the_two_unit_shapes_are_rejected(monoid):
+    # cmp{x, id} and cmp{id, x} are equal, but by two steps, not by one
+    tele = parse_telescope("x: ob{}")
+    x = Var("x")
+    before, after = parse_term("cmp{x/a, id{}/b}"), parse_term("cmp{id{}/a, x/b}")
+    for label in ("right unit", "left unit"):
+        for direction in (LR, RL):
+            for value in (x, before, after):
+                step = EqStep(TERM_AXIOM, monoid.axiom_labels[label],
+                              direction, (), before, after, None,
+                              Subst((("x", value),)))
+                forged = EqTrace(before, after, (step,), tele)
+                assert _rejected(monoid, forged), (label, direction, value)
+    # the two-step derivation through x replays
+    right = monoid.axiom_labels["right unit"]
+    left = monoid.axiom_labels["left unit"]
+    sigma = Subst((("x", x),))
+    two = EqTrace(before, after, (
+        EqStep(TERM_AXIOM, right, LR, (), before, x, None, sigma),
+        EqStep(TERM_AXIOM, left, RL, (), x, after, None, sigma)), tele)
+    assert replay_trace(monoid, before, two) == after
+
+
+def test_sigma_outside_the_source_side_is_sort_checked(mltt):
+    # "obs substitution" read right to left introduces g and f
+    idx = mltt.axiom_labels["obs substitution"]
+    lz, emp = parse_term("lz{}"), parse_term("emp{}")
+    before = parse_term("obs{lz{}/l, emp{}/g}")
+
+    def step(g, f):
+        sigma = Subst((("a", lz), ("d", emp), ("g", g), ("f", f)))
+        ax = dict(mltt.term_axioms)[idx]
+        return EqStep(TERM_AXIOM, idx, RL, (), before,
+                      subst_apply_term(sigma, ax.lhs), None, sigma)
+
+    th = mltt.copy()
+    good = step(emp, parse_term("bang{emp{}/g}"))
+    # no telescope, no sort check; a closed instance once checked is cached
+    for tele, ok in ((None, False), (EMPTY, True), (None, True)):
+        trace = EqTrace(before, good.after, (good,), tele)
+        assert _rejected(th, trace) != ok
+    # f is no arrow emp -> lz, and g is no object
+    for bad in (step(emp, lz), step(lz, parse_term("bang{emp{}/g}"))):
+        assert _rejected(th, EqTrace(before, bad.after, (bad,), EMPTY))
+
+
+def test_irrelevance_steps_are_checked(mltt):
+    tele = parse_telescope("u: lvl{}, v: lvl{}, p: lt{u/u, v/v}, q: lt{u/u, v/v}")
+    lt = parse_sort("lt{u/u, v/v}")
+    p, q = Var("p"), Var("q")
+    ok = EqTrace(p, q, (EqStep(IRRELEVANT_SORT, None, None, (), p, q,
+                               note=lt),), tele)
+    assert replay_trace(mltt, p, ok) == q
+    for note in (parse_sort("lvl{}"), parse_sort("lt{v/u, u/v}")):
+        assert _rejected(mltt, _with_step(ok, 0, note=note))
+    assert _rejected(mltt, dataclasses.replace(ok, tele=None))
+    u, v = Var("u"), Var("v")
+    assert _rejected(mltt, EqTrace(u, v, (EqStep(IRRELEVANCE, None, None, (),
+                                                 u, v),), tele))
+    assert _rejected(mltt, EqTrace(u, u, (EqStep("rename", None, None, (),
+                                                 u, u),), tele))
+
+
+# -- the instance cache ------------------------------------------------------
+
+
+def test_instances_checked_over_a_telescope_are_not_cached(mltt):
+    # left to right, "element lifting" takes b and p from the sort it
+    # reaches: the values are open, so their check holds for one telescope
+    th = mltt.copy()
+    trace, i = _bridge(th, LOW, HIGH)
+    bad = parse_telescope(
+        "a: lvl{}, b: ob{}, p: lt{a/u, a/v}, g: ob{}, A: ty{a/l, g/g}, "
+        "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
+    for tele, ok in ((BRIDGE_TELE, True), (bad, False), (BRIDGE_TELE, True)):
+        assert _rejected(th, dataclasses.replace(trace, tele=tele)) != ok
+
+
+def test_cached_instances_are_dropped_when_the_theory_is_extended(monoid):
+    base = monoid.copy()
+    tele = parse_telescope("x: ob{}, y: ob{}")
+    m = parse_term("cmp{x/a, cmp{y/a, id{}/b}/b}")
+    trace = _proof(base, tele, m, parse_term("cmp{x/a, y/b}"), OB)
+    cached = dict(base.instances)
+    assert cached
+    ext = theory_extends(base, parse_source(
+        'TERMAX "left projection" (x: ob{}, y: ob{}) '
+        'cmp{x/a, y/b} = x : ob{}').theory)
+    assert ext.instances == {}
+    assert base.instances == cached
+    # the extension validates its own instances, the new axiom's included
+    assert replay_trace(ext, m, trace) == trace.end
+    proj = _proof(ext, tele, parse_term("cmp{x/a, y/b}"), Var("x"), OB)
+    assert ext.axiom_labels["left projection"] in {k[1] for k in ext.instances}
+    # the base never learns the axiom, whatever the extension cached
+    assert _rejected(base, proj)
+    ext._add_item(ext.theory.items[-1])
+    assert ext.instances == {}
+
+
+# -- one-field mutations of recorded sweep steps -----------------------------
+
+
+FIELDS = ("kind", "axiom", "direction", "path", "before", "after", "sigma",
+          "pre", "post")
+
+
+def _irr_equal(th, x, y) -> bool:
+    if x == y:
+        return True
+    if not (isinstance(x, Cut) and isinstance(y, Cut) and x.head == y.head
+            and x.args.targets() == y.args.targets()):
+        return False
+    heads = th.arg_heads_of(x.head)
+    return all(h in th.irrelevant_heads or _irr_equal(th, a, b) for h, a, b
+               in zip(heads, x.args.values(), y.args.values()))
+
+
+def _reference(th, term, steps, tele):
+    """The term `steps` reach from `term`, each step checked from its
+    definition at a path followed from the root; None if one fails."""
+    for s in steps:
+        if not all(type(i) is int and i >= 0 for i in s.path):
+            return None
+        try:
+            if subterm_at(term, s.path) != s.before:
+                return None
+        except IndexError:
+            return None
+        if not _genuine(th, s, tele):
+            return None
+        term = replace_at(term, s.path, s.after)
+    return term
+
+
+def _genuine(th, s, tele) -> bool:
+    if s.kind == IRRELEVANCE:
+        return _irr_equal(th, s.before, s.after)
+    if s.kind == IRRELEVANT_SORT:
+        return (isinstance(s.note, Cut) and s.note.head in th.irrelevant_heads
+                and tele is not None and th.accepts(tele, s.before, s.note)
+                and th.accepts(tele, s.after, s.note))
+    axioms = {TERM_AXIOM: th.term_axioms, SORT_AXIOM: th.sort_axioms}
+    ax = dict(axioms.get(s.kind, ())).get(s.axiom)
+    if ax is None or s.direction not in (LR, RL) or not isinstance(s.sigma, Subst):
+        return False
+    src, dst = (ax.lhs, ax.rhs) if s.direction == LR else (ax.rhs, ax.lhs)
+    names = s.sigma.targets()
+    if (len(set(names)) != len(names) or not set(names) <= set(ax.params.names())
+            or not free_vars(src) | free_vars(dst) <= set(names)):
+        return False
+    for v, value in s.sigma.entries:
+        sort = ax.params.lookup(v)
+        if v in free_vars(src) or (value == Var("?" + v)
+                                   and sort.head in th.irrelevant_heads):
+            continue
+        if (tele is None or not free_vars(sort) <= set(names)
+                or not th.accepts(tele, value, subst_apply_sort(s.sigma, sort))):
+            return False
+    return (_reference(th, s.before, s.pre, tele) == subst_apply_term(s.sigma, src)
+            and _reference(th, subst_apply_term(s.sigma, dst), s.post, tele)
+            == s.after)
+
+
+@pytest.fixture(scope="module")
+def field_values(sweep):
+    """Every value each field takes in the sweep's steps, nested ones too."""
+    values = {f: [] for f in FIELDS}
+
+    def collect(steps):
+        for s in steps:
+            for f in FIELDS:
+                if getattr(s, f) not in values[f]:
+                    values[f].append(getattr(s, f))
+            collect(s.pre + s.post)
+
+    for trace in sweep:
+        collect(trace.steps)
+    values["path"] += [(0, 0, 0, 0, 0, 0), (9,)]
+    return values
+
+
+def test_the_reference_accepts_every_recorded_sweep_trace(mltt, sweep):
+    assert sum(bool(s.pre) for t in sweep for s in t.steps) > 0
+    for trace in sweep:
+        assert _reference(mltt, trace.start, trace.steps, trace.tele) == trace.end
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_field_mutation_is_rejected_unless_still_genuine(
+        mltt, sweep, field_values, data):
+    trace = data.draw(st.sampled_from(sweep))
+    i = data.draw(st.integers(0, len(trace.steps) - 1))
+    field = data.draw(st.sampled_from(FIELDS))
+    value = data.draw(st.sampled_from(field_values[field]))
+    mutated = _with_step(trace, i, **{field: value})
+    genuine = (_reference(mltt, trace.start, mutated.steps, mutated.tele)
+               == trace.end)
+    for th in (mltt, mltt.copy()):  # a warm and a cold instance cache
+        out = replay_trace(th, trace.start, mutated)
+        assert isinstance(out, ReplayError) != genuine
+        assert genuine or out.step >= i
+
+
+# -- the trust boundary ------------------------------------------------------
+
+
+def test_kernel_imports_only_gat_syntax_and_the_standard_library():
+    tree = ast.parse(Path(kernel.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith(".") or name.split(".")[0] == "gat":
+                assert name in (".syntax", "gat.syntax"), name
+            else:
+                assert name.split(".")[0] in sys.stdlib_module_names, name
+
