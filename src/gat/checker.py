@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equality import EqEngineConfig, Equal, eq_sort
+from .equality import DEFAULT_CFG, Equal, eq_sort
 from .syntax import (
     Cut,
     OpDecl,
@@ -99,11 +99,15 @@ class CheckedTheory:
         self._reset_engine_tables()
 
     def _reset_engine_tables(self) -> None:
-        # Built by gat.equality and gat.kernel and valid only for the items
-        # they were built from, so dropped whenever an item is added: the
-        # normal-form memo every equality query shares, the oriented rules
-        # and match plans indexed by head symbol (None until first use), and
-        # the axiom instances replay has validated.  Concurrent queries may
+        # Built by gat.equality and gat.kernel from the axioms, and dropped
+        # when an axiom is added: the normal-form memo every equality query
+        # shares, the oriented rules and match plans indexed by head symbol
+        # (None until first use), and the axiom instances replay has
+        # validated.  A sort or operation declaration leaves them valid:
+        # it changes no rule, no proof-irrelevant sort and no plan of a
+        # symbol an axiom side is headed by, and the theory is only
+        # extended while it is being checked, when every query is about
+        # terms over the symbols already declared.  Concurrent queries may
         # both fill them; they store equal values.
         self.nf_memo: dict = {}
         self.rule_index = None
@@ -159,7 +163,8 @@ class CheckedTheory:
         self._arg_heads[name] = tuple(s.head for _, s in params.bindings)
 
     def _add_item(self, item) -> None:
-        self._reset_engine_tables()
+        if isinstance(item, (SortAxiom, TermAxiom)):
+            self._reset_engine_tables()
         index = len(self.theory.items)
         self.theory = self.theory.extended((item,))
         if isinstance(item, SortDecl):
@@ -309,7 +314,7 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
     well-formed sort over `psi`, the judgment instance is meaningless and a
     PresuppositionViolation is reported rather than a mismatch.
     """
-    cfg = cfg or EqEngineConfig()
+    cfg = cfg or DEFAULT_CFG
     # keyed on the config: an accept under more fuel does not carry over
     # to a query with less
     key = (psi, m, a, cfg)
@@ -341,14 +346,14 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
 
 def check_subst(th: CheckedTheory, phi: Telescope, psi: Subst,
                 target: Telescope) -> CheckError | None:
-    """`psi` maps `phi` into `target`: entry i checks against target sort i
-    instantiated by the preceding entries; target names must match."""
+    """`psi` maps `phi` into `target`, a checked telescope: entry i checks
+    against target sort i instantiated by the preceding entries; target
+    names must match."""
     if len(psi) != len(target):
         return CheckError(ErrorKind.ARITY_MISMATCH,
                           message=f"expected {len(target)} entries, "
                                   f"found {len(psi)}",
                           expected=len(target), found=len(psi))
-    prefix_entries: list[tuple[str, Term]] = []
     for i, ((tname, value), (vname, vsort)) in enumerate(
             zip(psi.entries, target.bindings)):
         if tname != vname:
@@ -356,9 +361,10 @@ def check_subst(th: CheckedTheory, phi: Telescope, psi: Subst,
                               message=f"substitution target {tname!r} does not "
                                       f"match telescope variable {vname!r}",
                               expected=vname, found=tname)
-        inst_sort = subst_apply_sort(Subst(tuple(prefix_entries)), vsort)
-        err = check_term(th, phi, value, inst_sort)
+        # Target sort i mentions only the distinct names bound before it,
+        # and psi binds them first, in entries 0..i-1: so `psi` itself
+        # instantiates the sort as those entries do.
+        err = check_term(th, phi, value, subst_apply_sort(psi, vsort))
         if err is not None:
             return err.at(i)
-        prefix_entries.append((tname, value))
     return None

@@ -27,7 +27,8 @@ always match strictly, which is what keeps distinct axioms apart.
 Every query (`eq_sort`, `eq_term`, `normalize_term`) runs its own engine
 with its own fuel and its own table of the terms it has normalized, but all
 of them share one normal-form memo and one rule index held by the
-`CheckedTheory`; adding an item to the theory drops both.  A
+`CheckedTheory`; adding an axiom to the theory drops both, while a
+sort or operation declaration, which changes no rule, keeps them.  A
 memo entry records how its term normalized: the entries of its arguments,
 the terms its deferred positions made it normalize, and its root rewrite.
 When a query takes an entry from the memo rather than from its own table,
@@ -63,7 +64,7 @@ which it asks about IRRELEVANT_SORT steps and about values in `sigma` for
 variables the source side lacks, other than `?` placeholders at
 proof-irrelevant sorts.  It caches each validated (kind, axiom, direction,
 sigma) instance in the theory's `instances`, which is dropped with the
-memo when an item is added.  Replay spends no fuel.
+memo when an axiom is added.  Replay spends no fuel.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ class EqEngineConfig:
     def __post_init__(self):
         if self.fuel <= 0 or self.max_term_size <= 0:
             raise ValueError("fuel and max_term_size must be positive")
+
+
+DEFAULT_CFG = EqEngineConfig()
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ def _rule_index(th: CheckedTheory) -> tuple[dict, dict]:
     """The theory's rules by the head of their source, term axioms before
     sort axioms; and per symbol, the argument positions in the order
     `match` visits them (strict before loose) with the mask of loose ones.
-    Built once per theory and dropped by it whenever an item is added."""
+    Built once per theory and dropped by it whenever an axiom is added."""
     if th.rule_index is None:
         rules: dict[str, list] = {}
         for rule in (_orient(TERM_AXIOM, th.term_axioms)
@@ -639,7 +643,7 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
              metered: bool = True):
     """Run `body` on a fresh engine; a bound it hits becomes `NotProven`.
     `metered` adds the fuel it spent to `record_fuel`."""
-    cfg = cfg or EqEngineConfig()
+    cfg = cfg or DEFAULT_CFG
     engine = _Engine(th, cfg)
     try:
         return body(engine)

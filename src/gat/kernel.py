@@ -4,7 +4,7 @@ It trusts the theory's tables, `gat.syntax` and a sort-check callback, and
 compares whole terms by identity, since terms are hash-consed.  The step
 format and what each kind of step must satisfy are set out in
 `gat.equality`.  Validated axiom instances are cached in `th.instances`,
-which the theory drops when an item is added; an instance whose sort check
+which the theory drops when an axiom is added; an instance whose sort check
 was asked about an open term is not cached, since the answer depends on the
 trace's telescope.
 """

@@ -27,9 +27,9 @@ equal syntax tree.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .syntax import (
     Cut,
@@ -43,6 +43,7 @@ from .syntax import (
     TermAxiom,
     Theory,
     Var,
+    is_valid_name,
     LR,
     RL,
     UNORIENTED,
@@ -88,47 +89,62 @@ class SourceFile:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# Blanks and comments match no named group and are dropped; `bad` catches
-# any character no token can start with.
+# One match per token: the blanks and comments before a token, then the
+# token itself, the only group.  After the longest run of blanks and
+# comments the token group always matches, if only a single character or
+# the empty string at the end of the text, so the run is never given back.
+# The empty token marks the end of the text; a single character that is not
+# punctuation and cannot start a name is one no token can start with.
 _TOKEN_RE = re.compile(
     r"""
-    [ \t\r\n]+ | --[^\n]*
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<name>[^\W\d][\w-]*)
-  | (?P<punct>[(){}\[\],:/=])
-  | (?P<bad>.)
+    (?: [ \t\r\n]+ | --[^\n]* )*
+    ( "(?:[^"\\\n]|\\.)*"
+    | [^\W\d][\w-]*
+    | [(){}\[\],:/=]
+    | .
+    | \Z
+    )
     """,
     re.VERBOSE | re.UNICODE,
 )
+_PUNCT = frozenset("(){}[],:/=")
 
 
-class _Token(NamedTuple):
-    kind: str  # "name", "string", "punct", "eof"
-    value: str
-    offset: int
-
-
-def _error(text: str, offset: int, message: str, expected=()) -> ParseError:
-    """A ParseError located at `offset`, with 1-based line and column."""
+def _error(text: str, index: int, message: str, expected=()) -> ParseError:
+    """A ParseError located at token `index`, with 1-based line and column."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    offset = match.start(1)
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1,
                       offset - line_start + 1, expected)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _error(text, m.start(),
-                         f"unexpected character {m.group()!r}")
-        if kind == "string":
-            tokens.append(_Token(kind, m.group()[1:-1].replace('\\"', '"')
-                                 .replace("\\\\", "\\"), m.start()))
-        elif kind is not None:
-            tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text` as they are written, ending with `""`."""
+    tokens = _TOKEN_RE.findall(text)
+    if tokens[-2:-1] == [""]:
+        # blanks or comments end the text: both their match and the empty
+        # match after it capture the end
+        tokens.pop()
+    bad = [tokens.index(t) for t in set(tokens)
+           if len(t) == 1 and t not in _PUNCT and not is_valid_name(t)]
+    if bad:
+        i = min(bad)
+        raise _error(text, i, f"unexpected character {tokens[i]!r}")
     return tokens
+
+
+def _is_name(tok: str) -> bool:
+    # `_tokenize` lets no stray character through, so a token that is not
+    # the end, a string or punctuation is a name
+    return tok != "" and tok[0] != '"' and tok not in _PUNCT
+
+
+def _value(tok: str) -> str:
+    """What a token stands for: a string literal unquoted and unescaped."""
+    if tok[:1] == '"':
+        return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    return tok
 
 
 # ---------------------------------------------------------------------------
@@ -140,52 +156,51 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok:
             self.i += 1
         return tok
 
     def fail(self, message: str, expected=()):
-        raise _error(self.text, self.peek().offset, message, expected)
+        raise _error(self.text, self.i, message, expected)
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != ch:
-            self.fail(f"expected {ch!r}, found {tok.value or 'end of file'!r}",
+    def found(self) -> str:
+        return _value(self.peek()) or "end of file"
+
+    def expect_punct(self, ch: str) -> str:
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}, found {self.found()!r}",
                       expected=(ch,))
         return self.next()
 
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == ch
-
     def expect_name(self, what="name") -> str:
-        tok = self.peek()
-        if tok.kind != "name":
-            self.fail(f"expected {what}, found {tok.value or 'end of file'!r}",
+        if not _is_name(self.peek()):
+            self.fail(f"expected {what}, found {self.found()!r}",
                       expected=(what,))
-        return self.next().value
+        return self.next()
+
+    def expect_string(self, message: str) -> str:
+        if self.peek()[:1] != '"':
+            self.fail(message)
+        return _value(self.next())
 
     def parse_file(self) -> tuple[Theory, tuple[NotationDecl, ...], str | None]:
         extends = None
-        if self.peek().kind == "name" and self.peek().value == "EXTENDS":
+        if self.peek() == "EXTENDS":
             self.next()
-            tok = self.peek()
-            if tok.kind != "string":
-                self.fail("expected quoted path after EXTENDS")
-            extends = self.next().value
+            extends = self.expect_string("expected quoted path after EXTENDS")
         items = []
         notations = []
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "name" or tok.value not in KEYWORDS:
-                self.fail(f"expected a declaration keyword, found {tok.value!r}",
+        while self.peek():
+            if self.peek() not in KEYWORDS:
+                self.fail("expected a declaration keyword, "
+                          f"found {_value(self.peek())!r}",
                           expected=sorted(KEYWORDS))
-            kw = self.next().value
+            kw = self.next()
             if kw == "EXTENDS":
                 self.fail("EXTENDS is only allowed as the file header")
             elif kw == "SORT":
@@ -223,18 +238,16 @@ class _Parser:
                 items.append(TermAxiom(tele, lhs, rhs, sort, label, orientation))
             elif kw == "NOTATION":
                 symbol = self.expect_name("symbol")
-                tok = self.peek()
-                if tok.kind != "string":
-                    self.fail("expected quoted display pattern")
-                notations.append(NotationDecl(symbol, self.next().value))
+                notations.append(NotationDecl(
+                    symbol, self.expect_string("expected quoted display pattern")))
         return Theory(tuple(items)), tuple(notations), extends
 
     def parse_axiom_head(self) -> tuple[str | None, str]:
         label = None
-        if self.peek().kind == "string":
-            label = self.next().value
+        if self.peek()[:1] == '"':
+            label = _value(self.next())
         orientation = LR
-        if self.at_punct("["):
+        if self.peek() == "[":
             self.next()
             tag = self.expect_name("orientation tag")
             if tag not in _TAGS:
@@ -245,12 +258,12 @@ class _Parser:
 
     def parse_telescope(self) -> Telescope:
         bindings = []
-        if self.peek().kind == "name":
+        if _is_name(self.peek()):
             while True:
                 var = self.expect_name("variable")
                 self.expect_punct(":")
                 bindings.append((var, self.parse_sort()))
-                if not self.at_punct(","):
+                if self.peek() != ",":
                     break
                 self.next()
         return Telescope(tuple(bindings))
@@ -258,31 +271,48 @@ class _Parser:
     def parse_sort(self) -> Sort:
         name = self.expect_name("sort symbol")
         self.expect_punct("{")
-        args = self.parse_subst()
-        self.expect_punct("}")
-        return Cut(name, args)
+        return self.parse_cut(name)
 
     def parse_term(self) -> Term:
         name = self.expect_name("term")
-        if self.at_punct("{"):
-            self.next()
-            args = self.parse_subst()
-            self.expect_punct("}")
-            return Cut(name, args)
-        return Var(name)
+        if self.peek() != "{":
+            return Var(name)
+        self.next()
+        return self.parse_cut(name)
 
-    def parse_subst(self) -> Subst:
-        entries = []
-        if not self.at_punct("}"):
-            while True:
-                value = self.parse_term()
-                self.expect_punct("/")
-                target = self.expect_name("target variable")
-                entries.append((target, value))
-                if not self.at_punct(","):
-                    break
+    def parse_cut(self, head: str) -> Cut:
+        """The rest of `head{subst}` once its `{` is read.  The cuts still
+        open wait on a stack, each with the entries read so far, so a term
+        nested any depth parses without recursion."""
+        stack = [(head, [])]
+        opened = True  # the innermost open cut has no entry yet
+        while True:
+            if opened and self.peek() == "}":
                 self.next()
-        return Subst(tuple(entries))
+                term = Cut(stack.pop()[0], Subst())
+            else:
+                name = self.expect_name("term")
+                opened = self.peek() == "{"
+                if opened:
+                    self.next()
+                    stack.append((name, []))
+                    continue
+                term = Var(name)
+            # `term` is the value of the innermost open cut's next entry;
+            # close each cut that completes
+            while stack:
+                self.expect_punct("/")
+                head, entries = stack[-1]
+                entries.append((self.expect_name("target variable"), term))
+                if self.peek() == ",":
+                    self.next()
+                    opened = False
+                    break
+                self.expect_punct("}")
+                stack.pop()
+                term = Cut(head, Subst(tuple(entries)))
+            else:
+                return term
 
 
 def parse_source(text: str, path: str | None = None) -> SourceFile:
@@ -298,7 +328,7 @@ def parse_theory(text: str) -> Theory:
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
     term = parser.parse_term()
-    if parser.peek().kind != "eof":
+    if parser.peek():
         parser.fail("trailing input after term")
     return term
 
@@ -306,7 +336,7 @@ def parse_term(text: str) -> Term:
 def parse_sort(text: str) -> Sort:
     parser = _Parser(text)
     sort = parser.parse_sort()
-    if parser.peek().kind != "eof":
+    if parser.peek():
         parser.fail("trailing input after sort")
     return sort
 
@@ -314,7 +344,7 @@ def parse_sort(text: str) -> Sort:
 def parse_telescope(text: str) -> Telescope:
     parser = _Parser(text)
     tele = parser.parse_telescope()
-    if parser.peek().kind != "eof":
+    if parser.peek():
         parser.fail("trailing input after telescope")
     return tele
 

@@ -30,7 +30,15 @@ from gat.checker import (
 )
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
-from gat.syntax import Cut, Subst, Telescope, Var, subst_apply_term
+from gat.syntax import (
+    Cut,
+    OpDecl,
+    SortDecl,
+    Subst,
+    Telescope,
+    Var,
+    subst_apply_term,
+)
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +329,38 @@ def test_extension_rewrites_with_its_axiom_and_the_base_does_not(monoid):
     assert normalize_term(ext, m)[0] == Var("x")
     assert normalize_term(base, m)[0] == m
 
+
+
+def test_a_declaration_keeps_the_engine_tables(mltt):
+    th = mltt.copy()
+    tele = parse_telescope(
+        "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}")
+    low = parse_sort("el{a/l, g/g, A/A}")
+    high = parse_sort("el{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A}")
+    assert replay_ok(th, eq_sort(th, tele, low, high).trace)
+    empty = Telescope()
+    closed = generate_closed_obs_terms(th, GenBudget(max_depth=4, seed=0))
+    for t in closed[:4]:
+        nf = normalize_term(th, t)[0]
+        assert replay_ok(th, eq_term(th, empty, t, nf,
+                                     infer_term(th, empty, t)).trace)
+    memo, index, instances = th.nf_memo, th.rule_index, th.instances
+    filled = dict(memo), dict(instances)
+    assert all(filled) and index is not None
+    th._add_item(SortDecl("mark", Telescope()))
+    th._add_item(OpDecl("top", Telescope(), parse_sort("lvl{}")))
+    assert th.nf_memo is memo and th.rule_index is index
+    assert th.instances is instances
+    assert (dict(memo), dict(instances)) == filled
+
+    def query(t):
+        with record_fuel() as meter:
+            verdict = eq_sort(t, tele, high, low)
+        return verdict, meter[0]
+
+    verdict, used = query(th)
+    assert isinstance(verdict, Equal) and used > 0
+    assert (verdict, used) == query(th.copy())
 
 # h{n, c{n}} normalizes only through k nested discharges of its deferred
 # first argument when n is the k-th numeral.

@@ -1,11 +1,19 @@
 """Parser and canonical printer: examples, errors, round trips."""
 
+import re
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gat.library import entry, library_names
 from gat.surface import (
     NotationDecl,
     ParseError,
+    _Parser,
+    _tokenize,
+    _value,
     parse_sort,
     parse_source,
     parse_telescope,
@@ -128,3 +136,119 @@ def test_extends_header_parses_and_prints():
     src = parse_source(text)
     assert src.extends == "cat"
     assert print_source(src) == text
+
+
+# -- deep nesting -------------------------------------------------------------
+
+
+def _deep_numeral(n: int) -> tuple[str, Cut]:
+    """`ls{…/u}` nested n deep around `lz{}`, as text and as the node."""
+    node = Cut("lz", Subst())
+    for _ in range(n):
+        node = Cut("ls", Subst((("u", node),)))
+    return "ls{" * n + "lz{}" + "/u}" * n, node
+
+
+def test_deeply_nested_term_parses_without_recursion():
+    text, node = _deep_numeral(5000)
+    assert parse_term(text) is node
+
+
+def test_deeply_nested_sort_parses_without_recursion():
+    text, node = _deep_numeral(5000)
+    assert parse_sort(f"el{{{text}/l}}") is Cut("el", Subst((("l", node),)))
+
+
+
+@pytest.mark.parametrize("text", ["f{x/u, }", "f{g{}/u, }", "f{g{x/v}/u, }"])
+def test_an_entry_is_due_after_a_comma(text):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert (exc.value.message, exc.value.col) == (
+        "expected term, found '}'", len(text))
+
+# -- the lexer against the seed's ---------------------------------------------
+
+# The seed's lexer, kept as the reference: one match per token and per run
+# of blanks or a comment, the kind named by the group that matched.
+_REF_TOKEN_RE = re.compile(
+    r"""
+    [ \t\r\n]+ | --[^\n]*
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<name>[^\W\d][\w-]*)
+  | (?P<punct>[(){}\[\],:/=])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.UNICODE,
+)
+
+
+class _RefToken(NamedTuple):
+    kind: str  # "name", "string", "punct", "eof"
+    value: str
+    offset: int
+
+
+def _ref_error(text: str, offset: int, message: str) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - line_start + 1)
+
+
+def _ref_tokenize(text: str) -> list[_RefToken]:
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _ref_error(text, m.start(),
+                             f"unexpected character {m.group()!r}")
+        if kind == "string":
+            tokens.append(_RefToken(kind, m.group()[1:-1].replace('\\"', '"')
+                                    .replace("\\\\", "\\"), m.start()))
+        elif kind is not None:
+            tokens.append(_RefToken(kind, m.group(), m.start()))
+    tokens.append(_RefToken("eof", "", len(text)))
+    return tokens
+
+
+def _kind(tok: str) -> str:
+    """A token's kind, read from its first character."""
+    if not tok:
+        return "eof"
+    if tok[0] == '"':
+        return "string"
+    return "punct" if tok[0] in "(){}[],:/=" else "name"
+
+
+_PIECES = [
+    "x", "ob", "SORT", "OP", "é", "λx", "_a", "a-b", "x-", "ß2", "²", "0",
+    "12", "(", ")", "{", "}", "[", "]", ",", ":", "/", "=", '"', '"ab"',
+    '""', '"a\\"b"', '"\\\\"', '"é -- x"', "\\", "\\n", "--", "-- c", "-",
+    "\n", " ", "\t", "\r", "@", "$", "#", "\u00a0",
+    "\x0c", "'",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+       st.data())
+def test_lexer_matches_the_seed_lexer(text, data):
+    try:
+        ref = _ref_tokenize(text)
+    except ParseError as want:
+        with pytest.raises(ParseError) as exc:
+            _tokenize(text)
+        assert ((exc.value.message, exc.value.line, exc.value.col)
+                == (want.message, want.line, want.col))
+        return
+    tokens = _tokenize(text)
+    assert ([(_kind(t), _value(t)) for t in tokens]
+            == [(t.kind, t.value) for t in ref])
+    # a parse failure at a token is located where the seed put it
+    for i in data.draw(st.lists(st.integers(0, len(ref) - 1), max_size=3)):
+        parser = _Parser(text)
+        parser.i = i
+        with pytest.raises(ParseError) as exc:
+            parser.fail("stop")
+        want = _ref_error(text, ref[i].offset, "stop")
+        assert (exc.value.line, exc.value.col) == (want.line, want.col)
