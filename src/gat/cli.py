@@ -167,7 +167,7 @@ def _cmd_eq(args) -> int:
     if err is not None:
         print(f"bad telescope: {err}", file=sys.stderr)
         return 1
-    cfg = EqEngineConfig(fuel=args.fuel) if args.fuel else EqEngineConfig()
+    cfg = None if args.fuel is None else EqEngineConfig(fuel=args.fuel)
     if args.sorts:
         a, b = (parse_sort(s) for s in args.sorts)
         verdict = eq_sort(th, tele, a, b, cfg)
@@ -246,6 +246,12 @@ def _cmd_canonicity(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gat",
@@ -272,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sorts", nargs=2, metavar=("A", "B"))
     p.add_argument("--terms", nargs=2, metavar=("M", "N"))
     p.add_argument("--at", help="sort at which the terms are compared")
-    p.add_argument("--fuel", type=int)
+    p.add_argument("--fuel", type=_positive_int)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--elide", action="store_true")
     p.set_defaults(fn=_cmd_eq)
@@ -290,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lib)
 
     p = sub.add_parser("canonicity", help="evaluate generated closed terms")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", choices=("json",))
     p.set_defaults(fn=_cmd_canonicity)

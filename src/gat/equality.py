@@ -14,7 +14,11 @@ Strategy:
     theory's oriented sort axioms; when two normal forms still differ, a
     "bridge" step tries to exhibit them as the two sides of one sort axiom
     under a common instantiation, which covers axioms no orientation can
-    use as a rewrite rule.
+    use as a rewrite rule;
+  * a query that finds no answer ends at the first of three bounds, with a
+    `NotProven(fuel_exhausted=True)` whose reason names it: the rewrite
+    fuel, the term size cap, or the cap on nested discharges of deferred
+    positions (see `match`).
 
 Pattern matching distinguishes forced argument positions from flex ones.  A
 telescope position is flex when its variable is determined by the sort of a
@@ -33,11 +37,9 @@ memo entry records how its term normalized: the entries of its arguments,
 the terms its deferred positions made it normalize, and its root rewrite.
 When a query takes an entry from the memo rather than from its own table,
 it walks those records in order and, for each term not yet in its table,
-spends the fuel and makes the size check a cold engine would.  So a
-verdict, its trace and the fuel it used never depend on what the memo
-holds.  Normal forms found after a query hit the cap on nested deferred
-positions are kept out of the memo, and an entry is taken only where its
-nested deferrals stay under that cap.
+spends the fuel and makes the size and nesting checks a cold engine would.
+So a verdict, its trace and the fuel it used never depend on what the memo
+holds.
 
 Traces.  An `EqTrace` lists `EqStep`s, each rewriting the subterm at `path`
 from `before` to `after`.  A step of kind `TERM_AXIOM` or `SORT_AXIOM` uses
@@ -154,48 +156,41 @@ class NotProven:
     rhs_nf: object = None
 
 
-class _OutOfFuel(Exception):
-    pass
+class _Bound(Exception):
+    """A bound ends the query, and its engine with it: nothing is restored
+    on the way out.  The argument names the bound."""
 
 
-class _SizeExceeded(Exception):
-    pass
-
-
-# Registry collecting every Equal verdict, so a test run can replay them all.
-_verdict_log: list | None = None
+# What the recorders collect while active: each Equal verdict with its
+# theory, so a test run can replay them all, and fuel spent, for reports.
+_recorders: dict[str, list | None] = {"verdicts": None, "fuel": None}
 
 
 @contextmanager
-def record_verdicts():
-    global _verdict_log
-    previous = _verdict_log
-    _verdict_log = log = []
+def _record(name: str, sink: list):
+    previous = _recorders[name]
+    _recorders[name] = sink
     try:
-        yield log
+        yield sink
     finally:
-        _verdict_log = previous
+        _recorders[name] = previous
+
+
+def record_verdicts():
+    """Collect each `Equal` verdict given while active as (theory, trace)."""
+    return _record("verdicts", [])
+
+
+def record_fuel():
+    """Yield a one-element list summing the fuel queries spend meanwhile."""
+    return _record("fuel", [0])
 
 
 def _equal(th: CheckedTheory, trace: EqTrace) -> Equal:
-    if _verdict_log is not None:
-        _verdict_log.append((th, trace))
+    log = _recorders["verdicts"]
+    if log is not None:
+        log.append((th, trace))
     return Equal(trace)
-
-
-# Accumulator for fuel spent across queries, for reporting.
-_fuel_meter: list | None = None
-
-
-@contextmanager
-def record_fuel():
-    global _fuel_meter
-    previous = _fuel_meter
-    _fuel_meter = meter = [0]
-    try:
-        yield meter
-    finally:
-        _fuel_meter = previous
 
 
 def _flip(direction: str | None) -> str | None:
@@ -253,7 +248,7 @@ def _rule_index(th: CheckedTheory) -> tuple[dict, dict]:
 
 # Discharging a deferred position normalizes terms, which matches rules,
 # which may defer again.  The terms shrink in practice; this cap on the
-# nesting makes termination unconditional.
+# nesting makes termination unconditional.  Like fuel, it ends the query.
 _PENDING_CAP = 20
 
 
@@ -264,16 +259,16 @@ class _Entry:
     `kids` pairs argument indices with the entries of arguments that took
     steps; `step` is the root rewrite, if a rule fired, to a term whose
     entry is `rest`.  `pending` lists the terms normalized while deferred
-    positions were discharged, in order, and `height` how deeply such
-    discharges nested.  Steps are kept unflattened: `_emit` prefixes paths
-    only when a query asks for them."""
+    positions were discharged, in order, one level deeper than the term.
+    Every entry is a full normalization: a query that hits a bound ends
+    without one.  Steps are kept unflattened: `_emit` prefixes paths only
+    when a query asks for them."""
 
     nf: Term
     kids: tuple[tuple[int, "_Entry"], ...]
     step: EqStep | None
     rest: "_Entry | None"
     pending: tuple[Term, ...]
-    height: int
 
 
 def _emit(e: _Entry | None, path: tuple[int, ...], out: list) -> None:
@@ -296,10 +291,6 @@ class _Engine:
         self.cfg = cfg
         self.fuel = cfg.fuel
         self._pending_depth = 0
-        # Set once a deferred discharge hits `_PENDING_CAP`: what this query
-        # normalizes from then on may differ from a normal form computed
-        # anywhere else, so it neither reads nor fills the shared memo.
-        self._capped = False
         # The terms this query has normalized, as a cold engine would have
         # cached them; sort and operation symbols are disjoint, so sorts
         # and terms never collide.
@@ -309,16 +300,23 @@ class _Engine:
         # Set by `match` when a repeated pattern variable matched a term
         # equal to its binding only modulo irrelevance.
         self._inexact = False
-        # One list per rule search in progress, logging the terms that
-        # deferred discharges normalize.
-        self._frames: list[list] = []
         self.rules, self._plans = _rule_index(th)
         self._memo = th.nf_memo
 
     def _spend(self) -> None:
         self.fuel -= 1
         if self.fuel < 0:
-            raise _OutOfFuel()
+            raise _Bound("rewrite fuel exhausted")
+
+    def _check_size(self, t: Term) -> None:
+        if t.size > self.cfg.max_term_size:
+            raise _Bound("term size cap exceeded")
+
+    def _deeper(self) -> None:
+        """Enter one more nested discharge of deferred positions."""
+        if self._pending_depth >= _PENDING_CAP:
+            raise _Bound(f"deferred matches nested deeper than {_PENDING_CAP}")
+        self._pending_depth += 1
 
     # -- matching ----------------------------------------------------------
 
@@ -365,36 +363,31 @@ class _Engine:
     def _norm_quiet(self, t: Term) -> Term:
         return t if isinstance(t, Var) else self._entry(t).nf
 
-    def _check_pending(self, sigma: dict, pending: list):
+    def _check_pending(self, sigma: dict, pending: list, log: list):
         """The (path, subject, instance) of each deferred position once
         every instance normalizes to its subject's normal form modulo
-        irrelevance; else None."""
+        irrelevance; else None.  Appends the terms it normalizes to `log`."""
         if not pending:
             return []
-        if self._pending_depth >= _PENDING_CAP:
-            self._capped = True
-            return None
-        log = self._frames[-1] if self._frames else []
+        self._deeper()
         sub = Subst(tuple(sigma.items()))
-        self._pending_depth += 1
-        try:
-            out = []
-            for path, pattern, subject in pending:
-                inst = subst_apply_term(sub, pattern)
-                log += (inst, subject)
-                if not equal_mod_irr(self.th, self._norm_quiet(inst),
-                                     self._norm_quiet(subject)):
-                    return None
-                out.append((path, subject, inst))
-            return out
-        finally:
-            self._pending_depth -= 1
+        out = []
+        for path, pattern, subject in pending:
+            inst = subst_apply_term(sub, pattern)
+            log += (inst, subject)
+            if not equal_mod_irr(self.th, self._norm_quiet(inst),
+                                 self._norm_quiet(subject)):
+                out = None
+                break
+            out.append((path, subject, inst))
+        self._pending_depth -= 1
+        return out
 
-    def match_rule(self, src: Term, dst: Term, subject: Term, ax):
+    def match_rule(self, src: Term, dst: Term, subject: Term, ax, log: list):
         """Bindings making `subject` an instance of `src`, usable to build
         the corresponding instance of `dst`; the discharged deferred
         positions; and whether `subject` is exactly `src`'s instance.  None
-        when the rule does not apply."""
+        when the rule does not apply.  Discharges append to `log`."""
         sigma: dict = {}
         pending: list = []
         self._inexact = False
@@ -406,7 +399,7 @@ class _Engine:
             needed |= free_vars(pattern)
         if not self._complete(sigma, needed, ax.params):
             return None
-        deferred = self._check_pending(sigma, pending)
+        deferred = self._check_pending(sigma, pending, log)
         return None if deferred is None else (sigma, deferred, exact)
 
     def soft_match(self, pattern: Term, subject: Term, sigma: dict) -> None:
@@ -477,14 +470,13 @@ class _Engine:
 
     def _entry(self, t: Cut) -> _Entry:
         """The normalization of `t`: from this query's table, else from the
-        theory's memo at the fuel and size checks a cold engine would make,
-        else computed afresh."""
+        theory's memo at the fuel, size and nesting checks a cold engine
+        would make, else computed afresh."""
         e = self._table.get(t)
         if e is not None:
             return e
         e = self._memo.get(t)
-        if (e is not None and not self._capped
-                and self._pending_depth + e.height <= _PENDING_CAP):
+        if e is not None:
             self._spend_as_cold(t, e)
         else:
             key = (t, self._pending_depth)
@@ -495,35 +487,30 @@ class _Engine:
                 self.fuel = 0
                 self._spend()
             self._active.add(key)
-            try:
-                e = self._fresh(t)
-            finally:
-                self._active.discard(key)
-            if not self._capped:
-                self._memo[t] = e
+            e = self._fresh(t)
+            self._active.discard(key)
+            self._memo[t] = e
         self._table[t] = e
         return e
 
     def _spend_as_cold(self, t: Cut, e: _Entry) -> None:
         """Visit what computing `t` afresh would normalize, in the same
         order: its arguments, the deferred discharges, the rewritten term.
-        Each visit this query has not made yet costs its own rewrites, and
-        `e`'s own rewrite costs 1 fuel and the size check."""
+        Each visit this query has not made yet costs its own rewrites, the
+        discharges cost the nesting check, and `e`'s own rewrite costs 1
+        fuel and the size check."""
         for v in t.args.values():
             if isinstance(v, Cut):
                 self._entry(v)
         if e.pending:
-            self._pending_depth += 1
-            try:
-                for v in e.pending:
-                    if isinstance(v, Cut):
-                        self._entry(v)
-            finally:
-                self._pending_depth -= 1
+            self._deeper()
+            for v in e.pending:
+                if isinstance(v, Cut):
+                    self._entry(v)
+            self._pending_depth -= 1
         if e.step is not None:
             self._spend()
-            if e.step.after.size > self.cfg.max_term_size:
-                raise _SizeExceeded()
+            self._check_size(e.step.after)
             if e.rest is not None:
                 self._entry(e.step.after)
 
@@ -538,39 +525,27 @@ class _Engine:
                 (name, v if a is None else a.nf)
                 for (name, v), a in zip(t.args.entries, args))))
         log: list = []
-        self._frames.append(log)
-        try:
-            for kind, idx, src, dst, direction, ax in self.rules.get(t.head, ()):
-                found = self.match_rule(src, dst, t, ax)
-                if found is None:
-                    continue
-                sigma, deferred, exact = found
-                sub = Subst(tuple(sigma.items()))
-                new = subst_apply_term(sub, dst)
-                self._spend()
-                if new.size > self.cfg.max_term_size:
-                    raise _SizeExceeded()
-                pre = () if exact else self._pre(
-                    t, subst_apply_term(sub, src), deferred)
-                step = EqStep(kind, idx, direction, (), t, new, None, sub, pre)
-                break
-            else:
-                step = new = None
-        finally:
-            self._frames.pop()
+        for kind, idx, src, dst, direction, ax in self.rules.get(t.head, ()):
+            found = self.match_rule(src, dst, t, ax, log)
+            if found is None:
+                continue
+            sigma, deferred, exact = found
+            sub = Subst(tuple(sigma.items()))
+            new = subst_apply_term(sub, dst)
+            self._spend()
+            self._check_size(new)
+            pre = () if exact else self._pre(
+                t, subst_apply_term(sub, src), deferred)
+            step = EqStep(kind, idx, direction, (), t, new, None, sub, pre)
+            break
+        else:
+            step = new = None
         rest = self._entry(new) if isinstance(new, Cut) else None
         if step is None:
             nf = t
         else:
             nf = new if rest is None else rest.nf
-        heights = [a.height for a in args if a is not None]
-        if log:
-            heights.append(1 + max((self._table[v].height for v in log
-                                    if isinstance(v, Cut)), default=0))
-        if rest is not None:
-            heights.append(rest.height)
-        return _Entry(nf, kids, step, rest, tuple(log),
-                      max(heights, default=0))
+        return _Entry(nf, kids, step, rest, tuple(log))
 
     # -- equality --------------------------------------------------------
 
@@ -647,10 +622,8 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
     engine = _Engine(th, cfg)
     try:
         return body(engine)
-    except _OutOfFuel:
-        return NotProven(True, "rewrite fuel exhausted")
-    except _SizeExceeded:
-        return NotProven(True, "term size cap exceeded")
+    except _Bound as stop:
+        return NotProven(True, stop.args[0])
     except RecursionError:
         # The engine recurses once per nesting level of a term, so a deep
         # enough term runs out of interpreter stack before it runs out of
@@ -658,8 +631,9 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
         return NotProven(True, "term nesting deeper than the recursion limit "
                                f"({sys.getrecursionlimit()}) allows")
     finally:
-        if metered and _fuel_meter is not None:
-            _fuel_meter[0] += cfg.fuel - max(engine.fuel, 0)
+        meter = _recorders["fuel"]
+        if metered and meter is not None:
+            meter[0] += cfg.fuel - max(engine.fuel, 0)
 
 
 def eq_sort(th: CheckedTheory, psi: Telescope, a: Sort, b: Sort,

@@ -127,6 +127,24 @@ def test_eq_sorts(capsys):
     assert out.splitlines()[0] == "Equal"
 
 
+@pytest.mark.parametrize("fuel", ["0", "-3", "many"])
+def test_eq_fuel_must_be_positive(capsys, fuel):
+    with pytest.raises(SystemExit) as exc:
+        main(["eq", MONOID, "--telescope", "x: ob{}", "--terms",
+              "cmp{cmp{x/a, id{}/b}/a, id{}/b}", "x", "--at", "ob{}",
+              "--fuel", fuel])
+    assert exc.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_eq_fuel_bounds_the_query(capsys):
+    argv = ["eq", MONOID, "--telescope", "x: ob{}", "--terms",
+            "cmp{cmp{x/a, id{}/b}/a, id{}/b}", "x", "--at", "ob{}"]
+    assert run(capsys, *argv, "--fuel", "2")[:2] == (0, "Equal\n")
+    assert run(capsys, *argv, "--fuel", "1")[:2] == (
+        1, "NotProven: rewrite fuel exhausted\n")
+
+
 def test_eq_requires_exactly_one_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eq", MONOID])
@@ -149,6 +167,14 @@ def test_norm_that_gives_up_exits_1(capsys, tmp_path):
                        "x: ob{}, y: ob{}", "--term", "cmp{x/a, y/b}")
     assert code == 1
     assert out.strip() == "NotProven: rewrite fuel exhausted"
+
+
+@pytest.mark.parametrize("name, fuel", [
+    ("monoid", 0), ("cat", 0), ("cwf", 5), ("mltt", 59)])
+def test_check_json_reports_fuel_used(capsys, name, fuel):
+    code, out, _ = run(capsys, "check", str(library_path(name)), "--json")
+    assert code == 0
+    assert json.loads(out)["stats"]["fuel_used"] == fuel
 
 
 def test_lib_list(capsys):
@@ -177,3 +203,10 @@ def test_canonicity_report(capsys):
     assert report["terms"] == 40
     assert report["stuck"] == 0
     assert report["red"] + report["green"] == report["terms"]
+
+
+def test_canonicity_depth_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["canonicity", "--depth", "0"])
+    assert exc.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from gat.canonicity import GenBudget, generate_closed_obs_terms
 from gat.checker import (
     CheckError,
     ErrorKind,
+    check_term,
     check_theory,
     infer_term,
     theory_extends,
@@ -391,6 +392,18 @@ def _nested(k):
     return Cut("h", Subst((("n", n), ("x", Cut("c", Subst((("n", n),)))))))
 
 
+def _pair(a, b):
+    return Cut("pair", Subst((("a", a), ("b", b))))
+
+
+CAP_REASON = "deferred matches nested deeper than 20"
+
+
+def _hits_the_cap(verdict):
+    return (isinstance(verdict, NotProven) and verdict.fuel_exhausted
+            and verdict.reason == CAP_REASON)
+
+
 def test_memo_keeps_the_pending_depth_cap_of_a_cold_engine():
     th = check_theory(parse_source(NESTED).theory)
     u20, u21 = _nested(20), _nested(21)
@@ -398,15 +411,59 @@ def test_memo_keeps_the_pending_depth_cap_of_a_cold_engine():
     assert normalize_term(warm, u20)[0] == _numeral(21)
     # u21 discharges u20 at depth 1, where u20's 20 levels hit the cap
     assert normalize_term(warm, u21) == normalize_term(th.copy(), u21)
-    assert normalize_term(warm, u21)[0] == u21
-    # after the cap, a query keeps what it computed under it, as a cold
-    # engine does, rather than the memo's s{u20} => s^22{z}
+    assert _hits_the_cap(normalize_term(warm, u21))
+    # the memo's s{u20} => s^22{z} does not carry the query past the cap
     s_u20 = Cut("s", Subst((("m", u20),)))
-    pair = Cut("pair", Subst((("a", u21), ("b", s_u20))))
+    pair = _pair(u21, s_u20)
     warm = th.copy()
     assert normalize_term(warm, s_u20)[0] == _numeral(22)
     assert normalize_term(warm, pair) == normalize_term(th.copy(), pair)
-    assert normalize_term(warm, pair)[0] == pair
+    assert _hits_the_cap(normalize_term(warm, pair))
+
+
+def test_a_query_past_the_pending_cap_is_not_proven_warm_or_cold():
+    th = check_theory(parse_source(NESTED).theory)
+    warm = th.copy()
+    normalize_term(warm, _nested(20))
+    n = parse_sort("N{}")
+    # the pair spends fuel on u0 before u21 hits the cap, one discharge
+    # short of u0; a u1 to u20 normalized first would shorten the chain
+    for m in (_nested(21), _pair(_nested(0), _nested(21))):
+        verdict, used = _query(warm, Telescope(), m, _numeral(22), n)
+        assert (verdict, used) == _query(th.copy(), Telescope(), m,
+                                         _numeral(22), n)
+        assert _hits_the_cap(verdict)
+    assert used > 0
+
+
+def test_a_sort_past_the_pending_cap_gives_up_within_bounds():
+    th = check_theory(parse_source(NESTED).theory)
+
+    def at(k):
+        return (Cut("c", Subst((("n", _nested(k)),))),
+                Cut("T", Subst((("n", _numeral(k + 1)),))))
+
+    assert check_term(th, Telescope(), *at(3)) is None
+    err = check_term(th, Telescope(), *at(21))
+    assert isinstance(err, CheckError)
+    assert err.kind is ErrorKind.EQUALITY_FUEL_EXHAUSTED
+
+
+def test_each_bound_names_itself():
+    th = check_theory(parse_source(NESTED).theory)
+    n = parse_sort("N{}")
+    u3, four = _nested(3), _numeral(4)
+    assert isinstance(eq_term(th.copy(), Telescope(), u3, four, n), Equal)
+    verdicts = [
+        eq_term(th.copy(), Telescope(), m, k, n, cfg)
+        for m, k, cfg in ((u3, four, EqEngineConfig(fuel=1)),
+                          (u3, four, EqEngineConfig(max_term_size=2)),
+                          (_nested(21), _numeral(22), None))]
+    assert all(isinstance(v, NotProven) and v.fuel_exhausted
+               for v in verdicts)
+    fuel, size, cap = (v.reason for v in verdicts)
+    assert "fuel" in fuel and "size" in size and cap == CAP_REASON
+    assert len({fuel, size, cap}) == 3
 
 
 # -- rewrite cycles end in fuel exhaustion ------------------------------------
