@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equality import DEFAULT_CFG, Equal, eq_sort
+from .equality import DEFAULT_CFG, Equal, eq_sort, oriented
+from .kernel import SORT_AXIOM, TERM_AXIOM
 from .syntax import (
     Cut,
     OpDecl,
@@ -74,11 +75,11 @@ class CheckError:
 class CheckedTheory:
     """A theory whose items have all been validated in declaration order.
 
-    Carries the lookup tables the checker and the equality engine need:
-    per-symbol telescopes and result sorts, the axiom lists with their item
-    indices, the set of proof-irrelevant sort symbols, and per-symbol
-    "flex" argument positions (positions whose value is forced by the sorts
-    of later arguments, so a rewrite pattern may match them loosely).
+    Carries the lookup tables the checker, the equality engine and the
+    replay kernel need, each extended as items are added: per-symbol
+    telescopes and result sorts, the axiom lists with their item indices,
+    the set of proof-irrelevant sort symbols, the rewrite rules by the head
+    of their source, and per-symbol match plans (see `_plan`).
     """
 
     def __init__(self) -> None:
@@ -89,8 +90,10 @@ class CheckedTheory:
         self.sort_axioms: list[tuple[int, SortAxiom]] = []
         self.axiom_labels: dict[str, int] = {}
         self.irrelevant_heads: frozenset[str] = frozenset()
-        self._flex: dict[str, tuple[bool, ...]] = {}
-        self._arg_heads: dict[str, tuple[str, ...]] = {}
+        # (kind, item index, source, target, direction, axiom) per oriented
+        # axiom, in item order; a tuple per head, so copies share them
+        self.rules: dict[str, tuple] = {}
+        self.plans: dict[str, tuple] = {}
         # Memoized successes only: they stay valid when the theory is
         # extended (more axioms never invalidate a proof), while failures
         # could be fixed by later items and must not be cached.
@@ -99,18 +102,15 @@ class CheckedTheory:
         self._reset_engine_tables()
 
     def _reset_engine_tables(self) -> None:
-        # Built by gat.equality and gat.kernel from the axioms, and dropped
-        # when an axiom is added: the normal-form memo every equality query
-        # shares, the oriented rules and match plans indexed by head symbol
-        # (None until first use), and the axiom instances replay has
-        # validated.  A sort or operation declaration leaves them valid:
-        # it changes no rule, no proof-irrelevant sort and no plan of a
-        # symbol an axiom side is headed by, and the theory is only
-        # extended while it is being checked, when every query is about
-        # terms over the symbols already declared.  Concurrent queries may
-        # both fill them; they store equal values.
+        # Filled by gat.equality and gat.kernel, and dropped when an axiom
+        # is added: the normal-form memo every equality query shares, and
+        # the axiom instances replay has validated.  A sort or operation
+        # declaration leaves them valid: it changes no rule, no
+        # proof-irrelevant sort and no plan of a symbol already declared,
+        # and the theory is only extended while it is being checked, when
+        # every query is about terms over the symbols already declared.
+        # Concurrent queries may both fill them; they store equal values.
         self.nf_memo: dict = {}
-        self.rule_index = None
         self.instances: dict = {}
 
     def copy(self) -> "CheckedTheory":
@@ -122,19 +122,11 @@ class CheckedTheory:
         out.sort_axioms = list(self.sort_axioms)
         out.axiom_labels = dict(self.axiom_labels)
         out.irrelevant_heads = self.irrelevant_heads
-        out._flex = dict(self._flex)
-        out._arg_heads = dict(self._arg_heads)
+        out.rules = dict(self.rules)
+        out.plans = dict(self.plans)
         out._infer_cache = dict(self._infer_cache)
         out._accept_cache = set(self._accept_cache)
         return out
-
-    # -- lookups used by the equality engine -------------------------------
-
-    def flex_of(self, head: str) -> tuple[bool, ...]:
-        return self._flex.get(head, ())
-
-    def arg_heads_of(self, head: str) -> tuple[str, ...]:
-        return self._arg_heads.get(head, ())
 
     def accepts(self, psi: Telescope, m: Term, a: Sort) -> bool:
         """Whether `m` checks at sort `a` over `psi`: the sort check the
@@ -151,42 +143,57 @@ class CheckedTheory:
 
     # -- construction ------------------------------------------------------
 
-    def _register_symbol(self, name: str, params: Telescope) -> None:
-        names = params.names()
-        flex = []
-        for i, n in enumerate(names):
-            later = set()
-            for _, s in params.bindings[i + 1:]:
-                later |= free_vars(s)
-            flex.append(n in later)
-        self._flex[name] = tuple(flex)
-        self._arg_heads[name] = tuple(s.head for _, s in params.bindings)
+    def _plan(self, params: Telescope) -> tuple:
+        """A symbol's argument positions in the order `match` visits them,
+        strict before loose, with the mask of loose ones and the mask of
+        proof-irrelevant ones.  A position is loose when it is flex (its
+        variable occurs in a later argument's sort, so normalization may
+        have rewritten the annotation a pattern spells out) or of
+        proof-irrelevant sort."""
+        bindings = params.bindings
+        irr = tuple(s.head in self.irrelevant_heads for _, s in bindings)
+        loose = tuple(
+            irr[i] or any(name in free_vars(s) for _, s in bindings[i + 1:])
+            for i, (name, _) in enumerate(bindings))
+        order = tuple(sorted(range(len(loose)), key=loose.__getitem__))
+        return order, loose, irr
+
+    def _add_axiom(self, kind: str, index: int, ax) -> None:
+        self._reset_engine_tables()
+        if ax.label:
+            self.axiom_labels[ax.label] = index
+        rule = oriented(ax)
+        if rule is not None:
+            src, dst = rule
+            self.rules[src.head] = self.rules.get(src.head, ()) + (
+                (kind, index, src, dst, ax.orientation, ax),)
 
     def _add_item(self, item) -> None:
-        if isinstance(item, (SortAxiom, TermAxiom)):
-            self._reset_engine_tables()
         index = len(self.theory.items)
         self.theory = self.theory.extended((item,))
         if isinstance(item, SortDecl):
             self.sort_decls[item.name] = item.params
-            self._register_symbol(item.name, item.params)
+            self.plans[item.name] = self._plan(item.params)
         elif isinstance(item, OpDecl):
             self.op_decls[item.name] = (item.params, item.result)
-            self._register_symbol(item.name, item.params)
+            self.plans[item.name] = self._plan(item.params)
         elif isinstance(item, SortAxiom):
             self.sort_axioms.append((index, item))
-            if item.label:
-                self.axiom_labels[item.label] = index
+            self._add_axiom(SORT_AXIOM, index, item)
         elif isinstance(item, TermAxiom):
             self.term_axioms.append((index, item))
-            if item.label:
-                self.axiom_labels[item.label] = index
+            self._add_axiom(TERM_AXIOM, index, item)
             # An axiom equating two distinct telescope variables makes its
             # sort proof-irrelevant; the engine then treats any two terms of
-            # that sort as equal.
+            # that sort as equal, and matches arguments of it loosely.
+            head = item.sort.head
             if (isinstance(item.lhs, Var) and isinstance(item.rhs, Var)
-                    and item.lhs != item.rhs):
-                self.irrelevant_heads = self.irrelevant_heads | {item.sort.head}
+                    and item.lhs != item.rhs
+                    and head not in self.irrelevant_heads):
+                self.irrelevant_heads = self.irrelevant_heads | {head}
+                self.plans = {name: self._plan(params) for name, params in (
+                    *self.sort_decls.items(),
+                    *((n, p) for n, (p, _) in self.op_decls.items()))}
 
 
 def check_theory(raw: Theory) -> CheckedTheory | CheckError:

@@ -17,7 +17,9 @@ from .canonicity import GenBudget, Stuck, evaluate_closed, generate_closed_obs_t
 from .checker import (
     CheckedTheory,
     CheckError,
+    check_sort,
     check_telescope,
+    check_term,
     check_theory,
     infer_term,
     theory_extends,
@@ -170,11 +172,17 @@ def _cmd_eq(args) -> int:
     cfg = None if args.fuel is None else EqEngineConfig(fuel=args.fuel)
     if args.sorts:
         a, b = (parse_sort(s) for s in args.sorts)
-        verdict = eq_sort(th, tele, a, b, cfg)
+        err = check_sort(th, tele, a) or check_sort(th, tele, b)
+        verdict = err or eq_sort(th, tele, a, b, cfg)
     else:
         m, n = (parse_term(s) for s in args.terms)
         at = parse_sort(args.at)
-        verdict = eq_term(th, tele, m, n, at, cfg)
+        err = (check_sort(th, tele, at) or check_term(th, tele, m, at)
+               or check_term(th, tele, n, at))
+        verdict = err or eq_term(th, tele, m, n, at, cfg)
+    if isinstance(verdict, CheckError):
+        print(str(verdict), file=sys.stderr)
+        return 1
     if isinstance(verdict, Equal):
         print("Equal")
         if args.trace:

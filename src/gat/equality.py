@@ -29,17 +29,19 @@ annotation the axiom spells out in constructor form.  Forced positions
 always match strictly, which is what keeps distinct axioms apart.
 
 Every query (`eq_sort`, `eq_term`, `normalize_term`) runs its own engine
-with its own fuel and its own table of the terms it has normalized, but all
-of them share one normal-form memo and one rule index held by the
-`CheckedTheory`; adding an axiom to the theory drops both, while a
-sort or operation declaration, which changes no rule, keeps them.  A
-memo entry records how its term normalized: the entries of its arguments,
-the terms its deferred positions made it normalize, and its root rewrite.
-When a query takes an entry from the memo rather than from its own table,
-it walks those records in order and, for each term not yet in its table,
-spends the fuel and makes the size and nesting checks a cold engine would.
-So a verdict, its trace and the fuel it used never depend on what the memo
-holds.
+with its own fuel and its own table of the terms it has normalized.  All of
+them read the rewrite rules and match plans the `CheckedTheory` extends as
+items are added: each axiom appends its rule (see `oriented`), each
+declaration adds its symbol's plan.  They also share one normal-form memo
+held by the theory.  Adding an axiom drops only that memo and replay's
+instance cache; a sort or operation declaration, which changes no rule,
+keeps them.  A memo entry records how its term normalized: the entries of
+its arguments, the terms its deferred positions made it normalize, and its
+root rewrite.  When a query takes an entry from the memo rather than from
+its own table, it walks those records in order and, for each term not yet
+in its table, spends the fuel and makes the size and nesting checks a cold
+engine would.  So a verdict, its trace and the fuel it used never depend on
+what the memo holds.
 
 Traces.  An `EqTrace` lists `EqStep`s, each rewriting the subterm at `path`
 from `before` to `after`.  A step of kind `TERM_AXIOM` or `SORT_AXIOM` uses
@@ -210,40 +212,15 @@ def _invert(steps) -> tuple[EqStep, ...]:
         for s in reversed(steps)) if steps else ()
 
 
-def _orient(kind: str, axioms) -> list:
-    """Rewrite rules (kind, item index, source, target, direction, axiom)
-    from the axioms the `.gat` file orients."""
-    rules = []
-    for idx, ax in axioms:
-        if ax.orientation not in (LR, RL):
-            continue
-        src, dst = sides(ax, ax.orientation)
-        # A variable source matches everything; such axioms (the
-        # proof-irrelevance ones) are handled by comparison instead.
-        if not isinstance(src, Var):
-            rules.append((kind, idx, src, dst, ax.orientation, ax))
-    return rules
-
-
-def _rule_index(th: CheckedTheory) -> tuple[dict, dict]:
-    """The theory's rules by the head of their source, term axioms before
-    sort axioms; and per symbol, the argument positions in the order
-    `match` visits them (strict before loose) with the mask of loose ones.
-    Built once per theory and dropped by it whenever an axiom is added."""
-    if th.rule_index is None:
-        rules: dict[str, list] = {}
-        for rule in (_orient(TERM_AXIOM, th.term_axioms)
-                     + _orient(SORT_AXIOM, th.sort_axioms)):
-            rules.setdefault(rule[2].head, []).append(rule)
-        plans = {}
-        for head in (*th.sort_decls, *th.op_decls):
-            # loose: flex, or of a proof-irrelevant sort
-            loose = tuple(f or h in th.irrelevant_heads for f, h in
-                          zip(th.flex_of(head), th.arg_heads_of(head)))
-            plans[head] = (sorted(range(len(loose)), key=loose.__getitem__),
-                           loose)
-        th.rule_index = (rules, plans)
-    return th.rule_index
+def oriented(ax) -> tuple[Term, Term] | None:
+    """The (source, target) of the rewrite rule the `.gat` file orients
+    `ax` into; None for an unoriented axiom, and for one whose source is a
+    variable: that matches everything, so such axioms (the
+    proof-irrelevance ones) are handled by comparison instead."""
+    if ax.orientation not in (LR, RL):
+        return None
+    src, dst = sides(ax, ax.orientation)
+    return None if isinstance(src, Var) else (src, dst)
 
 
 # Discharging a deferred position normalizes terms, which matches rules,
@@ -300,7 +277,8 @@ class _Engine:
         # Set by `match` when a repeated pattern variable matched a term
         # equal to its binding only modulo irrelevance.
         self._inexact = False
-        self.rules, self._plans = _rule_index(th)
+        self.rules = th.rules
+        self._plans = th.plans
         self._memo = th.nf_memo
 
     def _spend(self) -> None:
@@ -344,7 +322,7 @@ class _Engine:
         if len(pv) != len(sv):
             return False
         # patterns are sides of checked axioms, so of their symbol's arity
-        order, loose = self._plans[pattern.head]
+        order, loose, _ = self._plans[pattern.head]
         for i in order:
             if loose[i]:
                 trial_sigma = dict(sigma)
@@ -658,21 +636,21 @@ def eq_term(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort,
 
 def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
              target: Telescope):
-    """Entry-wise term equality at the progressively instantiated sorts."""
+    """Entry-wise term equality into `target`, a checked telescope: entry i
+    is compared at target sort i instantiated by `p0`'s entries before it.
+    That sort mentions only the distinct names bound before it, and `p0`
+    binds them first, so `p0` itself instantiates it."""
     if len(p0) != len(p1) or len(p0) != len(target):
         return NotProven(False, "substitution lengths differ")
     entry_traces = []
-    prefix: list[tuple[str, Term]] = []
     for (t0, v0), (t1, v1), (name, sort) in zip(
             p0.entries, p1.entries, target.bindings):
         if t0 != name or t1 != name:
             return NotProven(False, f"target names do not match {name!r}")
-        inst = subst_apply_sort(Subst(tuple(prefix)), sort)
-        verdict = eq_term(th, phi, v0, v1, inst)
+        verdict = eq_term(th, phi, v0, v1, subst_apply_sort(p0, sort))
         if not isinstance(verdict, Equal):
             return verdict
         entry_traces.append(verdict.trace)
-        prefix.append((name, v0))
     return Equal(EqTrace(p0, p1, (), phi, tuple(entry_traces)))
 
 

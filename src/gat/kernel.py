@@ -1,7 +1,10 @@
 """Trusted replay of equality traces, sharing no code with the rewriter.
 
 It trusts the theory's tables, `gat.syntax` and a sort-check callback, and
-compares whole terms by identity, since terms are hash-consed.  The step
+compares whole terms by identity, since terms are hash-consed.  Among the
+tables, it trusts each symbol's mask of proof-irrelevant argument positions
+(the third part of its plan in `th.plans`) when it compares terms modulo
+irrelevance.  The step
 format and what each kind of step must satisfy are set out in
 `gat.equality`.  Validated axiom instances are cached in `th.instances`,
 which the theory drops when an axiom is added; an instance whose sort check
@@ -43,10 +46,10 @@ def equal_mod_irr(th, x, y) -> bool:
     if not (isinstance(x, Cut) and isinstance(y, Cut) and x.head == y.head
             and len(x.args.entries) == len(y.args.entries)):
         return False
-    heads = th.arg_heads_of(x.head)
+    plan = th.plans.get(x.head)
+    irr = () if plan is None else plan[2]
     return all(
-        xt == yt and (i < len(heads) and heads[i] in th.irrelevant_heads
-                      or equal_mod_irr(th, xv, yv))
+        xt == yt and (i < len(irr) and irr[i] or equal_mod_irr(th, xv, yv))
         for i, ((xt, xv), (yt, yv)) in enumerate(zip(x.args.entries,
                                                       y.args.entries)))
 

@@ -3,6 +3,7 @@
 import pytest
 
 from negative_corpus import CASES
+from gat import checker
 from gat.checker import (
     CheckedTheory,
     CheckError,
@@ -15,10 +16,26 @@ from gat.checker import (
     infer_term,
     theory_extends,
 )
-from gat.equality import EqEngineConfig
-from gat.library import load
+from gat.equality import (
+    SORT_AXIOM,
+    TERM_AXIOM,
+    EqEngineConfig,
+    Equal,
+    eq_term,
+    replay_trace,
+)
+from gat.library import library_names, load
 from gat.surface import parse_sort, parse_telescope, parse_term, parse_theory
-from gat.syntax import Telescope, Theory
+from gat.syntax import (
+    LR,
+    RL,
+    SortAxiom,
+    Telescope,
+    TermAxiom,
+    Theory,
+    Var,
+    free_vars,
+)
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +254,111 @@ def test_infer_and_check_agree_on_axiom_sides(monoid, cat):
                 assert not isinstance(inferred, CheckError)
                 assert check_term(th, ax.params, side, inferred) is None
                 assert check_term(th, ax.params, side, ax.sort) is None
+
+
+# -- rewrite rules and match plans -------------------------------------------
+
+
+def _reference_tables(th):
+    """The rules and match plans as the seed engine rebuilt them from the
+    whole theory after each axiom: every oriented axiom, grouped by the head
+    of its source, then a plan per declared symbol from its flex positions
+    and its argument sorts.  A plan's third part is the mask of arguments
+    of proof-irrelevant sort, which the seed kernel derived from the
+    argument sorts on every comparison."""
+    def orient(kind, axioms):
+        rules = []
+        for idx, ax in axioms:
+            if ax.orientation not in (LR, RL):
+                continue
+            src, dst = ((ax.lhs, ax.rhs) if ax.orientation == LR
+                        else (ax.rhs, ax.lhs))
+            if not isinstance(src, Var):
+                rules.append((kind, idx, src, dst, ax.orientation, ax))
+        return rules
+
+    rules: dict = {}
+    for rule in (orient(TERM_AXIOM, th.term_axioms)
+                 + orient(SORT_AXIOM, th.sort_axioms)):
+        rules.setdefault(rule[2].head, []).append(rule)
+    plans = {}
+    for head, params in (*th.sort_decls.items(),
+                         *((n, p) for n, (p, _) in th.op_decls.items())):
+        flex = []
+        for i, n in enumerate(params.names()):
+            later = set()
+            for _, s in params.bindings[i + 1:]:
+                later |= free_vars(s)
+            flex.append(n in later)
+        irr = tuple(s.head in th.irrelevant_heads for _, s in params.bindings)
+        loose = tuple(f or i for f, i in zip(flex, irr))
+        plans[head] = (sorted(range(len(loose)), key=loose.__getitem__),
+                       loose, irr)
+    return rules, plans
+
+
+def _assert_tables_match_reference(th):
+    rules, plans = _reference_tables(th)
+    assert th.rules == {h: tuple(r) for h, r in rules.items()}
+    assert th.plans == {h: (tuple(order), loose, irr)
+                        for h, (order, loose, irr) in plans.items()}
+
+
+@pytest.mark.parametrize("name", library_names())
+def test_rules_and_plans_match_the_rebuilt_index(name):
+    _assert_tables_match_reference(load(name))
+
+
+def test_each_axiom_is_oriented_once_while_a_theory_is_built(mltt, monkeypatch):
+    seen = []
+    real = checker.oriented
+    monkeypatch.setattr(checker, "oriented",
+                        lambda ax: seen.append(ax) or real(ax))
+    check_theory(mltt.theory)
+    assert seen == [item for item in mltt.theory.items
+                    if isinstance(item, (SortAxiom, TermAxiom))]
+    assert len(seen) == 36
+
+
+# P's irrelevance axiom comes after f, which takes an argument of sort P, and
+# before g, which takes one too.
+IRRELEVANT_AFTER_USE = """
+SORT N()
+SORT P(n: N{})
+OP z() : N{}
+OP p0() : P{z{}/n}
+OP f(n: N{}, p: P{n/n}) : N{}
+TERMAX "P irrelevance" (n: N{}, p: P{n/n}, q: P{n/n}) p = q : P{n/n}
+OP g(p: P{z{}/n}, n: N{}) : N{}
+"""
+
+
+def test_an_irrelevance_axiom_replans_the_symbols_declared_before_it():
+    th = check_theory(parse_theory(IRRELEVANT_AFTER_USE))
+    assert th.irrelevant_heads == {"P"}
+    assert th.plans["f"] == ((0, 1), (True, True), (False, True))
+    assert th.plans["g"] == ((1, 0), (True, False), (True, False))
+    _assert_tables_match_reference(th)
+    # the kernel compares f's second argument modulo irrelevance
+    tele = parse_telescope("q: P{z{}/n}")
+    m, n = parse_term("f{z{}/n, p0{}/p}"), parse_term("f{z{}/n, q/p}")
+    verdict = eq_term(th, tele, m, n, parse_sort("N{}"))
+    assert isinstance(verdict, Equal)
+    assert replay_trace(th, m, verdict.trace) == n
+
+
+def test_extending_a_copy_leaves_the_rules_and_plans_unchanged(monoid):
+    base = monoid.copy()
+    rules, plans = dict(base.rules), dict(base.plans)
+    ext = theory_extends(base, parse_theory(
+        'SORT P(x: ob{})\n'
+        'OP pick(x: ob{}, p: P{x/x}) : ob{}\n'
+        'TERMAX "unit square" () cmp{id{}/a, id{}/b} = id{} : ob{}\n'
+        'TERMAX "P irrelevance" (x: ob{}, p: P{x/x}, q: P{x/x}) '
+        'p = q : P{x/x}'))
+    assert isinstance(ext, CheckedTheory)
+    assert (base.rules, base.plans) == (rules, plans)
+    assert base.irrelevant_heads == frozenset()
+    assert len(ext.rules["cmp"]) == len(rules["cmp"]) + 1
+    assert ext.plans["pick"][2] == (False, True)
+    _assert_tables_match_reference(ext)

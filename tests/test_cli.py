@@ -118,6 +118,19 @@ def test_eq_unprovable(capsys):
     assert out.startswith("NotProven")
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (("--telescope", "x: ob{}", "--terms", "foo{}", "foo{}", "--at", "ob{}"),
+     "UnknownSymbol"),
+    (("--terms", "x", "x", "--at", "ob{}"), "UnknownVariable"),
+    (("--sorts", "bogus{}", "bogus{}"), "UnknownSymbol"),
+])
+def test_eq_rejects_ill_formed_inputs(capsys, argv, kind):
+    code, out, err = run(capsys, "eq", MONOID, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(kind)
+
+
 def test_eq_sorts(capsys):
     code, out, _ = run(
         capsys, "eq", MLTT,

@@ -345,12 +345,14 @@ def test_a_declaration_keeps_the_engine_tables(mltt):
         nf = normalize_term(th, t)[0]
         assert replay_ok(th, eq_term(th, empty, t, nf,
                                      infer_term(th, empty, t)).trace)
-    memo, index, instances = th.nf_memo, th.rule_index, th.instances
+    memo, instances = th.nf_memo, th.instances
+    rules, plans = dict(th.rules), dict(th.plans)
     filled = dict(memo), dict(instances)
-    assert all(filled) and index is not None
+    assert all(filled) and rules and plans
     th._add_item(SortDecl("mark", Telescope()))
     th._add_item(OpDecl("top", Telescope(), parse_sort("lvl{}")))
-    assert th.nf_memo is memo and th.rule_index is index
+    assert th.nf_memo is memo and th.rules == rules
+    assert th.plans == {**plans, "mark": ((), (), ()), "top": ((), (), ())}
     assert th.instances is instances
     assert (dict(memo), dict(instances)) == filled
 

@@ -334,7 +334,9 @@ def _irr_equal(th, x, y) -> bool:
     if not (isinstance(x, Cut) and isinstance(y, Cut) and x.head == y.head
             and x.args.targets() == y.args.targets()):
         return False
-    heads = th.arg_heads_of(x.head)
+    params = (th.sort_decls[x.head] if x.head in th.sort_decls
+              else th.op_decls.get(x.head, (Telescope(),))[0])
+    heads = [s.head for _, s in params.bindings]
     return all(h in th.irrelevant_heads or _irr_equal(th, a, b) for h, a, b
                in zip(heads, x.args.values(), y.args.values()))
 
