@@ -37,11 +37,13 @@ held by the theory.  Adding an axiom drops only that memo and replay's
 instance cache; a sort or operation declaration, which changes no rule,
 keeps them.  A memo entry records how its term normalized: the entries of
 its arguments, the terms its deferred positions made it normalize, and its
-root rewrite.  When a query takes an entry from the memo rather than from
-its own table, it walks those records in order and, for each term not yet
-in its table, spends the fuel and makes the size and nesting checks a cold
-engine would.  So a verdict, its trace and the fuel it used never depend on
-what the memo holds.
+root rewrite.  Computed or taken from the memo, a term the query has not
+normalized yet is charged in one order: its arguments; then, one nesting
+level deeper, each deferred position's instance and subject; then its root
+rewrite, through the one helper `_charge`, which spends 1 fuel, checks the
+size of the result and then normalizes the result.  A term already in the
+query's own table costs nothing.  So a verdict, its trace and the fuel it
+used never depend on what the memo holds.
 
 Traces.  An `EqTrace` lists `EqStep`s, each rewriting the subterm at `path`
 from `before` to `after`.  A step of kind `TERM_AXIOM` or `SORT_AXIOM` uses
@@ -235,11 +237,14 @@ class _Entry:
 
     `kids` pairs argument indices with the entries of arguments that took
     steps; `step` is the root rewrite, if a rule fired, to a term whose
-    entry is `rest`.  `pending` lists the terms normalized while deferred
-    positions were discharged, in order, one level deeper than the term.
-    Every entry is a full normalization: a query that hits a bound ends
-    without one.  Steps are kept unflattened: `_emit` prefixes paths only
-    when a query asks for them."""
+    entry is `rest`.  `pending` lists the instance and then the subject of
+    each deferred position `_discharge` normalized, one level deeper than
+    the term, in order and also for rules that then did not apply.  The
+    term's arguments, `pending` and `step.after` are what `_entry` charges
+    a query that takes the entry from the memo.  Every entry is a full
+    normalization: a query that hits a bound ends without one.  Steps are
+    kept unflattened: `_emit` prefixes paths only when a query asks for
+    them."""
 
     nf: Term
     kids: tuple[tuple[int, "_Entry"], ...]
@@ -286,10 +291,6 @@ class _Engine:
         if self.fuel < 0:
             raise _Bound("rewrite fuel exhausted")
 
-    def _check_size(self, t: Term) -> None:
-        if t.size > self.cfg.max_term_size:
-            raise _Bound("term size cap exceeded")
-
     def _deeper(self) -> None:
         """Enter one more nested discharge of deferred positions."""
         if self._pending_depth >= _PENDING_CAP:
@@ -303,7 +304,7 @@ class _Engine:
         """Strict match, except at flex and irrelevant argument positions,
         which are matched by trial: a failing trial defers the (path,
         pattern, subject) triple to `pending` instead of failing the whole
-        match.  Deferred pairs must later be discharged by `_check_pending`,
+        match.  Deferred pairs must later be discharged by `_discharge`,
         which keeps skipping sound: the instantiated pattern has to
         normalize to the subject, it is not simply ignored."""
         if isinstance(pattern, Var):
@@ -338,47 +339,61 @@ class _Engine:
                 return False
         return True
 
-    def _norm_quiet(self, t: Term) -> Term:
-        return t if isinstance(t, Var) else self._entry(t).nf
-
-    def _check_pending(self, sigma: dict, pending: list, log: list):
-        """The (path, subject, instance) of each deferred position once
-        every instance normalizes to its subject's normal form modulo
-        irrelevance; else None.  Appends the terms it normalizes to `log`."""
+    def _discharge(self, sub: Subst, pending: list, t: Term, log: list):
+        """Normalize, one nesting level deeper, each deferred position's
+        instance and then its subject, appending both to `log`.  Returns
+        the steps subject -> nf ~ nf <- instance at each position and `t`
+        with every instance put in place; None as soon as an instance's
+        normal form differs from its subject's modulo irrelevance."""
         if not pending:
-            return []
+            return [], t
         self._deeper()
-        sub = Subst(tuple(sigma.items()))
-        out = []
+        steps: list[EqStep] | None = []
         for path, pattern, subject in pending:
             inst = subst_apply_term(sub, pattern)
             log += (inst, subject)
-            if not equal_mod_irr(self.th, self._norm_quiet(inst),
-                                 self._norm_quiet(subject)):
-                out = None
+            ni, from_nf = self.normalize(inst, path)
+            ns, to_nf = self.normalize(subject, path)
+            mid = self._meet(ns, ni, path)
+            if mid is None:
+                steps = None
                 break
-            out.append((path, subject, inst))
+            steps += to_nf + mid
+            steps += _invert(from_nf)
+            t = replace_at(t, path, inst)
         self._pending_depth -= 1
-        return out
+        return None if steps is None else (steps, t)
 
     def match_rule(self, src: Term, dst: Term, subject: Term, ax, log: list):
-        """Bindings making `subject` an instance of `src`, usable to build
-        the corresponding instance of `dst`; the discharged deferred
-        positions; and whether `subject` is exactly `src`'s instance.  None
-        when the rule does not apply.  Discharges append to `log`."""
+        """The instantiation making `subject` an instance of `src`, usable
+        to build the corresponding instance of `dst`, and the `pre` steps
+        from `subject` to that instance of `src`: empty when `subject` is
+        exactly it.  None when the rule does not apply.  Discharges append
+        to `log`."""
         sigma: dict = {}
         pending: list = []
         self._inexact = False
         if not self.match(src, subject, sigma, pending):
             return None
-        exact = not (pending or self._inexact)
+        # discharging matches other rules, which resets the flag
+        inexact = self._inexact
         needed = set(free_vars(dst))
         for _, pattern, _ in pending:
             needed |= free_vars(pattern)
         if not self._complete(sigma, needed, ax.params):
             return None
-        deferred = self._check_pending(sigma, pending, log)
-        return None if deferred is None else (sigma, deferred, exact)
+        sub = Subst(tuple(sigma.items()))
+        found = self._discharge(sub, pending, subject, log)
+        if found is None:
+            return None
+        pre, t = found
+        if pending or inexact:
+            # one irrelevance step where a repeated pattern variable matched
+            # a term equal to its binding only modulo irrelevance
+            source = subst_apply_term(sub, src)
+            if t is not source:
+                pre.append(EqStep(IRRELEVANCE, None, None, (), t, source))
+        return sub, tuple(pre)
 
     def soft_match(self, pattern: Term, subject: Term, sigma: dict) -> None:
         """Harvest bindings wherever pattern and subject line up; never
@@ -418,23 +433,6 @@ class _Engine:
             return [EqStep(IRRELEVANCE, None, None, path, x, y)]
         return None
 
-    def _pre(self, before: Cut, source: Term, deferred) -> tuple[EqStep, ...]:
-        """Steps from `before` to the rule's source instance: at each
-        deferred position, subject -> nf ~ nf <- instance; then one
-        irrelevance step for where a repeated pattern variable matched a
-        term equal to its binding only modulo irrelevance."""
-        steps: list[EqStep] = []
-        t = before
-        for path, subject, inst in deferred:
-            ns, to_nf = self.normalize(subject, path)
-            ni, from_nf = self.normalize(inst, path)
-            steps += to_nf + self._meet(ns, ni, path)
-            steps += _invert(from_nf)
-            t = replace_at(t, path, inst)
-        if t is not source:
-            steps.append(EqStep(IRRELEVANCE, None, None, (), t, source))
-        return tuple(steps)
-
     # -- normalization of sorts and terms ---------------------------------
 
     def normalize(self, t: Term, path: tuple[int, ...] = ()):
@@ -448,14 +446,27 @@ class _Engine:
 
     def _entry(self, t: Cut) -> _Entry:
         """The normalization of `t`: from this query's table, else from the
-        theory's memo at the fuel, size and nesting checks a cold engine
-        would make, else computed afresh."""
+        theory's memo, else computed afresh.  A memo entry is charged as
+        `_fresh` would charge computing it: its arguments, then its
+        deferred discharges one level deeper, then its rewrite, so each
+        term this query has not yet normalized costs its own rewrites and
+        checks."""
         e = self._table.get(t)
         if e is not None:
             return e
         e = self._memo.get(t)
         if e is not None:
-            self._spend_as_cold(t, e)
+            for v in t.args.values():
+                if isinstance(v, Cut):
+                    self._entry(v)
+            if e.pending:
+                self._deeper()
+                for v in e.pending:
+                    if isinstance(v, Cut):
+                        self._entry(v)
+                self._pending_depth -= 1
+            if e.step is not None:
+                self._charge(e.step.after)
         else:
             key = (t, self._pending_depth)
             if key in self._active:
@@ -471,26 +482,13 @@ class _Engine:
         self._table[t] = e
         return e
 
-    def _spend_as_cold(self, t: Cut, e: _Entry) -> None:
-        """Visit what computing `t` afresh would normalize, in the same
-        order: its arguments, the deferred discharges, the rewritten term.
-        Each visit this query has not made yet costs its own rewrites, the
-        discharges cost the nesting check, and `e`'s own rewrite costs 1
-        fuel and the size check."""
-        for v in t.args.values():
-            if isinstance(v, Cut):
-                self._entry(v)
-        if e.pending:
-            self._deeper()
-            for v in e.pending:
-                if isinstance(v, Cut):
-                    self._entry(v)
-            self._pending_depth -= 1
-        if e.step is not None:
-            self._spend()
-            self._check_size(e.step.after)
-            if e.rest is not None:
-                self._entry(e.step.after)
+    def _charge(self, after: Term) -> _Entry | None:
+        """A rewrite to `after`: 1 fuel, the size check, then the
+        normalization of `after` (None for a variable), in that order."""
+        self._spend()
+        if after.size > self.cfg.max_term_size:
+            raise _Bound("term size cap exceeded")
+        return self._entry(after) if isinstance(after, Cut) else None
 
     def _fresh(self, t: Cut) -> _Entry:
         values = t.args.values()
@@ -505,25 +503,14 @@ class _Engine:
         log: list = []
         for kind, idx, src, dst, direction, ax in self.rules.get(t.head, ()):
             found = self.match_rule(src, dst, t, ax, log)
-            if found is None:
-                continue
-            sigma, deferred, exact = found
-            sub = Subst(tuple(sigma.items()))
-            new = subst_apply_term(sub, dst)
-            self._spend()
-            self._check_size(new)
-            pre = () if exact else self._pre(
-                t, subst_apply_term(sub, src), deferred)
-            step = EqStep(kind, idx, direction, (), t, new, None, sub, pre)
-            break
-        else:
-            step = new = None
-        rest = self._entry(new) if isinstance(new, Cut) else None
-        if step is None:
-            nf = t
-        else:
-            nf = new if rest is None else rest.nf
-        return _Entry(nf, kids, step, rest, tuple(log))
+            if found is not None:
+                sub, pre = found
+                new = subst_apply_term(sub, dst)
+                step = EqStep(kind, idx, direction, (), t, new, None, sub, pre)
+                rest = self._charge(new)
+                return _Entry(new if rest is None else rest.nf, kids, step,
+                              rest, tuple(log))
+        return _Entry(t, kids, None, None, tuple(log))
 
     # -- equality --------------------------------------------------------
 
