@@ -3,7 +3,7 @@
 Subcommands: check, sort-of, eq, norm, lib, canonicity.  Exit codes: 0 on
 success, 1 when a judgment fails (check error, NotProven, stuck term) or
 `norm` gives up within the engine's bounds, 2 on usage errors (bad flags,
-missing files).
+missing files, a cycle of EXTENDS).
 """
 
 from __future__ import annotations
@@ -43,13 +43,24 @@ from .surface import (
     print_sort,
     print_term,
 )
-from .syntax import Cut, Var
+from .syntax import Cut, Telescope, Var
 
 REPORT_SCHEMA_PATH = Path(__file__).parent / "data" / "report_schema.json"
 
 
 class _UsageError(Exception):
     pass
+
+
+class _Failure(Exception):
+    """A judgment failed: `main` prints the message to stderr, exits 1."""
+
+
+def _ok(result):
+    """`result`, unless it is a `CheckError`: then the command fails."""
+    if isinstance(result, CheckError):
+        raise _Failure(str(result))
+    return result
 
 
 def _read_file(path: str) -> str:
@@ -59,9 +70,15 @@ def _read_file(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
-def _load_file(path: str):
+def _load_file(path: str, chain: tuple[Path, ...] = ()):
     """Parse a .gat file and check it, resolving EXTENDS against the bundled
-    library first and sibling files second.  Returns (result, source)."""
+    library first and sibling files second.  Returns (result, source).
+    `chain` lists the files whose EXTENDS led here; meeting one again is a
+    usage error."""
+    chain += (Path(path).resolve(),)
+    if chain[-1] in chain[:-1]:
+        raise _UsageError("EXTENDS cycle: "
+                          + " -> ".join(p.name for p in chain))
     src = parse_source(_read_file(path), path=path)
     if src.extends is None:
         return check_theory(src.theory), src
@@ -71,17 +88,23 @@ def _load_file(path: str):
         sibling = Path(path).parent / f"{src.extends}.gat"
         if not sibling.is_file():
             raise _UsageError(f"unknown base theory: {src.extends}")
-        base, _ = _load_file(str(sibling))
+        base, _ = _load_file(str(sibling), chain)
         if isinstance(base, CheckError):
             return base, src
     return theory_extends(base, src.theory), src
 
 
-def _require_checked(path: str) -> tuple[CheckedTheory, object]:
-    result, src = _load_file(path)
-    if isinstance(result, CheckError):
-        raise _UsageError(f"theory does not check: {result}")
-    return result, src
+def _open(args) -> tuple[CheckedTheory, tuple, Telescope]:
+    """What `sort-of`, `eq` and `norm` start from: the file's checked
+    theory, the notations to print with, and the checked telescope."""
+    th, src = _load_file(args.file)
+    if isinstance(th, CheckError):
+        raise _UsageError(f"theory does not check: {th}")
+    tele = parse_telescope(args.telescope)
+    err = check_telescope(th, tele)
+    if err is not None:
+        raise _Failure(f"bad telescope: {err}")
+    return th, src.notations if args.elide else (), tele
 
 
 def _side_str(value) -> str | None:
@@ -126,8 +149,7 @@ def _cmd_check(args) -> int:
         errors = [] if err is None else [_error_json(err)]
     except ParseError as exc:
         if not args.json:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return 1
+            raise
         err = exc
         items = 0
         errors = [{"kind": "ParseError", "item": None, "path": [],
@@ -140,49 +162,30 @@ def _cmd_check(args) -> int:
         }
         print(json.dumps(report, indent=2))
     elif err is not None:
-        print(str(err), file=sys.stderr)
+        raise _Failure(str(err))
     return 0 if err is None else 1
 
 
 def _cmd_sort_of(args) -> int:
-    th, src = _require_checked(args.file)
-    notations = src.notations if args.elide else ()
-    tele = parse_telescope(args.telescope)
-    err = check_telescope(th, tele)
-    if err is not None:
-        print(f"bad telescope: {err}", file=sys.stderr)
-        return 1
-    term = parse_term(args.term)
-    sort = infer_term(th, tele, term)
-    if isinstance(sort, CheckError):
-        print(str(sort), file=sys.stderr)
-        return 1
+    th, notations, tele = _open(args)
+    sort = _ok(infer_term(th, tele, parse_term(args.term)))
     print(print_sort(sort, notations))
     return 0
 
 
 def _cmd_eq(args) -> int:
-    th, src = _require_checked(args.file)
-    notations = src.notations if args.elide else ()
-    tele = parse_telescope(args.telescope)
-    err = check_telescope(th, tele)
-    if err is not None:
-        print(f"bad telescope: {err}", file=sys.stderr)
-        return 1
+    th, notations, tele = _open(args)
     cfg = None if args.fuel is None else EqEngineConfig(fuel=args.fuel)
     if args.sorts:
         a, b = (parse_sort(s) for s in args.sorts)
-        err = check_sort(th, tele, a) or check_sort(th, tele, b)
-        verdict = err or eq_sort(th, tele, a, b, cfg)
+        _ok(check_sort(th, tele, a) or check_sort(th, tele, b))
+        verdict = eq_sort(th, tele, a, b, cfg)
     else:
         m, n = (parse_term(s) for s in args.terms)
         at = parse_sort(args.at)
-        err = (check_sort(th, tele, at) or check_term(th, tele, m, at)
-               or check_term(th, tele, n, at))
-        verdict = err or eq_term(th, tele, m, n, at, cfg)
-    if isinstance(verdict, CheckError):
-        print(str(verdict), file=sys.stderr)
-        return 1
+        _ok(check_sort(th, tele, at) or check_term(th, tele, m, at)
+            or check_term(th, tele, n, at))
+        verdict = eq_term(th, tele, m, n, at, cfg)
     if isinstance(verdict, Equal):
         print("Equal")
         if args.trace:
@@ -193,18 +196,9 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    th, src = _require_checked(args.file)
-    notations = src.notations if args.elide else ()
-    tele = parse_telescope(args.telescope)
-    err = check_telescope(th, tele)
-    if err is not None:
-        print(f"bad telescope: {err}", file=sys.stderr)
-        return 1
+    th, notations, tele = _open(args)
     term = parse_term(args.term)
-    sort = infer_term(th, tele, term)
-    if isinstance(sort, CheckError):
-        print(str(sort), file=sys.stderr)
-        return 1
+    _ok(infer_term(th, tele, term))
     out = normalize_term(th, term)
     if isinstance(out, NotProven):
         print(f"NotProven: {out.reason}")
@@ -325,6 +319,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except _Failure as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -83,6 +83,25 @@ def test_check_resolves_sibling_extends(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", [
+    ("check",), ("check", "--json"), ("sort-of", "--term", "x"),
+    ("eq", "--sorts", "ob{}", "ob{}"), ("norm", "--term", "x")])
+def test_extends_cycle_is_a_usage_error(capsys, tmp_path, command):
+    (tmp_path / "a.gat").write_text('EXTENDS "b"\nSORT ob()\n')
+    (tmp_path / "b.gat").write_text('EXTENDS "a"\nOP pt() : ob{}\n')
+    argv = (command[0], str(tmp_path / "a.gat"), *command[1:])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "EXTENDS cycle: a.gat -> b.gat -> a.gat\n"
+
+
+def test_a_file_that_extends_itself_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "self.gat").write_text('EXTENDS "self"\nSORT ob()\n')
+    code, out, err = run(capsys, "check", str(tmp_path / "self.gat"))
+    assert (code, out) == (2, "")
+    assert err == "EXTENDS cycle: self.gat -> self.gat\n"
+
+
 def test_sort_of(capsys):
     code, out, _ = run(capsys, "sort-of", CAT,
                        "--telescope", "x: ob{}", "--term", "homid{x/g}")
