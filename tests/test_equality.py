@@ -4,6 +4,8 @@ import dataclasses
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import replay_ok
 from gat.equality import (
@@ -111,18 +113,20 @@ def test_element_sort_is_not_a_type(mltt):
     assert not verdict.fuel_exhausted
 
 
+# "pi lifting" pushes lift inside pi, so no oriented rule rewrites one of
+# these sorts into the other; one "element lifting" step relates them.
+PI_TELE = parse_telescope(
+    "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}, "
+    "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
+PI_LOW = parse_sort("el{a/l, g/g, pi{a/l, g/g, A/A, B/B}/A}")
+PI_HIGH = parse_sort(
+    "el{b/l, g/g, pi{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A, "
+    "lift{a/a, b/b, p/p, ext{a/l, g/g, A/A}/g, B/A}/B}/A}")
+
+
 def test_lifted_pi_elements_join_through_the_bridge(mltt):
-    # "pi lifting" pushes lift inside pi, so no oriented rule rewrites one
-    # side into the other; one "element lifting" step relates them.
-    tele = parse_telescope(
-        "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}, "
-        "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
-    low = parse_sort("el{a/l, g/g, pi{a/l, g/g, A/A, B/B}/A}")
-    high = parse_sort(
-        "el{b/l, g/g, pi{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A, "
-        "lift{a/a, b/b, p/p, ext{a/l, g/g, A/A}/g, B/A}/B}/A}")
-    for x, y in ((high, low), (low, high)):
-        verdict = eq_sort(mltt, tele, x, y)
+    for x, y in ((PI_HIGH, PI_LOW), (PI_LOW, PI_HIGH)):
+        verdict = eq_sort(mltt, PI_TELE, x, y)
         assert isinstance(verdict, Equal)
         sort_steps = [s for s in verdict.trace.steps if s.kind == SORT_AXIOM]
         assert [s.axiom for s in sort_steps] == [
@@ -298,9 +302,10 @@ def test_warm_memo_matches_a_cold_engine_on_sweep_terms(mltt):
         assert isinstance(short, NotProven) and short.fuel_exhausted
 
 
-def test_warm_memo_matches_a_cold_engine_on_open_queries(monoid):
+def _open_queries(monoid):
+    """Open term queries on monoid and cat: (theory, telescope, m, n, sort)."""
     cat = load("cat")
-    queries = [
+    return [
         (monoid, parse_telescope("x: ob{}, y: ob{}, z: ob{}"),
          parse_term("cmp{cmp{x/a, id{}/b}/a, cmp{y/a, cmp{id{}/a, z/b}/b}/b}"),
          parse_term("cmp{cmp{x/a, y/b}/a, z/b}"), OB),
@@ -312,12 +317,78 @@ def test_warm_memo_matches_a_cold_engine_on_open_queries(monoid):
                     "homid{c/g}/f, g/g}/f, f/g}"),
          parse_sort("hom{a/d, c/c}")),
     ]
-    for th, tele, m, n, sort in queries:
+
+
+def test_warm_memo_matches_a_cold_engine_on_open_queries(monoid):
+    for th, tele, m, n, sort in _open_queries(monoid):
         warm = th.copy()
         normalize_term(warm, m)
         normalize_term(warm, n)
         verdict, used = _assert_warm_is_cold(th, warm, tele, m, n, sort)
         assert isinstance(verdict, Equal) and used > 1
+
+
+@pytest.fixture(scope="module")
+def bounded_cases(monoid, mltt):
+    """(theory, a warm copy of it, query, arguments) for sweep terms at
+    depths 2-5 against their normal forms, the open queries above, and an
+    mltt sort equality that needs the bridge."""
+    empty = Telescope()
+    cases = []
+    for depth in range(2, 6):
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0))[:5]:
+            nf = normalize_term(mltt.copy(), t)[0]
+            cases.append((mltt, eq_term,
+                          (empty, t, nf, infer_term(mltt, empty, t))))
+    cases += [(th, eq_term, q) for th, *q in _open_queries(monoid)]
+    cases.append((mltt, eq_sort, (PI_TELE, PI_HIGH, PI_LOW)))
+    warm = {}
+    for th, query, args in cases:
+        query(warm.setdefault(id(th), th.copy()), *args)
+    return [(th, warm[id(th)], query, args) for th, query, args in cases]
+
+
+def _metered(th, query, args, cfg):
+    with record_fuel() as meter:
+        verdict = query(th, *args, cfg)
+    return verdict, meter[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fuel=st.integers(1, 400), size=st.integers(1, 80))
+def test_warm_and_cold_queries_agree_under_any_bounds(bounded_cases, data,
+                                                      fuel, size):
+    th, warm, query, args = data.draw(st.sampled_from(bounded_cases))
+    cfg = EqEngineConfig(fuel, size)
+    assert (_metered(warm, query, args, cfg)
+            == _metered(th.copy(), query, args, cfg))
+
+
+# a{} => f{c{}} is one rewrite to a term of size 2; the next, to size 4,
+# goes past both one unit of fuel and a size cap of 3
+GROW = """
+SORT ob()
+OP a() : ob{}
+OP c() : ob{}
+OP f(x: ob{}) : ob{}
+OP g(x: ob{}) : ob{}
+TERMAX "start" () a{} = f{c{}/x} : ob{}
+TERMAX "grow" (x: ob{}) f{x/x} = g{g{g{x/x}/x}/x} : ob{}
+"""
+
+
+def test_a_rewrite_past_fuel_and_size_cap_ends_on_fuel():
+    th = check_theory(parse_source(GROW).theory)
+    a, big = parse_term("a{}"), parse_term("g{g{g{c{}/x}/x}/x}")
+    warm = th.copy()
+    assert normalize_term(warm, a)[0] == big
+    for t in (th.copy(), warm):
+        for fuel, reason in ((1, "rewrite fuel exhausted"),
+                             (2, "term size cap exceeded")):
+            cfg = EqEngineConfig(fuel=fuel, max_term_size=3)
+            assert (eq_term(t, Telescope(), a, big, OB, cfg)
+                    == NotProven(True, reason))
 
 
 def test_extension_rewrites_with_its_axiom_and_the_base_does_not(monoid):
