@@ -264,10 +264,16 @@ def test_replay_rejects_wrong_start(monoid):
 # -- the shared normal-form memo ---------------------------------------------
 
 
-def _query(th, tele, m, n, sort, fuel=10000, size=5000):
+def _metered(th, query, args, cfg):
+    """`query`'s verdict on `th`, and the fuel `record_fuel` counted."""
     with record_fuel() as meter:
-        verdict = eq_term(th, tele, m, n, sort, EqEngineConfig(fuel, size))
+        verdict = query(th, *args, cfg)
     return verdict, meter[0]
+
+
+def _query(th, tele, m, n, sort, fuel=10000, size=5000):
+    return _metered(th, eq_term, (tele, m, n, sort),
+                    EqEngineConfig(fuel, size))
 
 
 def _assert_warm_is_cold(th, warm, tele, m, n, sort):
@@ -347,12 +353,6 @@ def bounded_cases(monoid, mltt):
     for th, query, args in cases:
         query(warm.setdefault(id(th), th.copy()), *args)
     return [(th, warm[id(th)], query, args) for th, query, args in cases]
-
-
-def _metered(th, query, args, cfg):
-    with record_fuel() as meter:
-        verdict = query(th, *args, cfg)
-    return verdict, meter[0]
 
 
 @settings(max_examples=150, deadline=None)
