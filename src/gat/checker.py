@@ -75,11 +75,14 @@ class CheckError:
 class CheckedTheory:
     """A theory whose items have all been validated in declaration order.
 
-    Carries the lookup tables the checker, the equality engine and the
-    replay kernel need, each extended as items are added: per-symbol
-    telescopes and result sorts, the axiom lists with their item indices,
-    the set of proof-irrelevant sort symbols, the rewrite rules by the head
-    of their source, and per-symbol match plans (see `_plan`).
+    Its tables, all derived from `theory.items`, are built on one path:
+    `__init__` starts them empty and `_add_item` extends them per item.
+    They hold per-symbol telescopes and result sorts, the axiom lists with
+    their item indices, the proof-irrelevant sort symbols, the rewrite
+    rules by the head of their source, and per-symbol match plans (see
+    `_plan`).  Its four caches (`_infer_cache`, `_accept_cache`, `nf_memo`
+    and `instances`) are never copied.  Like terms (see `gat.syntax`), a
+    theory is used from one thread at a time.
     """
 
     def __init__(self) -> None:
@@ -91,7 +94,7 @@ class CheckedTheory:
         self.axiom_labels: dict[str, int] = {}
         self.irrelevant_heads: frozenset[str] = frozenset()
         # (kind, item index, source, target, direction, axiom) per oriented
-        # axiom, in item order; a tuple per head, so copies share them
+        # axiom, in item order; a tuple per head
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
         # Memoized successes only: they stay valid when the theory is
@@ -109,23 +112,15 @@ class CheckedTheory:
         # proof-irrelevant sort and no plan of a symbol already declared,
         # and the theory is only extended while it is being checked, when
         # every query is about terms over the symbols already declared.
-        # Concurrent queries may both fill them; they store equal values.
         self.nf_memo: dict = {}
         self.instances: dict = {}
 
     def copy(self) -> "CheckedTheory":
+        """A fresh theory with the same items, each registered again in
+        order by `_add_item`: the same tables, and empty caches."""
         out = CheckedTheory()
-        out.theory = self.theory
-        out.sort_decls = dict(self.sort_decls)
-        out.op_decls = dict(self.op_decls)
-        out.term_axioms = list(self.term_axioms)
-        out.sort_axioms = list(self.sort_axioms)
-        out.axiom_labels = dict(self.axiom_labels)
-        out.irrelevant_heads = self.irrelevant_heads
-        out.rules = dict(self.rules)
-        out.plans = dict(self.plans)
-        out._infer_cache = dict(self._infer_cache)
-        out._accept_cache = set(self._accept_cache)
+        for item in self.theory.items:
+            out._add_item(item)
         return out
 
     def accepts(self, psi: Telescope, m: Term, a: Sort) -> bool:

@@ -186,7 +186,8 @@ def record_verdicts():
 
 
 def record_fuel():
-    """Yield a one-element list summing the fuel queries spend meanwhile."""
+    """Yield a one-element list summing the fuel every query spends
+    meanwhile: `eq_sort`, `eq_term` and `normalize_term` alike."""
     return _record("fuel", [0])
 
 
@@ -579,10 +580,9 @@ class _Engine:
         return None
 
 
-def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
-             metered: bool = True):
+def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
     """Run `body` on a fresh engine; a bound it hits becomes `NotProven`.
-    `metered` adds the fuel it spent to `record_fuel`."""
+    The fuel it spent goes to `record_fuel`, whatever the verdict."""
     cfg = cfg or DEFAULT_CFG
     engine = _Engine(th, cfg)
     try:
@@ -597,7 +597,7 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
                                f"({sys.getrecursionlimit()}) allows")
     finally:
         meter = _recorders["fuel"]
-        if metered and meter is not None:
+        if meter is not None:
             meter[0] += cfg.fuel - max(engine.fuel, 0)
 
 
@@ -643,12 +643,12 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
 
 def normalize_term(th: CheckedTheory, m: Term):
     """Normal form of `m` with the oriented axioms, plus the trace there;
-    `NotProven` when a bound ends the rewriting first.  Its fuel is not
-    counted by `record_fuel`, which meters equality queries."""
+    `NotProven` when a bound ends the rewriting first.  Its fuel goes to
+    `record_fuel`, as every bounded query's does."""
     def body(engine: _Engine):
         nf, steps = engine.normalize(m)
         return nf, EqTrace(m, nf, tuple(steps))
-    return _bounded(th, None, body, metered=False)
+    return _bounded(th, None, body)
 
 
 def replay_trace(th: CheckedTheory, start, trace: EqTrace):

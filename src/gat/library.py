@@ -84,7 +84,7 @@ def _build(name: str) -> CheckedTheory:
 
 
 def load(name: str) -> CheckedTheory:
-    """Checked form of a bundled theory; memoized, safe for concurrent use."""
+    """Checked form of a bundled theory; memoized, for one thread at a time."""
     if name not in _NAMES:
         raise LibraryError(f"unknown theory {name!r}")
     with _lock:
@@ -93,6 +93,6 @@ def load(name: str) -> CheckedTheory:
         return got
     built = _build(name)
     with _lock:
-        # first build wins; concurrent builders produce equal values
+        # first build wins; the lock guards only these dicts
         return _cache.setdefault(name, built)
 

@@ -14,7 +14,8 @@ node of that structure when there is one, so equal structures are one
 object, and `==` and `hash` are object identity.  The table of live nodes
 holds them weakly and forgets a node when it dies.  Each node carries its
 node count in `size`.  Nodes are immutable, and copying or unpickling one
-returns the interned node.  Terms are built from one thread at a time.
+returns the interned node.  Terms are built from one thread at a time, as
+interning is not atomic; so is a `CheckedTheory` used (see `gat.checker`).
 """
 
 from __future__ import annotations

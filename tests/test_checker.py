@@ -309,6 +309,21 @@ def test_rules_and_plans_match_the_rebuilt_index(name):
     _assert_tables_match_reference(load(name))
 
 
+CACHES = {"_infer_cache", "_accept_cache", "nf_memo", "instances"}
+
+
+@pytest.mark.parametrize("name", library_names())
+def test_a_copy_has_the_tables_of_its_theory_and_empty_caches(name):
+    th = load(name)
+    fields, copied = vars(th), vars(th.copy())
+    assert fields.keys() == copied.keys() and CACHES < fields.keys()
+    # checking the theory filled the checker's caches
+    assert th._infer_cache and th._accept_cache
+    assert ({k: v for k, v in copied.items() if k not in CACHES}
+            == {k: v for k, v in fields.items() if k not in CACHES})
+    assert not any(copied[k] for k in CACHES)
+
+
 def test_each_axiom_is_oriented_once_while_a_theory_is_built(mltt, monkeypatch):
     seen = []
     real = checker.oriented

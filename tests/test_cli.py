@@ -1,6 +1,7 @@
 """Command-line interface, driven in process through main()."""
 
 import json
+import re
 
 import jsonschema
 import pytest
@@ -73,6 +74,17 @@ def test_check_json_report_error(capsys, schema, tmp_path):
     assert report["status"] == "error"
     assert report["errors"][0]["kind"] == "UnknownVariable"
     assert report["errors"][0]["item"] == 2
+
+
+def test_check_json_report_parse_error(capsys, schema, tmp_path):
+    bad = tmp_path / "bad.gat"
+    bad.write_text("SORT ob(\n")
+    code, out, _ = run(capsys, "check", str(bad), "--json")
+    assert code == 1
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert report["status"] == "error"
+    assert [e["kind"] for e in report["errors"]] == ["ParseError"]
 
 
 def test_check_resolves_sibling_extends(capsys, tmp_path):
@@ -235,6 +247,15 @@ def test_canonicity_report(capsys):
     assert report["terms"] == 40
     assert report["stuck"] == 0
     assert report["red"] + report["green"] == report["terms"]
+
+
+def test_canonicity_text_summary(capsys):
+    code, out, _ = run(capsys, "canonicity", "--depth", "2")
+    assert code == 0
+    line = re.fullmatch(r"terms: 40  red: (\d+)  green: (\d+)  stuck: 0  "
+                        r"max rewrite steps: \d+\n", out)
+    assert line is not None
+    assert int(line[1]) + int(line[2]) == 40
 
 
 def test_canonicity_depth_must_be_positive(capsys):

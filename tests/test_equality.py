@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import replay_ok
 from gat.equality import (
+    DEFAULT_CFG,
     SORT_AXIOM,
     EqEngineConfig,
     EqTrace,
@@ -31,6 +32,7 @@ from gat.checker import (
     infer_term,
     theory_extends,
 )
+from gat.kernel import IRRELEVANCE, IRRELEVANT_SORT
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
 from gat.syntax import (
@@ -147,6 +149,52 @@ def test_sort_step_must_name_the_axiom_it_uses(mltt):
         for s in trace.steps)
     assert wrong not in (s.axiom for s in trace.steps)
     out = replay_trace(mltt, u_el, dataclasses.replace(trace, steps=steps))
+    assert isinstance(out, ReplayError)
+
+
+# -- proof irrelevance -------------------------------------------------------
+
+
+def test_terms_of_an_irrelevant_sort_are_equal_in_one_step(mltt):
+    tele = parse_telescope(
+        "u: lvl{}, v: lvl{}, p: lt{u/u, v/v}, q: lt{u/u, v/v}")
+    lt = parse_sort("lt{u/u, v/v}")
+    p, q = Var("p"), Var("q")
+    verdict = eq_term(mltt, tele, p, q, lt)
+    assert isinstance(verdict, Equal)
+    assert [s.kind for s in verdict.trace.steps] == [IRRELEVANT_SORT]
+    assert replay_trace(mltt, p, verdict.trace) == q
+    same = eq_term(mltt, tele, p, p, lt)
+    assert isinstance(same, Equal) and same.trace.steps == ()
+
+
+# P is proof-irrelevant, so w{z, p1} and w{z, p2} are equal only modulo
+# irrelevance, and "diagonal" binds x to the first and meets the second
+DIAGONAL = """
+SORT N()
+OP z() : N{}
+SORT P(n: N{})
+TERMAX "proof irrelevance" (n: N{}, p: P{n/n}, q: P{n/n}) p = q : P{n/n}
+OP w(n: N{}, p: P{n/n}) : N{}
+OP d(x: N{}, y: N{}) : N{}
+TERMAX "diagonal" (x: N{}) d{x/x, x/y} = z{} : N{}
+"""
+
+
+def test_a_repeated_variable_matches_modulo_irrelevance():
+    th = check_theory(parse_source(DIAGONAL).theory)
+    tele = parse_telescope("p1: P{z{}/n}, p2: P{z{}/n}")
+    m = parse_term("d{w{z{}/n, p1/p}/x, w{z{}/n, p2/p}/y}")
+    z = parse_term("z{}")
+    verdict = eq_term(th, tele, m, z, parse_sort("N{}"))
+    assert isinstance(verdict, Equal)
+    (step,) = verdict.trace.steps
+    assert step.axiom == th.axiom_labels["diagonal"]
+    assert [(s.kind, s.path) for s in step.pre] == [(IRRELEVANCE, ())]
+    assert replay_trace(th, m, verdict.trace) == z
+    bare = dataclasses.replace(step, pre=())
+    out = replay_trace(th, m, dataclasses.replace(verdict.trace,
+                                                  steps=(bare,)))
     assert isinstance(out, ReplayError)
 
 
@@ -332,6 +380,32 @@ def test_warm_memo_matches_a_cold_engine_on_open_queries(monoid):
         normalize_term(warm, n)
         verdict, used = _assert_warm_is_cold(th, warm, tele, m, n, sort)
         assert isinstance(verdict, Equal) and used > 1
+
+
+def test_a_copy_meters_a_check_as_a_fresh_theory_does(mltt):
+    tele = Telescope(PI_TELE.bindings + (("f", PI_LOW),))
+
+    def fuel(th):
+        with record_fuel() as meter:
+            assert check_term(th, tele, Var("f"), PI_HIGH) is None
+        return meter[0]
+
+    warm = mltt.copy()
+    assert fuel(warm) == 2
+    assert fuel(warm) == 0
+    assert fuel(warm.copy()) == 2
+
+
+def test_record_fuel_counts_normalization(monoid):
+    m = parse_term("cmp{id{}/a, cmp{id{}/a, id{}/b}/b}")
+    with record_fuel() as meter:
+        nf, trace = normalize_term(monoid.copy(), m)
+    assert nf == parse_term("id{}")
+    assert meter[0] == len(trace.steps) == 2
+    cycle = check_theory(parse_source(COMM).theory)
+    with record_fuel() as meter:
+        verdict = normalize_term(cycle, parse_term("cmp{x/a, y/b}"))
+    assert isinstance(verdict, NotProven) and meter[0] == DEFAULT_CFG.fuel
 
 
 @pytest.fixture(scope="module")
