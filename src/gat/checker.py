@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equality import DEFAULT_CFG, Equal, eq_sort, oriented
+from .equality import Equal, eq_sort, meter, oriented
 from .kernel import SORT_AXIOM, TERM_AXIOM
 from .syntax import (
     Cut,
@@ -80,9 +80,9 @@ class CheckedTheory:
     They hold per-symbol telescopes and result sorts, the axiom lists with
     their item indices, the proof-irrelevant sort symbols, the rewrite
     rules by the head of their source, and per-symbol match plans (see
-    `_plan`).  Its four caches (`_infer_cache`, `_accept_cache`, `nf_memo`
-    and `instances`) are never copied.  Like terms (see `gat.syntax`), a
-    theory is used from one thread at a time.
+    `_plan`).  Its three caches (see `_reset_engine_tables`) are never
+    copied.  Like terms (see `gat.syntax`), a theory is used from one
+    thread at a time.
     """
 
     def __init__(self) -> None:
@@ -97,21 +97,18 @@ class CheckedTheory:
         # axiom, in item order; a tuple per head
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
-        # Memoized successes only: they stay valid when the theory is
-        # extended (more axioms never invalidate a proof), while failures
-        # could be fixed by later items and must not be cached.
-        self._infer_cache: dict = {}
-        self._accept_cache: set = set()
         self._reset_engine_tables()
 
     def _reset_engine_tables(self) -> None:
-        # Filled by gat.equality and gat.kernel, and dropped when an axiom
-        # is added: the normal-form memo every equality query shares, and
-        # the axiom instances replay has validated.  A sort or operation
-        # declaration leaves them valid: it changes no rule, no
+        # The three caches: the checker's judgments (`_judge`), the
+        # normal-form memo every equality query shares, and the axiom
+        # instances replay has validated.  A hit in each meters the fuel of
+        # what it skips, except that an `instances` hit skips sort checks.
+        # An axiom's rule may change what a query spends, or its verdict, so
+        # an axiom drops them all.  A declaration changes no rule, no
         # proof-irrelevant sort and no plan of a symbol already declared,
-        # and the theory is only extended while it is being checked, when
-        # every query is about terms over the symbols already declared.
+        # and so keeps them: they hold only terms over those symbols.
+        self._judged: dict = {}
         self.nf_memo: dict = {}
         self.instances: dict = {}
 
@@ -208,44 +205,32 @@ def theory_extends(base: CheckedTheory, ext: Theory):
 def _extend_checked(th: CheckedTheory, items) -> CheckError | None:
     for item in items:
         index = len(th.theory.items)
-        if isinstance(item, (SortDecl, OpDecl)):
+        # what the item asks beyond its telescope: (path, sort or term,
+        # expected sort or None for a sort) per judgment, in order
+        if isinstance(item, TermAxiom):
+            asks = (("sort", item.sort, None), ("lhs", item.lhs, item.sort),
+                    ("rhs", item.rhs, item.sort))
+        elif isinstance(item, SortAxiom):
+            asks = (("lhs", item.lhs, None), ("rhs", item.rhs, None))
+        elif isinstance(item, (SortDecl, OpDecl)):
             if not is_valid_name(item.name):
                 return CheckError(ErrorKind.UNKNOWN_SYMBOL, index,
                                   message=f"invalid symbol name {item.name!r}")
             if item.name in th.sort_decls or item.name in th.op_decls:
                 return CheckError(ErrorKind.DUPLICATE_SYMBOL, index,
                                   message=f"symbol {item.name!r} already declared")
-        err: CheckError | None = None
-        if isinstance(item, SortDecl):
-            err = check_telescope(th, item.params)
-        elif isinstance(item, OpDecl):
-            err = check_telescope(th, item.params)
-            if err is None:
-                e = check_sort(th, item.params, item.result)
-                err = e.at("result") if e is not None else None
-        elif isinstance(item, SortAxiom):
-            err = check_telescope(th, item.params)
-            if err is None:
-                e = check_sort(th, item.params, item.lhs)
-                err = e.at("lhs") if e is not None else None
-            if err is None:
-                e = check_sort(th, item.params, item.rhs)
-                err = e.at("rhs") if e is not None else None
-        elif isinstance(item, TermAxiom):
-            err = check_telescope(th, item.params)
-            if err is None:
-                e = check_sort(th, item.params, item.sort)
-                err = e.at("sort") if e is not None else None
-            if err is None:
-                e = check_term(th, item.params, item.lhs, item.sort)
-                err = e.at("lhs") if e is not None else None
-            if err is None:
-                e = check_term(th, item.params, item.rhs, item.sort)
-                err = e.at("rhs") if e is not None else None
+            asks = (("result", item.result, None),) if isinstance(
+                item, OpDecl) else ()
         else:
             raise TypeError(f"not a theory item: {item!r}")
+        err = check_telescope(th, item.params)
         if err is not None:
             return err.at_item(index)
+        for path, x, sort in asks:
+            err = (check_sort(th, item.params, x) if sort is None
+                   else check_term(th, item.params, x, sort))
+            if err is not None:
+                return err.at(path).at_item(index)
         th._add_item(item)
     return None
 
@@ -278,7 +263,7 @@ def check_sort(th: CheckedTheory, psi: Telescope, a: Sort) -> CheckError | None:
     if params is None:
         return CheckError(ErrorKind.UNKNOWN_SYMBOL,
                           message=f"unknown sort symbol {a.head!r}")
-    return check_subst(th, psi, a.args, params)
+    return _judge(th, psi, a, params, None)
 
 
 def infer_term(th: CheckedTheory, psi: Telescope, m: Term) -> Sort | CheckError:
@@ -289,9 +274,6 @@ def infer_term(th: CheckedTheory, psi: Telescope, m: Term) -> Sort | CheckError:
             return CheckError(ErrorKind.UNKNOWN_VARIABLE,
                               message=f"variable {m.name!r} not in telescope")
         return sort
-    cached = th._infer_cache.get((psi, m))
-    if cached is not None:
-        return cached
     if m.head in th.sort_decls:
         return CheckError(ErrorKind.NOT_AN_OP_SYMBOL,
                           message=f"{m.head!r} is a sort symbol, not an operation")
@@ -299,12 +281,25 @@ def infer_term(th: CheckedTheory, psi: Telescope, m: Term) -> Sort | CheckError:
     if decl is None:
         return CheckError(ErrorKind.UNKNOWN_SYMBOL,
                           message=f"unknown operation symbol {m.head!r}")
-    params, result = decl
-    err = check_subst(th, psi, m.args, params)
+    return _judge(th, psi, m, *decl)
+
+
+def _judge(th: CheckedTheory, psi: Telescope, t: Cut, params: Telescope,
+           result: Sort | None) -> Sort | CheckError | None:
+    """`result` (None for a sort) under `t`'s arguments once they check
+    against `params` over `psi`.  Successes only (a later item may mend a
+    failure) are kept with the fuel they metered, which a hit meters again."""
+    key = (psi, t)
+    hit = th._judged.get(key)
+    if hit is not None:
+        meter(hit[1])
+        return hit[0]
+    start = meter()
+    err = check_subst(th, psi, t.args, params)
     if err is not None:
         return err
-    sort = subst_apply_sort(m.args, result)
-    th._infer_cache[(psi, m)] = sort
+    sort = None if result is None else subst_apply_sort(t.args, result)
+    th._judged[key] = sort, meter() - start
     return sort
 
 
@@ -314,14 +309,10 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
 
     The expected sort is a presupposed parameter: if it is not itself a
     well-formed sort over `psi`, the judgment instance is meaningless and a
-    PresuppositionViolation is reported rather than a mismatch.
+    PresuppositionViolation is reported rather than a mismatch.  `cfg`
+    bounds only the conversion to `a`: nested judgments run under the
+    default bounds, so nothing `cfg` decides is cached.
     """
-    cfg = cfg or DEFAULT_CFG
-    # keyed on the config: an accept under more fuel does not carry over
-    # to a query with less
-    key = (psi, m, a, cfg)
-    if key in th._accept_cache:
-        return None
     sort_err = check_sort(th, psi, a)
     if sort_err is not None:
         return CheckError(ErrorKind.PRESUPPOSITION_VIOLATION,
@@ -331,11 +322,9 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
     if isinstance(inferred, CheckError):
         return inferred
     if inferred == a:
-        th._accept_cache.add(key)
         return None
     verdict = eq_sort(th, psi, inferred, a, cfg)
     if isinstance(verdict, Equal):
-        th._accept_cache.add(key)
         return None
     if verdict.fuel_exhausted:
         return CheckError(ErrorKind.EQUALITY_FUEL_EXHAUSTED,

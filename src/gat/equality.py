@@ -70,7 +70,8 @@ which it asks about IRRELEVANT_SORT steps and about values in `sigma` for
 variables the source side lacks, other than `?` placeholders at
 proof-irrelevant sorts.  It caches each validated (kind, axiom, direction,
 sigma) instance in the theory's `instances`, which is dropped with the
-memo when an axiom is added.  Replay spends no fuel.
+memo when an axiom is added.  Replay rewrites nothing, but its sort checks
+meter fuel as any check does, unless an `instances` hit skips them.
 """
 
 from __future__ import annotations
@@ -165,36 +166,48 @@ class _Bound(Exception):
     on the way out.  The argument names the bound."""
 
 
-# What the recorders collect while active: each Equal verdict with its
-# theory, so a test run can replay them all, and fuel spent, for reports.
-_recorders: dict[str, list | None] = {"verdicts": None, "fuel": None}
+# What the active `record_verdicts` collects, and all fuel `meter`ed.
+_verdicts: list | None = None
+_metered = 0
 
 
 @contextmanager
-def _record(name: str, sink: list):
-    previous = _recorders[name]
-    _recorders[name] = sink
-    try:
-        yield sink
-    finally:
-        _recorders[name] = previous
-
-
 def record_verdicts():
-    """Collect each `Equal` verdict given while active as (theory, trace)."""
-    return _record("verdicts", [])
+    """Collect each `Equal` verdict given while active as (theory, trace);
+    on exit, pass them on to the recorder this one is nested in."""
+    global _verdicts
+    outer, _verdicts = _verdicts, []
+    log = _verdicts
+    try:
+        yield log
+    finally:
+        _verdicts = outer
+        if outer is not None:
+            outer += log
 
 
+def meter(fuel: int = 0) -> int:
+    """Meter `fuel` more: a bounded query's, or that of a derivation the
+    checker took from its cache.  Returns all fuel metered so far."""
+    global _metered
+    _metered += fuel
+    return _metered
+
+
+@contextmanager
 def record_fuel():
-    """Yield a one-element list summing the fuel every query spends
-    meanwhile: `eq_sort`, `eq_term` and `normalize_term` alike."""
-    return _record("fuel", [0])
+    """Yield a one-element list holding, on exit, the fuel metered meanwhile
+    by every query and checker cache hit (see `meter`).  Recorders nest."""
+    out, start = [0], meter()
+    try:
+        yield out
+    finally:
+        out[0] = meter() - start
 
 
 def _equal(th: CheckedTheory, trace: EqTrace) -> Equal:
-    log = _recorders["verdicts"]
-    if log is not None:
-        log.append((th, trace))
+    if _verdicts is not None:
+        _verdicts.append((th, trace))
     return Equal(trace)
 
 
@@ -582,7 +595,7 @@ class _Engine:
 
 def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
     """Run `body` on a fresh engine; a bound it hits becomes `NotProven`.
-    The fuel it spent goes to `record_fuel`, whatever the verdict."""
+    The fuel it spent is metered, whatever the verdict."""
     cfg = cfg or DEFAULT_CFG
     engine = _Engine(th, cfg)
     try:
@@ -596,9 +609,7 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
         return NotProven(True, "term nesting deeper than the recursion limit "
                                f"({sys.getrecursionlimit()}) allows")
     finally:
-        meter = _recorders["fuel"]
-        if meter is not None:
-            meter[0] += cfg.fuel - max(engine.fuel, 0)
+        meter(cfg.fuel - max(engine.fuel, 0))
 
 
 def eq_sort(th: CheckedTheory, psi: Telescope, a: Sort, b: Sort,

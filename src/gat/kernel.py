@@ -4,12 +4,12 @@ It trusts the theory's tables, `gat.syntax` and a sort-check callback, and
 compares whole terms by identity, since terms are hash-consed.  Among the
 tables, it trusts each symbol's mask of proof-irrelevant argument positions
 (the third part of its plan in `th.plans`) when it compares terms modulo
-irrelevance.  The step
-format and what each kind of step must satisfy are set out in
-`gat.equality`.  Validated axiom instances are cached in `th.instances`,
-which the theory drops when an axiom is added; an instance whose sort check
-was asked about an open term is not cached, since the answer depends on the
-trace's telescope.
+irrelevance.  The step format and what each kind of step must satisfy are
+set out in `gat.equality`.  Validated axiom instances are cached in
+`th.instances`, which the theory drops when an axiom is added; an instance
+whose sort check was asked about an open term is not cached, since the
+answer depends on the trace's telescope.  A hit skips the sort checks and
+the fuel they meter.
 """
 
 from __future__ import annotations

@@ -283,7 +283,7 @@ def term_size(obj: Term | Subst) -> int:
 def subterm_at(obj: Term, path: tuple[int, ...]) -> Term:
     """The argument value reached by following entry indices."""
     for i in path:
-        if not isinstance(obj, Cut) or i >= len(obj.args.entries):
+        if not isinstance(obj, Cut) or not 0 <= i < len(obj.args.entries):
             raise IndexError(f"no subterm at {path}")
         obj = obj.args.entries[i][1]
     return obj
@@ -292,9 +292,9 @@ def subterm_at(obj: Term, path: tuple[int, ...]) -> Term:
 def replace_at(obj: Term, path: tuple[int, ...], new: Term) -> Term:
     if not path:
         return new
-    if not isinstance(obj, Cut):
-        raise IndexError(f"no subterm at {path}")
     i = path[0]
+    if not isinstance(obj, Cut) or not 0 <= i < len(obj.args.entries):
+        raise IndexError(f"no subterm at {path}")
     entries = list(obj.args.entries)
     t, v = entries[i]
     entries[i] = (t, replace_at(v, path[1:], new))

@@ -4,6 +4,7 @@ import pytest
 
 from negative_corpus import CASES
 from gat import checker
+from gat.canonicity import GenBudget, generate_closed_obs_terms
 from gat.checker import (
     CheckedTheory,
     CheckError,
@@ -22,10 +23,17 @@ from gat.equality import (
     EqEngineConfig,
     Equal,
     eq_term,
+    record_fuel,
     replay_trace,
 )
-from gat.library import library_names, load
-from gat.surface import parse_sort, parse_telescope, parse_term, parse_theory
+from gat.library import entry, library_names, load
+from gat.surface import (
+    parse_sort,
+    parse_source,
+    parse_telescope,
+    parse_term,
+    parse_theory,
+)
 from gat.syntax import (
     LR,
     RL,
@@ -309,19 +317,91 @@ def test_rules_and_plans_match_the_rebuilt_index(name):
     _assert_tables_match_reference(load(name))
 
 
-CACHES = {"_infer_cache", "_accept_cache", "nf_memo", "instances"}
+CACHES = {"_judged", "nf_memo", "instances"}
 
 
 @pytest.mark.parametrize("name", library_names())
 def test_a_copy_has_the_tables_of_its_theory_and_empty_caches(name):
     th = load(name)
+    # adding the last axiom dropped the checker's cache; a check refills it
+    assert check_telescope(th, th.theory.items[-1].params) is None
+    assert th._judged
     fields, copied = vars(th), vars(th.copy())
     assert fields.keys() == copied.keys() and CACHES < fields.keys()
-    # checking the theory filled the checker's caches
-    assert th._infer_cache and th._accept_cache
     assert ({k: v for k, v in copied.items() if k not in CACHES}
             == {k: v for k, v in fields.items() if k not in CACHES})
     assert not any(copied[k] for k in CACHES)
+
+
+class _Forgetful(dict):
+    """A cache that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _judgments_and_fuel():
+    """Build the bundled theories from source, as `gat check` does, then
+    infer and check the sorts of the sweep's terms at depths 2-4, seed 1:
+    the results, and the fuel each theory and the sweep metered."""
+    built, fuel = {}, []
+    for name in library_names():
+        src = parse_source(entry(name).source)
+        with record_fuel() as meter:
+            built[name] = (check_theory(src.theory) if src.extends is None
+                           else theory_extends(built[src.extends], src.theory))
+        fuel.append(meter[0])
+    mltt, empty, results = built["mltt"], Telescope(), []
+    with record_fuel() as meter:
+        for depth in (2, 3, 4):
+            for t in generate_closed_obs_terms(
+                    mltt, GenBudget(max_depth=depth, seed=1)):
+                sort = infer_term(mltt, empty, t)
+                results.append((t, sort, check_term(mltt, empty, t, sort)))
+    fuel.append(meter[0])
+    return results, fuel
+
+
+def test_the_judgment_cache_changes_no_result_and_no_fuel(monkeypatch):
+    cached = _judgments_and_fuel()
+    reset = CheckedTheory._reset_engine_tables
+
+    def reset_forgetful(th):
+        reset(th)
+        th._judged = _Forgetful()
+
+    monkeypatch.setattr(CheckedTheory, "_reset_engine_tables",
+                        reset_forgetful)
+    assert _judgments_and_fuel() == cached
+    results, fuel = cached
+    assert fuel == [0, 0, 5, 71, 2042]
+    assert all(err is None for _, _, err in results)
+
+
+# "f c" checks f{c{}/x} by converting T{b{}} to T{a{}}; after "b to a" the
+# two sort rules cycle, so that conversion runs out of fuel.
+STALE_AFTER_AXIOM = """
+SORT N()
+OP a() : N{}
+OP b() : N{}
+SORT T(n: N{})
+OP c() : T{b{}/n}
+SORTAX "a to b" () T{a{}/n} = T{b{}/n}
+OP f(x: T{a{}/n}) : N{}
+TERMAX "f c" () f{c{}/x} = a{} : N{}
+TERMAX "b to a" () b{} = a{} : N{}
+"""
+
+
+def test_a_judgment_made_before_an_axiom_is_not_reused_after_it():
+    th = check_theory(parse_theory(STALE_AFTER_AXIOM))
+    m, n = parse_term("f{c{}/x}"), parse_sort("N{}")
+    with record_fuel() as warm:
+        err = check_term(th, Telescope(), m, n)
+    assert err.kind == ErrorKind.EQUALITY_FUEL_EXHAUSTED
+    with record_fuel() as cold:
+        assert check_term(th.copy(), Telescope(), m, n) == err
+    assert warm[0] == cold[0] == EqEngineConfig().fuel
 
 
 def test_each_axiom_is_oriented_once_while_a_theory_is_built(mltt, monkeypatch):

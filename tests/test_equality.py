@@ -21,12 +21,14 @@ from gat.equality import (
     eq_term,
     normalize_term,
     record_fuel,
+    record_verdicts,
     replay_trace,
 )
 from gat.canonicity import GenBudget, generate_closed_obs_terms
 from gat.checker import (
     CheckError,
     ErrorKind,
+    check_sort,
     check_term,
     check_theory,
     infer_term,
@@ -391,9 +393,7 @@ def test_a_copy_meters_a_check_as_a_fresh_theory_does(mltt):
         return meter[0]
 
     warm = mltt.copy()
-    assert fuel(warm) == 2
-    assert fuel(warm) == 0
-    assert fuel(warm.copy()) == 2
+    assert fuel(warm) == fuel(warm) == fuel(warm.copy()) == 2
 
 
 def test_record_fuel_counts_normalization(monoid):
@@ -406,6 +406,24 @@ def test_record_fuel_counts_normalization(monoid):
     with record_fuel() as meter:
         verdict = normalize_term(cycle, parse_term("cmp{x/a, y/b}"))
     assert isinstance(verdict, NotProven) and meter[0] == DEFAULT_CFG.fuel
+
+
+def test_nested_fuel_recorders_both_count_a_query(monoid):
+    m = parse_term("cmp{id{}/a, id{}/b}")
+    with record_fuel() as outer:
+        with record_fuel() as inner:
+            nf, _ = normalize_term(monoid.copy(), m)
+    assert nf == parse_term("id{}")
+    assert outer[0] == inner[0] == 1
+
+
+def test_nested_verdict_recorders_both_see_an_equal(monoid):
+    m = parse_term("cmp{id{}/a, id{}/b}")
+    with record_verdicts() as outer:
+        with record_verdicts() as inner:
+            verdict = eq_term(monoid, Telescope(), m, parse_term("id{}"), OB)
+    assert isinstance(verdict, Equal)
+    assert outer == inner == [(monoid, verdict.trace)]
 
 
 @pytest.fixture(scope="module")
@@ -437,6 +455,44 @@ def test_warm_and_cold_queries_agree_under_any_bounds(bounded_cases, data,
     cfg = EqEngineConfig(fuel, size)
     assert (_metered(warm, query, args, cfg)
             == _metered(th.copy(), query, args, cfg))
+
+
+def _check_sort(th, psi, a, cfg):
+    return check_sort(th, psi, a)
+
+
+@pytest.fixture(scope="module")
+def checked_cases(mltt):
+    """A warm copy of mltt, and checks on it: sweep terms at depths 2-5 at
+    their inferred sort and at that sort's normal form, which needs a
+    conversion when it differs, a variable of sort PI_LOW at PI_HIGH, and
+    the sort PI_HIGH."""
+    empty = Telescope()
+    cases = []
+    for depth in range(2, 6):
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0))[:5]:
+            sort = infer_term(mltt, empty, t)
+            cases += [(check_term, (empty, t, sort)), (check_term, (
+                empty, t, normalize_term(mltt.copy(), sort)[0]))]
+    cases.append((check_term, (Telescope(PI_TELE.bindings + (
+        ("f", PI_LOW),)), Var("f"), PI_HIGH)))
+    cases.append((_check_sort, (PI_TELE, PI_HIGH)))
+    warm = mltt.copy()
+    for query, args in cases:
+        query(warm, *args, None)
+    return warm, cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fuel=st.integers(1, 400), size=st.integers(1, 80))
+def test_warm_and_cold_checks_agree_under_any_bounds(mltt, checked_cases,
+                                                     data, fuel, size):
+    warm, cases = checked_cases
+    query, args = data.draw(st.sampled_from(cases))
+    cfg = EqEngineConfig(fuel, size)
+    assert (_metered(warm, query, args, cfg)
+            == _metered(mltt.copy(), query, args, cfg))
 
 
 # a{} => f{c{}} is one rewrite to a term of size 2; the next, to size 4,

@@ -22,6 +22,7 @@ from gat.syntax import (
     subst_apply_sort,
     subst_apply_term,
     subst_compose,
+    subterm_at,
     term_size,
 )
 
@@ -182,6 +183,18 @@ def test_every_way_of_building_a_term_gives_the_interned_node():
         assert copy.copy(obj) is obj
         assert copy.deepcopy(obj) is obj
         assert pickle.loads(pickle.dumps(obj)) is obj
+
+
+@pytest.mark.parametrize("path", [(-1,), (2,), (0, 0), (1, -2)])
+def test_an_index_outside_the_arguments_has_no_subterm(path):
+    m = cut("f", ("x", cut("a")), ("y", cut("g", ("z", cut("b")))))
+    with pytest.raises(IndexError):
+        subterm_at(m, path)
+    with pytest.raises(IndexError):
+        replace_at(m, path, RED)
+    assert subterm_at(m, (1, 0)) is cut("b")
+    assert replace_at(m, (1, 0), RED) is cut(
+        "f", ("x", cut("a")), ("y", cut("g", ("z", RED))))
 
 
 def test_terms_are_immutable():
