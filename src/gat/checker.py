@@ -103,7 +103,7 @@ class CheckedTheory:
         # The three caches: the checker's judgments (`_judge`), the
         # normal-form memo every equality query shares, and the axiom
         # instances replay has validated.  A hit in each meters the fuel of
-        # what it skips, except that an `instances` hit skips sort checks.
+        # what it skips; an `instances` hit skips no sort check.
         # An axiom's rule may change what a query spends, or its verdict, so
         # an axiom drops them all.  A declaration changes no rule, no
         # proof-irrelevant sort and no plan of a symbol already declared,

@@ -46,39 +46,35 @@ query's own table costs nothing.  So a verdict, its trace and the fuel it
 used never depend on what the memo holds.
 
 Traces.  An `EqTrace` lists `EqStep`s, each rewriting the subterm at `path`
-from `before` to `after`.  A step of kind `TERM_AXIOM` or `SORT_AXIOM` uses
-the axiom at item `axiom` in `direction`, under the instantiation `sigma`
-(a `Subst` binding every variable of both sides, and nothing outside the
-axiom's telescope), with two sub-traces at paths relative to the step:
-`pre` from `before` to the source side's instance, and `post` from the
-target side's instance to `after`.  A rewrite's `pre` covers the positions
-`match` deferred, each as subject -> normal form ~ normal form <- instance,
-then one irrelevance step where a repeated pattern variable matched only
-modulo irrelevance; its `post` is empty.  A bridge step keeps x -> left
-instance in `pre` and right instance -> y in `post`.  An `IRRELEVANCE` step
-changes only arguments at positions of proof-irrelevant sort; an
-`IRRELEVANT_SORT` step relates two terms of the proof-irrelevant sort in
-`note`.  Sub-traces stay nested in their step, so a trace's top-level steps
-are exactly the rewrites, irrelevance and bridge steps between its ends.
-Inverting a trace reverses it, flips each direction and swaps and inverts
-each step's `pre` and `post`.
+from `before` to `after`; between substitutions, a path's first index picks
+an entry.  A step of kind `TERM_AXIOM` or `SORT_AXIOM` uses the axiom at
+item `axiom` in `direction`, under the instantiation `sigma` (a `Subst`
+binding every variable of both sides, and nothing outside the axiom's
+telescope), with two sub-traces at paths relative to the step: `pre` from
+`before` to the source side's instance, and `post` from the target side's
+instance to `after`.  A rewrite's `pre` covers the positions `match`
+deferred, each as subject -> normal form ~ normal form <- instance, then
+one irrelevance step where a repeated pattern variable matched only modulo
+irrelevance; its `post` is empty.  A bridge step keeps x -> left instance
+in `pre` and right instance -> y in `post`.  An `IRRELEVANCE` step changes
+only arguments at positions of proof-irrelevant sort; an `IRRELEVANT_SORT`
+step relates two terms of the proof-irrelevant sort in `note`.  Sub-traces
+stay nested in their step, so a trace's top-level steps are exactly the
+rewrites, irrelevance and bridge steps between its ends.  Inverting a trace
+reverses it, flips each direction and swaps and inverts each step's `pre`
+and `post`.
 
 `replay_trace` checks a trace with `gat.kernel`, which imports nothing from
-this engine.  The kernel trusts the theory's tables, `gat.syntax` and a
-sort-check callback (`CheckedTheory.accepts` over the trace's telescope),
-which it asks about IRRELEVANT_SORT steps and about values in `sigma` for
-variables the source side lacks, other than `?` placeholders at
-proof-irrelevant sorts.  It caches each validated (kind, axiom, direction,
-sigma) instance in the theory's `instances`, which is dropped with the
-memo when an axiom is added.  Replay rewrites nothing, but its sort checks
-meter fuel as any check does, unless an `instances` hit skips them.
+this engine; its sort-check callback is `CheckedTheory.accepts` over the
+trace's telescope.  Replay rewrites nothing, and the sort checks it asks
+(see `gat.kernel`) meter fuel as any check does, warm or cold alike.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .kernel import (
@@ -144,8 +140,6 @@ class EqTrace:
     end: object
     steps: tuple[EqStep, ...] = ()
     tele: Telescope | None = None
-    # Entry-wise traces when the compared objects are substitutions.
-    entry_traces: tuple["EqTrace", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -570,16 +564,11 @@ class _Engine:
         variables only that side determines.  Deferred positions are
         subsumed by the final normalize-and-compare check on whole
         instances, so pending is dropped."""
-        for seed_left in (True, False):
+        for seed, u, other, w in ((left, x, right, y), (right, y, left, x)):
             sigma: dict = {}
-            if seed_left:
-                if not self.match(left, x, sigma, []):
-                    continue
-                self.soft_match(right, y, sigma)
-            else:
-                if not self.match(right, y, sigma, []):
-                    continue
-                self.soft_match(left, x, sigma)
+            if not self.match(seed, u, sigma, []):
+                continue
+            self.soft_match(other, w, sigma)
             needed = free_vars(left) | free_vars(right)
             if not self._complete(sigma, needed, ax.params):
                 continue
@@ -635,21 +624,21 @@ def eq_term(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort,
 def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
              target: Telescope):
     """Entry-wise term equality into `target`, a checked telescope: entry i
-    is compared at target sort i instantiated by `p0`'s entries before it.
-    That sort mentions only the distinct names bound before it, and `p0`
-    binds them first, so `p0` itself instantiates it."""
+    is compared at target sort i, which mentions only names `p0` binds
+    before entry i, instantiated by `p0`.  The trace holds each entry's
+    steps, their paths led by the entry's index."""
     if len(p0) != len(p1) or len(p0) != len(target):
         return NotProven(False, "substitution lengths differ")
-    entry_traces = []
-    for (t0, v0), (t1, v1), (name, sort) in zip(
-            p0.entries, p1.entries, target.bindings):
+    steps: list[EqStep] = []
+    for i, ((t0, v0), (t1, v1), (name, sort)) in enumerate(zip(
+            p0.entries, p1.entries, target.bindings)):
         if t0 != name or t1 != name:
             return NotProven(False, f"target names do not match {name!r}")
         verdict = eq_term(th, phi, v0, v1, subst_apply_sort(p0, sort))
         if not isinstance(verdict, Equal):
             return verdict
-        entry_traces.append(verdict.trace)
-    return Equal(EqTrace(p0, p1, (), phi, tuple(entry_traces)))
+        steps += (replace(s, path=(i,) + s.path) for s in verdict.trace.steps)
+    return _equal(th, EqTrace(p0, p1, tuple(steps), phi))
 
 
 def normalize_term(th: CheckedTheory, m: Term):

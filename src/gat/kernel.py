@@ -5,18 +5,19 @@ compares whole terms by identity, since terms are hash-consed.  Among the
 tables, it trusts each symbol's mask of proof-irrelevant argument positions
 (the third part of its plan in `th.plans`) when it compares terms modulo
 irrelevance.  The step format and what each kind of step must satisfy are
-set out in `gat.equality`.  Validated axiom instances are cached in
-`th.instances`, which the theory drops when an axiom is added; an instance
-whose sort check was asked about an open term is not cached, since the
-answer depends on the trace's telescope.  A hit skips the sort checks and
-the fuel they meter.
+set out in `gat.equality`.  The callback is asked about IRRELEVANT_SORT
+steps and the `sigma` values an axiom's source side leaves open.  Axiom
+instances are validated once per theory (see `_instance`), but their sort
+checks run at every use, so replay gives the same verdict and meters the
+same fuel warm or cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import LR, RL, Cut, Subst, Var, free_vars, subst_apply_term
+from .syntax import (LR, RL, Cut, SortAxiom, Subst, TermAxiom, Var, free_vars,
+                     subst_apply_term)
 
 TERM_AXIOM = "term-axiom"
 SORT_AXIOM = "sort-axiom"
@@ -55,7 +56,7 @@ def equal_mod_irr(th, x, y) -> bool:
 
 
 def replay(th, start, trace, check=None):
-    """The term `trace` reaches from `start`, or a `ReplayError` naming the
+    """What `trace` reaches from `start`, or a `ReplayError` naming the
     first top-level step that fails (-1: the start, len(steps): the end).
     `check(m, a)`: does `m` have sort `a` over the trace's telescope?"""
     if trace.start != start:
@@ -69,18 +70,24 @@ def replay(th, start, trace, check=None):
     return end
 
 
-def _plug(parent: Cut, i: int, child):
-    entries = parent.args.entries
+def _children(node):
+    """The entries below a cut or a substitution; None below anything else."""
+    return (node.args.entries if isinstance(node, Cut)
+            else node.entries if isinstance(node, Subst) else None)
+
+
+def _plug(parent, i: int, child):
+    entries = _children(parent)
     if entries[i][1] is child:
         return parent
-    return Cut(parent.head, Subst(
-        entries[:i] + ((entries[i][0], child),) + entries[i + 1:]))
+    args = Subst(entries[:i] + ((entries[i][0], child),) + entries[i + 1:])
+    return Cut(parent.head, args) if isinstance(parent, Cut) else args
 
 
 def _walk(th, focus, steps, check):
-    """Replay `steps` with a zipper: `stack` holds the (parent, argument
-    index) pairs from the root down to `focus`, and a parent is rebuilt
-    only when the walk leaves it."""
+    """Replay `steps` with a zipper: `stack` holds the (parent, child index)
+    pairs from the root down to `focus`, and a parent is rebuilt only when
+    the walk leaves it."""
     stack: list = []
     for n, s in enumerate(steps):
         path = s.path
@@ -90,12 +97,12 @@ def _walk(th, focus, steps, check):
         while len(stack) > k:
             focus = _plug(*stack.pop(), focus)
         for i in path[k:]:
-            if (not isinstance(focus, Cut) or type(i) is not int
-                    or not 0 <= i < len(focus.args.entries)):
+            entries = _children(focus)
+            if type(i) is not int or not 0 <= i < len(entries or ()):
                 raise _Reject(n, "path leads outside the term")
             stack.append((focus, i))
-            focus = focus.args.entries[i][1]
-        if focus is not s.before:
+            focus = entries[i][1]
+        if focus is not s.before or isinstance(focus, Subst):
             raise _Reject(n, "recorded subterm differs from the current one")
         try:
             _step(th, s, check)
@@ -135,35 +142,39 @@ def _sub(th, start, steps, end, check, what: str) -> None:
 
 
 def _instance(th, s, check):
-    """(source, target) of the axiom instance `s` names, validated."""
-    sigma = s.sigma
-    key = (s.kind, s.axiom, s.direction, sigma)
+    """(source, target) of the instance of item `s.axiom` that `s` names.
+    `th.instances` holds, per theory, what the telescope does not decide:
+    both sides under a well-shaped `sigma`, and a (variable, value, sort)
+    check per value the source side leaves open (bar `?` placeholders at
+    proof-irrelevant sorts).  The checks run at every use, hit or miss."""
+    items, i, sigma = th.theory.items, s.axiom, s.sigma
+    kind = TermAxiom if s.kind == TERM_AXIOM else SortAxiom
+    if not (type(i) is int and 0 <= i < len(items)
+            and isinstance(items[i], kind) and s.direction in (LR, RL)
+            and type(sigma) is Subst):
+        raise _Reject(f"no {s.kind} at item {i!r} to use {s.direction!r}")
+    key = (s.kind, i, s.direction, sigma)
     hit = th.instances.get(key)
-    if hit is not None:
-        return hit
-    table = th.term_axioms if s.kind == TERM_AXIOM else th.sort_axioms
-    ax = next((a for i, a in table if i == s.axiom), None)
-    if ax is None or s.direction not in (LR, RL) or type(sigma) is not Subst:
-        raise _Reject(f"no instance of a {s.kind} at item {s.axiom} used "
-                      f"{s.direction!r}")
-    src, dst = sides(ax, s.direction)
-    names, bound = sigma.targets(), free_vars(src)
-    if (len(set(names)) < len(names) or not set(names) <= set(ax.params.names())
-            or not bound | free_vars(dst) <= set(names)):
-        raise _Reject("sigma is no instantiation of the axiom's variables")
-    open_check = False
-    for v, value in sigma.entries:
-        sort = ax.params.lookup(v)
-        if v in bound or (value is Var("?" + v)
-                          and sort.head in th.irrelevant_heads):
-            continue
-        if check is None or not free_vars(sort) <= set(names):
-            raise _Reject(f"no sort check for sigma's value for {v!r}")
-        sort = subst_apply_term(sigma, sort)
-        if not check(value, sort):
+    if hit is None:
+        ax = items[i]
+        src, dst = sides(ax, s.direction)
+        names, bound = set(sigma.targets()), free_vars(src)
+        if (len(names) < len(sigma.entries) or not bound | free_vars(dst)
+                <= names <= set(ax.params.names())):
+            raise _Reject("sigma is no instantiation of the axiom's variables")
+        checks = []
+        for v, value in sigma.entries:
+            sort = ax.params.lookup(v)
+            if v in bound or (value is Var("?" + v)
+                              and sort.head in th.irrelevant_heads):
+                continue
+            if not free_vars(sort) <= names:
+                raise _Reject(f"no sort check for sigma's value for {v!r}")
+            checks.append((v, value, subst_apply_term(sigma, sort)))
+        hit = th.instances[key] = (subst_apply_term(sigma, src),
+                                   subst_apply_term(sigma, dst), tuple(checks))
+    src, dst, checks = hit
+    for v, value, sort in checks:
+        if check is None or not check(value, sort):
             raise _Reject(f"sigma's value for {v!r} does not check at its sort")
-        open_check = open_check or bool(free_vars(value) | free_vars(sort))
-    out = subst_apply_term(sigma, src), subst_apply_term(sigma, dst)
-    if not open_check:
-        th.instances[key] = out
-    return out
+    return src, dst

@@ -12,6 +12,7 @@ from gat.equality import (
     DEFAULT_CFG,
     SORT_AXIOM,
     EqEngineConfig,
+    EqStep,
     EqTrace,
     Equal,
     NotProven,
@@ -203,7 +204,8 @@ def test_a_repeated_variable_matches_modulo_irrelevance():
 def test_empty_substitutions_are_equal(monoid):
     verdict = eq_subst(monoid, Telescope(), Subst(), Subst(), Telescope())
     assert isinstance(verdict, Equal)
-    assert verdict.trace.entry_traces == ()
+    assert verdict.trace.steps == ()
+    assert replay_trace(monoid, Subst(), verdict.trace) is Subst()
 
 
 def test_substitution_equality_is_entrywise(monoid):
@@ -213,8 +215,37 @@ def test_substitution_equality_is_entrywise(monoid):
     p1 = parse_term("cmp{x/a, x/b}").args
     verdict = eq_subst(monoid, tele, p0, p1, target)
     assert isinstance(verdict, Equal)
-    assert len(verdict.trace.entry_traces) == 2
-    assert replay_ok(monoid, verdict.trace)
+    # entry a rewrites by "right unit"; entry b is already equal
+    assert [(s.path, s.axiom) for s in verdict.trace.steps] == [
+        ((0,), monoid.axiom_labels["right unit"])]
+    assert replay_trace(monoid, p0, verdict.trace) is p1
+
+
+def test_a_substitution_verdict_is_recorded_and_replayed_by_entry(monoid,
+                                                                   mltt):
+    tele = parse_telescope("x: ob{}")
+    target = monoid.op_decls["cmp"][0]
+    p0 = parse_term("cmp{x/a, cmp{id{}/a, x/b}/b}").args
+    p1 = parse_term("cmp{x/a, x/b}").args
+    with record_verdicts() as log:
+        verdict = eq_subst(monoid, tele, p0, p1, target)
+    assert (monoid, verdict.trace) in log
+    (step,) = verdict.trace.steps
+    assert step.path == (1,)
+    assert replay_trace(monoid, p0, verdict.trace) is p1
+    # the other entry, no entry, a whole substitution, a subterm of an entry
+    for path in ((0,), (2,), (-1,), (), (1, 0)):
+        bad = dataclasses.replace(verdict.trace, steps=(
+            dataclasses.replace(step, path=path),))
+        assert isinstance(replay_trace(monoid, p0, bad), ReplayError), path
+    # a step rewrites a term, never a whole substitution
+    tele = parse_telescope("u: lvl{}, v: lvl{}, p: lt{u/u, v/v}, "
+                           "q: lt{u/u, v/v}")
+    s0, s1 = Subst((("p", Var("p")),)), Subst((("p", Var("q")),))
+    whole = EqStep(IRRELEVANT_SORT, None, None, (), s0, s1,
+                   note=parse_sort("lt{u/u, v/v}"))
+    assert isinstance(replay_trace(mltt, s0, EqTrace(s0, s1, (whole,), tele)),
+                      ReplayError)
 
 
 def test_unequal_substitutions_fail_on_the_bad_entry(monoid):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gat import kernel
 from gat.canonicity import GenBudget, generate_closed_obs_terms
-from gat.checker import infer_term, theory_extends
+from gat.checker import check_theory, infer_term, theory_extends
 from gat.equality import (
     IRRELEVANCE,
     IRRELEVANT_SORT,
@@ -29,6 +29,7 @@ from gat.equality import (
     eq_sort,
     eq_term,
     normalize_term,
+    record_fuel,
     replay_trace,
 )
 from gat.library import load
@@ -175,6 +176,26 @@ def test_wrong_axiom_index_is_rejected(monoid_trace, monoid, mltt, pre_step):
             assert _rejected(th, _with_step(trace, i, kind=other))
 
 
+ALL_EQUAL = 'SORT ob()\nTERMAX "all equal" (x: ob{}, y: ob{}) x = y : ob{}'
+
+
+def test_a_step_names_its_axiom_by_an_exact_item_index(monoid_trace, monoid):
+    # a float or complex equal to an item index, or True for item 1, is
+    # no index, on a warm or a cold instance cache alike
+    for th in (monoid, monoid.copy()):
+        for i, s in enumerate(monoid_trace.steps):
+            for k in (float(s.axiom), complex(s.axiom)):
+                assert _rejected(th, _with_step(monoid_trace, i, axiom=k))
+    th = check_theory(parse_source(ALL_EQUAL).theory)
+    p, q = Var("p"), Var("q")
+    step = EqStep(TERM_AXIOM, 1, LR, (), p, q, None,
+                  Subst((("x", p), ("y", q))))
+    trace = EqTrace(p, q, (step,), parse_telescope("p: ob{}, q: ob{}"))
+    assert _rejected(th, _with_step(trace, 0, axiom=True))
+    assert replay_trace(th, p, trace) is q
+    assert _rejected(th, _with_step(trace, 0, axiom=True))
+
+
 def test_flipped_direction_is_rejected(monoid_trace, monoid, pre_step, mltt):
     for th, trace in ((monoid, monoid_trace), (mltt, pre_step[0])):
         for i, s in enumerate(trace.steps):
@@ -258,8 +279,8 @@ def test_sigma_outside_the_source_side_is_sort_checked(mltt):
 
     th = mltt.copy()
     good = step(emp, parse_term("bang{emp{}/g}"))
-    # no telescope, no sort check; a closed instance once checked is cached
-    for tele, ok in ((None, False), (EMPTY, True), (None, True)):
+    # no telescope, no sort check, even once the instance is cached
+    for tele, ok in ((None, False), (EMPTY, True), (None, False)):
         trace = EqTrace(before, good.after, (good,), tele)
         assert _rejected(th, trace) != ok
     # f is no arrow emp -> lz, and g is no object
@@ -297,6 +318,61 @@ def test_instances_checked_over_a_telescope_are_not_cached(mltt):
         "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
     for tele, ok in ((BRIDGE_TELE, True), (bad, False), (BRIDGE_TELE, True)):
         assert _rejected(th, dataclasses.replace(trace, tele=tele)) != ok
+
+
+def _replayed(th, trace, tele):
+    """`replay_trace` of `trace` over `tele`, and the fuel it metered."""
+    trace = dataclasses.replace(trace, tele=tele)
+    with record_fuel() as meter:
+        out = replay_trace(th, trace.start, trace)
+    return out, meter[0]
+
+
+def test_warm_and_cold_replay_agree(mltt, monoid, sweep, monoid_trace):
+    cat = load("cat")
+    cat_trace = _proof(
+        cat, parse_telescope("a: ob{}, b: ob{}, c: ob{}, "
+                             "f: hom{a/d, b/c}, g: hom{b/d, c/c}"),
+        parse_term("homcmp{a/e, b/d, c/c, g/f, "
+                   "homcmp{a/e, a/d, b/c, f/f, homid{a/g}/g}/g}"),
+        parse_term("homcmp{a/e, b/d, c/c, homcmp{b/e, c/d, c/c, "
+                   "homid{c/g}/f, g/g}/f, f/g}"), parse_sort("hom{a/d, c/c}"))
+    cases = [(mltt, t) for t in sweep]
+    cases += [(monoid, monoid_trace), (cat, cat_trace),
+              (mltt, _bridge(mltt, LOW, HIGH)[0])]
+    outs = []
+    for th, trace in cases:
+        for tele in (trace.tele, None):
+            warm = _replayed(th, trace, tele)
+            assert warm == _replayed(th, trace, tele)
+            assert warm == _replayed(th.copy(), trace, tele)
+            outs.append(warm)
+    # without a telescope, the traces with a sort check fail
+    assert sum(isinstance(out, ReplayError) for out, _ in outs) > 1
+
+
+HAND_BUILT = """
+SORT N()
+OP a() : N{}
+OP b() : N{}
+SORT T(n: N{})
+OP c() : T{b{}/n}
+TERMAX "b to a" () b{} = a{} : N{}
+OP f(x: T{a{}/n}) : N{}
+TERMAX "f drop" [rl] (x: T{a{}/n}) f{x/x} = a{} : N{}
+"""
+
+
+def test_a_cached_instance_meters_its_sort_check_again():
+    # right to left, "f drop" introduces x; c{} checks at T{a{}/n} by one
+    # conversion, b{} -> a{}, which a cached instance must meter again
+    th = check_theory(parse_source(HAND_BUILT).theory)
+    a, fc = parse_term("a{}"), parse_term("f{c{}/x}")
+    step = EqStep(TERM_AXIOM, th.axiom_labels["f drop"], RL, (), a, fc, None,
+                  Subst((("x", parse_term("c{}")),)))
+    trace = EqTrace(a, fc, (step,), EMPTY)
+    assert [_replayed(t, trace, EMPTY) for t in (th, th, th.copy())] == [
+        (fc, 1)] * 3
 
 
 def test_cached_instances_are_dropped_when_the_theory_is_extended(monoid):
