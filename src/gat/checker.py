@@ -274,22 +274,29 @@ def infer_term(th: CheckedTheory, psi: Telescope, m: Term) -> Sort | CheckError:
             return CheckError(ErrorKind.UNKNOWN_VARIABLE,
                               message=f"variable {m.name!r} not in telescope")
         return sort
-    if m.head in th.sort_decls:
-        return CheckError(ErrorKind.NOT_AN_OP_SYMBOL,
-                          message=f"{m.head!r} is a sort symbol, not an operation")
-    decl = th.op_decls.get(m.head)
-    if decl is None:
-        return CheckError(ErrorKind.UNKNOWN_SYMBOL,
-                          message=f"unknown operation symbol {m.head!r}")
-    return _judge(th, psi, m, *decl)
+    if isinstance(m, Cut):
+        if m.head in th.sort_decls:
+            return CheckError(
+                ErrorKind.NOT_AN_OP_SYMBOL,
+                message=f"{m.head!r} is a sort symbol, not an operation")
+        decl = th.op_decls.get(m.head)
+        if decl is None:
+            return CheckError(ErrorKind.UNKNOWN_SYMBOL,
+                              message=f"unknown operation symbol {m.head!r}")
+        return _judge(th, psi, m, *decl)
+    return CheckError(ErrorKind.PRESUPPOSITION_VIOLATION,
+                      message=f"not a term expression: {m!r}")
 
 
 def _judge(th: CheckedTheory, psi: Telescope, t: Cut, params: Telescope,
            result: Sort | None) -> Sort | CheckError | None:
     """`result` (None for a sort) under `t`'s arguments once they check
     against `params` over `psi`.  Successes only (a later item may mend a
-    failure) are kept with the fuel they metered, which a hit meters again."""
-    key = (psi, t)
+    failure) are kept with the fuel they metered, which a hit meters again.
+    The key holds `psi.bindings`, not `psi`: a tuple hashes in C, where the
+    frozen dataclass hashes in Python, and equal telescopes have equal
+    bindings."""
+    key = (psi.bindings, t)
     hit = th._judged.get(key)
     if hit is not None:
         meter(hit[1])

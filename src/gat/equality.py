@@ -326,24 +326,24 @@ class _Engine:
             return equal_mod_irr(self.th, bound, subject)
         if not isinstance(subject, Cut) or subject.head != pattern.head:
             return False
-        pv = pattern.args.values()
-        sv = subject.args.values()
-        if len(pv) != len(sv):
+        pe = pattern.args.entries
+        se = subject.args.entries
+        if len(pe) != len(se):
             return False
         # patterns are sides of checked axioms, so of their symbol's arity
         order, loose, _ = self._plans[pattern.head]
         for i in order:
+            p, s = pe[i][1], se[i][1]
             if loose[i]:
                 trial_sigma = dict(sigma)
                 trial_pending = list(pending)
-                if self.match(pv[i], sv[i], trial_sigma, trial_pending,
-                              path + (i,)):
+                if self.match(p, s, trial_sigma, trial_pending, path + (i,)):
                     sigma.clear()
                     sigma.update(trial_sigma)
                     pending[:] = trial_pending
                 else:
-                    pending.append((path + (i,), pv[i], sv[i]))
-            elif not self.match(pv[i], sv[i], sigma, pending, path + (i,)):
+                    pending.append((path + (i,), p, s))
+            elif not self.match(p, s, sigma, pending, path + (i,)):
                 return False
         return True
 
@@ -412,11 +412,11 @@ class _Engine:
             return
         if not isinstance(subject, Cut) or subject.head != pattern.head:
             return
-        pv = pattern.args.values()
-        sv = subject.args.values()
-        if len(pv) != len(sv):
+        pe = pattern.args.entries
+        se = subject.args.entries
+        if len(pe) != len(se):
             return
-        for p, s in zip(pv, sv):
+        for (_, p), (_, s) in zip(pe, se):
             self.soft_match(p, s, sigma)
 
     def _complete(self, sigma: dict, needed: set[str], params: Telescope) -> bool:
@@ -464,7 +464,7 @@ class _Engine:
             return e
         e = self._memo.get(t)
         if e is not None:
-            for v in t.args.values():
+            for _, v in t.args.entries:
                 if isinstance(v, Cut):
                     self._entry(v)
             if e.pending:
@@ -499,9 +499,8 @@ class _Engine:
         return self._entry(after) if isinstance(after, Cut) else None
 
     def _fresh(self, t: Cut) -> _Entry:
-        values = t.args.values()
         args = [self._entry(v) if isinstance(v, Cut) else None
-                for v in values]
+                for _, v in t.args.entries]
         kids = tuple((i, a) for i, a in enumerate(args)
                      if a is not None and (a.kids or a.step is not None))
         if kids:

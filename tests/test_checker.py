@@ -37,7 +37,9 @@ from gat.surface import (
 from gat.syntax import (
     LR,
     RL,
+    Cut,
     SortAxiom,
+    Subst,
     Telescope,
     TermAxiom,
     Theory,
@@ -166,6 +168,23 @@ def test_check_term_presupposes_well_formed_expected_sort(monoid):
     tele = parse_telescope("x: ob{}")
     err = check_term(monoid, tele, parse_term("x"), parse_sort("id{}"))
     assert err.kind == ErrorKind.PRESUPPOSITION_VIOLATION
+
+
+@pytest.mark.parametrize("non_term", [Subst(), Telescope(), None],
+                         ids=["subst", "telescope", "none"])
+def test_a_non_term_in_term_position_is_a_presupposition_violation(
+        monoid, non_term):
+    tele = parse_telescope("x: ob{}")
+    for err in (infer_term(monoid, tele, non_term),
+                check_term(monoid, tele, non_term, parse_sort("ob{}"))):
+        assert isinstance(err, CheckError)
+        assert err.kind == ErrorKind.PRESUPPOSITION_VIOLATION
+
+
+def test_a_substitution_as_an_argument_is_reported_at_its_position(monoid):
+    m = Cut("cmp", Subst((("a", Var("x")), ("b", Subst()))))
+    err = infer_term(monoid, parse_telescope("x: ob{}"), m)
+    assert (err.kind, err.path) == (ErrorKind.PRESUPPOSITION_VIOLATION, (1,))
 
 
 def test_check_term_applies_conversion(mltt):

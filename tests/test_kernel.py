@@ -286,6 +286,9 @@ def test_sigma_outside_the_source_side_is_sort_checked(mltt):
     # f is no arrow emp -> lz, and g is no object
     for bad in (step(emp, lz), step(lz, parse_term("bang{emp{}/g}"))):
         assert _rejected(th, EqTrace(before, bad.after, (bad,), EMPTY))
+    # a substitution where sigma's value for f belongs is no term at all
+    bad = step(emp, Subst())
+    assert _rejected(th, EqTrace(before, bad.after, (bad,), EMPTY))
 
 
 def test_irrelevance_steps_are_checked(mltt):

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 
 from gat.library import entry, library_names
 from gat.surface import (
+    _PUNCT,
+    _TAGS,
+    _TOKEN_RE,
+    KEYWORDS,
     NotationDecl,
     ParseError,
+    _error,
     _Parser,
     _tokenize,
     _value,
@@ -19,11 +24,26 @@ from gat.surface import (
     parse_telescope,
     parse_term,
     parse_theory,
+    print_sort,
     print_source,
+    print_telescope,
     print_term,
     print_theory,
 )
-from gat.syntax import Cut, SortDecl, Subst, Telescope, TermAxiom, Var
+from gat.syntax import (
+    LR,
+    Cut,
+    OpDecl,
+    Sort,
+    SortAxiom,
+    SortDecl,
+    Subst,
+    Telescope,
+    Term,
+    TermAxiom,
+    Theory,
+    Var,
+)
 
 
 def test_sort_decl_parses():
@@ -252,3 +272,265 @@ def test_lexer_matches_the_seed_lexer(text, data):
             parser.fail("stop")
         want = _ref_error(text, ref[i].offset, "stop")
         assert (exc.value.line, exc.value.col) == (want.line, want.col)
+
+
+# -- the parser against the one it replaced -----------------------------------
+
+# The parser as it was before its loops read tokens by a local index: one
+# helper call per token.  Kept as the reference the parser must agree with.
+
+
+def _ref_is_name(tok: str) -> bool:
+    return tok != "" and tok[0] != '"' and tok not in _PUNCT
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i]
+
+    def next(self) -> str:
+        tok = self.tokens[self.i]
+        if tok:
+            self.i += 1
+        return tok
+
+    def fail(self, message: str, expected=()):
+        raise _error(self.text, self.i, message, expected)
+
+    def found(self) -> str:
+        return _value(self.peek()) or "end of file"
+
+    def expect_punct(self, ch: str) -> str:
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}, found {self.found()!r}",
+                      expected=(ch,))
+        return self.next()
+
+    def expect_name(self, what="name") -> str:
+        if not _ref_is_name(self.peek()):
+            self.fail(f"expected {what}, found {self.found()!r}",
+                      expected=(what,))
+        return self.next()
+
+    def expect_string(self, message: str) -> str:
+        if self.peek()[:1] != '"':
+            self.fail(message)
+        return _value(self.next())
+
+    def parse_file(self) -> tuple[Theory, tuple[NotationDecl, ...], str | None]:
+        extends = None
+        if self.peek() == "EXTENDS":
+            self.next()
+            extends = self.expect_string("expected quoted path after EXTENDS")
+        items = []
+        notations = []
+        while self.peek():
+            if self.peek() not in KEYWORDS:
+                self.fail("expected a declaration keyword, "
+                          f"found {_value(self.peek())!r}",
+                          expected=sorted(KEYWORDS))
+            kw = self.next()
+            if kw == "EXTENDS":
+                self.fail("EXTENDS is only allowed as the file header")
+            elif kw == "SORT":
+                name = self.expect_name("sort symbol")
+                self.expect_punct("(")
+                tele = self.parse_telescope()
+                self.expect_punct(")")
+                items.append(SortDecl(name, tele))
+            elif kw == "OP":
+                name = self.expect_name("operation symbol")
+                self.expect_punct("(")
+                tele = self.parse_telescope()
+                self.expect_punct(")")
+                self.expect_punct(":")
+                items.append(OpDecl(name, tele, self.parse_sort()))
+            elif kw == "SORTAX":
+                label, orientation = self.parse_axiom_head()
+                self.expect_punct("(")
+                tele = self.parse_telescope()
+                self.expect_punct(")")
+                lhs = self.parse_sort()
+                self.expect_punct("=")
+                rhs = self.parse_sort()
+                items.append(SortAxiom(tele, lhs, rhs, label, orientation))
+            elif kw == "TERMAX":
+                label, orientation = self.parse_axiom_head()
+                self.expect_punct("(")
+                tele = self.parse_telescope()
+                self.expect_punct(")")
+                lhs = self.parse_term()
+                self.expect_punct("=")
+                rhs = self.parse_term()
+                self.expect_punct(":")
+                sort = self.parse_sort()
+                items.append(TermAxiom(tele, lhs, rhs, sort, label, orientation))
+            elif kw == "NOTATION":
+                symbol = self.expect_name("symbol")
+                notations.append(NotationDecl(
+                    symbol, self.expect_string("expected quoted display pattern")))
+        return Theory(tuple(items)), tuple(notations), extends
+
+    def parse_axiom_head(self) -> tuple[str | None, str]:
+        label = None
+        if self.peek()[:1] == '"':
+            label = _value(self.next())
+        orientation = LR
+        if self.peek() == "[":
+            self.next()
+            tag = self.expect_name("orientation tag")
+            if tag not in _TAGS:
+                self.fail(f"unknown orientation tag {tag!r}", expected=sorted(_TAGS))
+            orientation = tag
+            self.expect_punct("]")
+        return label, orientation
+
+    def parse_telescope(self) -> Telescope:
+        bindings = []
+        if _ref_is_name(self.peek()):
+            while True:
+                var = self.expect_name("variable")
+                self.expect_punct(":")
+                bindings.append((var, self.parse_sort()))
+                if self.peek() != ",":
+                    break
+                self.next()
+        return Telescope(tuple(bindings))
+
+    def parse_sort(self) -> Sort:
+        name = self.expect_name("sort symbol")
+        self.expect_punct("{")
+        return self.parse_cut(name)
+
+    def parse_term(self) -> Term:
+        name = self.expect_name("term")
+        if self.peek() != "{":
+            return Var(name)
+        self.next()
+        return self.parse_cut(name)
+
+    def parse_cut(self, head: str) -> Cut:
+        """The rest of `head{subst}` once its `{` is read.  The cuts still
+        open wait on a stack, each with the entries read so far, so a term
+        nested any depth parses without recursion."""
+        stack = [(head, [])]
+        opened = True  # the innermost open cut has no entry yet
+        while True:
+            if opened and self.peek() == "}":
+                self.next()
+                term = Cut(stack.pop()[0], Subst())
+            else:
+                name = self.expect_name("term")
+                opened = self.peek() == "{"
+                if opened:
+                    self.next()
+                    stack.append((name, []))
+                    continue
+                term = Var(name)
+            # `term` is the value of the innermost open cut's next entry;
+            # close each cut that completes
+            while stack:
+                self.expect_punct("/")
+                head, entries = stack[-1]
+                entries.append((self.expect_name("target variable"), term))
+                if self.peek() == ",":
+                    self.next()
+                    opened = False
+                    break
+                self.expect_punct("}")
+                stack.pop()
+                term = Cut(head, Subst(tuple(entries)))
+            else:
+                return term
+
+
+def _ref_parse(kind: str, text: str):
+    parser = _RefParser(text)
+    if kind == "source":
+        return parser.parse_file()
+    out = getattr(parser, f"parse_{kind}")()
+    if parser.peek():
+        parser.fail(f"trailing input after {kind}")
+    return out
+
+
+def _parse(kind: str, text: str):
+    if kind == "source":
+        src = parse_source(text)
+        return src.theory, src.notations, src.extends
+    return {"term": parse_term, "sort": parse_sort,
+            "telescope": parse_telescope}[kind](text)
+
+
+def _samples() -> dict[str, list[str]]:
+    """Texts by entry point: each printed bundled file, and the printed
+    telescopes, sorts and terms of its items."""
+    out: dict[str, set[str]] = {
+        "source": set(), "telescope": set(), "sort": set(), "term": set()}
+    for name in library_names():
+        src = parse_source(entry(name).source)
+        out["source"].add(print_source(src))
+        for item in src.theory.items:
+            out["telescope"].add(print_telescope(item.params))
+            if isinstance(item, OpDecl):
+                out["sort"].add(print_sort(item.result))
+            elif isinstance(item, SortAxiom):
+                out["sort"] |= {print_sort(item.lhs), print_sort(item.rhs)}
+            elif isinstance(item, TermAxiom):
+                out["term"] |= {print_term(item.lhs), print_term(item.rhs)}
+                out["sort"].add(print_sort(item.sort))
+    # no bundled file declares a notation
+    out["source"].add('SORT ob()\nNOTATION cmp "_ * _"\n')
+    return {kind: sorted(texts) for kind, texts in out.items()}
+
+
+# each entry point as often as the others
+_SAMPLES = st.one_of(*(st.tuples(st.just(kind), st.sampled_from(texts))
+                       for kind, texts in _samples().items()))
+_EDITS = ["delete", "duplicate", "swap", "}", "/", ",", '"s"', "end"]
+
+
+def _corrupt(text: str, edit: str, k: int) -> str:
+    """`text` with its token `k` (of its tokens but the end) edited."""
+    spans = [m.span(1) for m in _TOKEN_RE.finditer(text)][:-1]
+    if not spans:
+        return text
+    a, b = spans[k % len(spans)]
+    tok = text[a:b]
+    if edit == "delete":
+        return text[:a] + text[b:]
+    if edit == "duplicate":
+        return text[:a] + tok + " " + text[a:]
+    if edit == "swap":
+        if k % len(spans) + 1 == len(spans):
+            return text
+        c, d = spans[k % len(spans) + 1]
+        return text[:a] + text[c:d] + text[b:c] + tok + text[d:]
+    if edit == "end":
+        return text[:a]
+    return text[:a] + edit + text[b:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SAMPLES,
+       st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10 ** 4)),
+                max_size=2))
+def test_parser_matches_the_reference_parser(sample, edits):
+    kind, text = sample
+    for edit, k in edits:
+        text = _corrupt(text, edit, k)
+    try:
+        want = _ref_parse(kind, text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as exc:
+            _parse(kind, text)
+        got = exc.value
+        assert ((got.message, got.line, got.col, got.expected)
+                == (err.message, err.line, err.col, err.expected))
+        return
+    assert _parse(kind, text) == want
