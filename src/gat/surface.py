@@ -146,10 +146,6 @@ _NOT_NAME = _PUNCT | {'"', ""}
 _NO_ARGS = Subst()
 
 
-def _is_name(tok: str) -> bool:
-    return tok[:1] not in _NOT_NAME
-
-
 def _value(tok: str) -> str:
     """What a token stands for: a string literal unquoted and unescaped."""
     if tok[:1] == '"':
@@ -161,64 +157,36 @@ def _value(tok: str) -> str:
 # Parser
 
 class _Parser:
-    """The parse methods read `tokens` by a local index in their loops; `i`
-    holds the index only between methods, stored before a method calls
-    another, returns or fails.  The helpers `peek`, `next`, `found`, `fail`
-    and `expect_*` are called only to fail: `at(i)` moves to the token at
-    fault and the `expect_*` helper that the token does not satisfy raises,
-    so every message, `expected` and location is the helper's."""
+    """Each parse method takes the index in `tokens` of the first token it
+    reads and returns `(node, index after it)`.  The checks are inline;
+    `toks[i + 1]` is read only once `toks[i]` is known not to be the end
+    `""`.  A check that fails raises through `fail`, or `fail_expected` for
+    "expected X, found Y", at the token at fault."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.i = 0
         # the variables read so far by name; terms are interned, so this
         # gives the node `Var` would, without the call
         self.known: dict[str, Var] = {}
 
-    def at(self, i: int) -> "_Parser":
-        self.i = i
-        return self
+    def fail(self, i: int, message: str, expected=()):
+        raise _error(self.text, i, message, expected)
 
-    def peek(self) -> str:
-        return self.tokens[self.i]
+    def fail_expected(self, i: int, what: str):
+        """Token `i` is not `what`: a punctuation mark, or a name's role."""
+        found = _value(self.tokens[i]) or "end of file"
+        shown = repr(what) if what in _PUNCT else what
+        self.fail(i, f"expected {shown}, found {found!r}", (what,))
 
-    def next(self) -> str:
-        tok = self.tokens[self.i]
-        if tok:
-            self.i += 1
-        return tok
-
-    def fail(self, message: str, expected=()):
-        raise _error(self.text, self.i, message, expected)
-
-    def found(self) -> str:
-        return _value(self.peek()) or "end of file"
-
-    def expect_punct(self, ch: str) -> str:
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}, found {self.found()!r}",
-                      expected=(ch,))
-        return self.next()
-
-    def expect_name(self, what="name") -> str:
-        if not _is_name(self.peek()):
-            self.fail(f"expected {what}, found {self.found()!r}",
-                      expected=(what,))
-        return self.next()
-
-    def expect_string(self, message: str) -> str:
-        if self.peek()[:1] != '"':
-            self.fail(message)
-        return _value(self.next())
-
-    def parse_file(self) -> tuple[Theory, tuple[NotationDecl, ...], str | None]:
-        toks, i = self.tokens, self.i
+    def parse_file(self, i: int) -> tuple[
+            tuple[Theory, tuple[NotationDecl, ...], str | None], int]:
+        toks = self.tokens
         extends = None
         if toks[i] == "EXTENDS":
             i += 1
             if toks[i][:1] != '"':
-                self.at(i).expect_string("expected quoted path after EXTENDS")
+                self.fail(i, "expected quoted path after EXTENDS")
             extends = _value(toks[i])
             i += 1
         items = []
@@ -226,20 +194,18 @@ class _Parser:
         while toks[i]:
             kw = toks[i]
             if kw not in KEYWORDS:
-                self.at(i).fail("expected a declaration keyword, "
-                                f"found {_value(kw)!r}",
-                                expected=sorted(KEYWORDS))
+                self.fail(i, f"expected a declaration keyword, found "
+                          f"{_value(kw)!r}", sorted(KEYWORDS))
             i += 1
             if kw == "EXTENDS":
-                self.at(i).fail("EXTENDS is only allowed as the file header")
+                self.fail(i, "EXTENDS is only allowed as the file header")
             if kw == "NOTATION":
                 symbol = toks[i]
                 if symbol[:1] in _NOT_NAME:
-                    self.at(i).expect_name("symbol")
+                    self.fail_expected(i, "symbol")
                 pattern = toks[i + 1]
                 if pattern[:1] != '"':
-                    self.at(i + 1).expect_string(
-                        "expected quoted display pattern")
+                    self.fail(i + 1, "expected quoted display pattern")
                 i += 2
                 notations.append(NotationDecl(symbol, _value(pattern)))
                 continue
@@ -247,8 +213,8 @@ class _Parser:
             if kw == "SORT" or kw == "OP":
                 name = toks[i]
                 if name[:1] in _NOT_NAME:
-                    self.at(i).expect_name(
-                        "sort symbol" if kw == "SORT" else "operation symbol")
+                    self.fail_expected(
+                        i, "sort symbol" if kw == "SORT" else "operation symbol")
                 i += 1
             else:
                 if toks[i][:1] == '"':
@@ -257,96 +223,80 @@ class _Parser:
                 if toks[i] == "[":
                     orientation = toks[i + 1]
                     if orientation[:1] in _NOT_NAME:
-                        self.at(i + 1).expect_name("orientation tag")
+                        self.fail_expected(i + 1, "orientation tag")
                     if orientation not in _TAGS:
-                        self.at(i + 2).fail(
-                            f"unknown orientation tag {orientation!r}",
-                            expected=sorted(_TAGS))
+                        self.fail(i + 2, f"unknown orientation tag "
+                                  f"{orientation!r}", sorted(_TAGS))
                     if toks[i + 2] != "]":
-                        self.at(i + 2).expect_punct("]")
+                        self.fail_expected(i + 2, "]")
                     i += 3
             if toks[i] != "(":
-                self.at(i).expect_punct("(")
-            self.i = i + 1
-            tele = self.parse_telescope()
-            i = self.i
+                self.fail_expected(i, "(")
+            tele, i = self.parse_telescope(i + 1)
             if toks[i] != ")":
-                self.at(i).expect_punct(")")
-            self.i = i + 1
+                self.fail_expected(i, ")")
+            i += 1
             if kw == "SORT":
                 items.append(SortDecl(name, tele))
             elif kw == "OP":
-                if toks[i + 1] != ":":
-                    self.at(i + 1).expect_punct(":")
-                self.i = i + 2
-                items.append(OpDecl(name, tele, self.parse_sort()))
-            elif kw == "SORTAX":
-                lhs = self.parse_sort()
-                if toks[self.i] != "=":
-                    self.expect_punct("=")
-                self.i += 1
-                items.append(SortAxiom(tele, lhs, self.parse_sort(), label,
-                                       orientation))
+                if toks[i] != ":":
+                    self.fail_expected(i, ":")
+                result, i = self.parse_sort(i + 1)
+                items.append(OpDecl(name, tele, result))
             else:
-                lhs = self.parse_term()
-                if toks[self.i] != "=":
-                    self.expect_punct("=")
-                self.i += 1
-                rhs = self.parse_term()
-                if toks[self.i] != ":":
-                    self.expect_punct(":")
-                self.i += 1
-                items.append(TermAxiom(tele, lhs, rhs, self.parse_sort(),
-                                       label, orientation))
-            i = self.i
-        self.i = i
-        return Theory(tuple(items)), tuple(notations), extends
+                side = self.parse_sort if kw == "SORTAX" else self.parse_term
+                lhs, i = side(i)
+                if toks[i] != "=":
+                    self.fail_expected(i, "=")
+                rhs, i = side(i + 1)
+                if kw == "SORTAX":
+                    items.append(SortAxiom(tele, lhs, rhs, label, orientation))
+                    continue
+                if toks[i] != ":":
+                    self.fail_expected(i, ":")
+                sort, i = self.parse_sort(i + 1)
+                items.append(TermAxiom(tele, lhs, rhs, sort, label,
+                                       orientation))
+        return (Theory(tuple(items)), tuple(notations), extends), i
 
-    def parse_telescope(self) -> Telescope:
-        toks, i = self.tokens, self.i
+    def parse_telescope(self, i: int) -> tuple[Telescope, int]:
+        toks = self.tokens
         bindings = []
         if toks[i][:1] not in _NOT_NAME:
             while True:
                 var = toks[i]
                 if var[:1] in _NOT_NAME:
-                    self.at(i).expect_name("variable")
+                    self.fail_expected(i, "variable")
                 if toks[i + 1] != ":":
-                    self.at(i + 1).expect_punct(":")
-                self.i = i + 2
-                bindings.append((var, self.parse_sort()))
-                i = self.i
+                    self.fail_expected(i + 1, ":")
+                sort, i = self.parse_sort(i + 2)
+                bindings.append((var, sort))
                 if toks[i] != ",":
                     break
                 i += 1
-        return Telescope(tuple(bindings))
+        return Telescope(tuple(bindings)), i
 
-    def parse_sort(self) -> Sort:
-        toks, i = self.tokens, self.i
-        name = toks[i]
+    def parse_sort(self, i: int) -> tuple[Sort, int]:
+        name = self.tokens[i]
         if name[:1] in _NOT_NAME:
-            self.expect_name("sort symbol")
-        if toks[i + 1] != "{":
-            self.at(i + 1).expect_punct("{")
-        self.i = i + 2
-        return self.parse_cut(name)
+            self.fail_expected(i, "sort symbol")
+        if self.tokens[i + 1] != "{":
+            self.fail_expected(i + 1, "{")
+        return self.parse_cut(name, i + 2)
 
-    def parse_term(self) -> Term:
-        toks, i = self.tokens, self.i
-        name = toks[i]
+    def parse_term(self, i: int) -> tuple[Term, int]:
+        name = self.tokens[i]
         if name[:1] in _NOT_NAME:
-            self.expect_name("term")
-        if toks[i + 1] != "{":
-            self.i = i + 1
-            return Var(name)
-        self.i = i + 2
-        return self.parse_cut(name)
+            self.fail_expected(i, "term")
+        if self.tokens[i + 1] != "{":
+            return Var(name), i + 1
+        return self.parse_cut(name, i + 2)
 
-    def parse_cut(self, head: str) -> Cut:
-        """The rest of `head{subst}` once its `{` is read.  The cuts still
+    def parse_cut(self, head: str, i: int) -> tuple[Cut, int]:
+        """`head{subst}` from the index `i` after its `{`.  The cuts still
         open wait on a stack, each with the entries read so far, so a term
-        nested any depth parses without recursion.  One loop reads every
-        token of the term by a local index."""
-        toks, i, known = self.tokens, self.i, self.known
+        nested any depth parses without recursion, in one loop."""
+        toks, known = self.tokens, self.known
         stack = [(head, [])]
         opened = True  # the innermost open cut has no entry yet
         while True:
@@ -356,7 +306,7 @@ class _Parser:
                 term = Cut(stack.pop()[0], _NO_ARGS)
             else:
                 if name[:1] in _NOT_NAME:
-                    self.at(i).expect_name("term")
+                    self.fail_expected(i, "term")
                 i += 1
                 opened = toks[i] == "{"
                 if opened:
@@ -370,10 +320,10 @@ class _Parser:
             # close each cut that completes
             while stack:
                 if toks[i] != "/":
-                    self.at(i).expect_punct("/")
+                    self.fail_expected(i, "/")
                 target = toks[i + 1]
                 if target[:1] in _NOT_NAME:
-                    self.at(i + 1).expect_name("target variable")
+                    self.fail_expected(i + 1, "target variable")
                 head, entries = stack[-1]
                 entries.append((target, term))
                 i += 2
@@ -382,18 +332,16 @@ class _Parser:
                     opened = False
                     break
                 if toks[i] != "}":
-                    self.at(i).expect_punct("}")
+                    self.fail_expected(i, "}")
                 i += 1
                 stack.pop()
                 term = Cut(head, Subst(tuple(entries)))
             else:
-                self.i = i
-                return term
+                return term, i
 
 
 def parse_source(text: str, path: str | None = None) -> SourceFile:
-    parser = _Parser(text)
-    theory, notations, extends = parser.parse_file()
+    (theory, notations, extends), _ = _Parser(text).parse_file(0)
     return SourceFile(path, text, theory, notations, extends)
 
 
@@ -401,28 +349,26 @@ def parse_theory(text: str) -> Theory:
     return parse_source(text).theory
 
 
-def parse_term(text: str) -> Term:
+def _parse_whole(text: str, parse, kind: str):
+    """What the `_Parser` method `parse` reads from `text`, which it must
+    read to the end."""
     parser = _Parser(text)
-    term = parser.parse_term()
-    if parser.tokens[parser.i]:
-        parser.fail("trailing input after term")
-    return term
+    node, i = parse(parser, 0)
+    if parser.tokens[i]:
+        parser.fail(i, f"trailing input after {kind}")
+    return node
+
+
+def parse_term(text: str) -> Term:
+    return _parse_whole(text, _Parser.parse_term, "term")
 
 
 def parse_sort(text: str) -> Sort:
-    parser = _Parser(text)
-    sort = parser.parse_sort()
-    if parser.tokens[parser.i]:
-        parser.fail("trailing input after sort")
-    return sort
+    return _parse_whole(text, _Parser.parse_sort, "sort")
 
 
 def parse_telescope(text: str) -> Telescope:
-    parser = _Parser(text)
-    tele = parser.parse_telescope()
-    if parser.tokens[parser.i]:
-        parser.fail("trailing input after telescope")
-    return tele
+    return _parse_whole(text, _Parser.parse_telescope, "telescope")
 
 
 # ---------------------------------------------------------------------------

@@ -248,11 +248,6 @@ def subst_compose(phi: Subst, psi: Subst) -> Subst:
     return Subst(tuple((t, subst_apply_term(psi, v)) for t, v in phi.entries))
 
 
-def identity_subst(tele: Telescope) -> Subst:
-    """Each telescope variable mapped to itself, in order."""
-    return Subst(tuple((n, Var(n)) for n in tele.names()))
-
-
 def free_vars(obj: Term | Subst | Telescope) -> set[str]:
     """Variables occurring in variable position, through cut arguments."""
     out: set[str] = set()
@@ -273,11 +268,6 @@ def _collect_free(obj, out: set[str]) -> None:
             _collect_free(s, out)
     else:
         raise TypeError(f"free_vars: unsupported object {obj!r}")
-
-
-def term_size(obj: Term | Subst) -> int:
-    """Node count, used for the rewrite engine's size cap."""
-    return obj.size
 
 
 def subterm_at(obj: Term, path: tuple[int, ...]) -> Term:

@@ -16,7 +16,7 @@ from gat.checker import check_term, infer_term, theory_extends
 from gat.equality import Equal, eq_term
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_term, print_term
-from gat.syntax import Cut, Telescope, term_size
+from gat.syntax import Cut, Telescope
 
 
 @pytest.fixture(scope="module")
@@ -140,4 +140,4 @@ def test_sweep_slice_is_canonical_with_replayable_proofs(mltt):
 
 def test_generated_terms_stay_within_engine_size_bounds(mltt):
     for t in generate_closed_obs_terms(mltt, GenBudget(max_depth=6, seed=0)):
-        assert term_size(t) < 5000
+        assert t.size < 5000

@@ -16,7 +16,6 @@ from gat.surface import (
     NotationDecl,
     ParseError,
     _error,
-    _Parser,
     _tokenize,
     _value,
     parse_sort,
@@ -266,12 +265,9 @@ def test_lexer_matches_the_seed_lexer(text, data):
             == [(t.kind, t.value) for t in ref])
     # a parse failure at a token is located where the seed put it
     for i in data.draw(st.lists(st.integers(0, len(ref) - 1), max_size=3)):
-        parser = _Parser(text)
-        parser.i = i
-        with pytest.raises(ParseError) as exc:
-            parser.fail("stop")
+        got = _error(text, i, "stop")
         want = _ref_error(text, ref[i].offset, "stop")
-        assert (exc.value.line, exc.value.col) == (want.line, want.col)
+        assert (got.line, got.col) == (want.line, want.col)
 
 
 # -- the parser against the one it replaced -----------------------------------
@@ -516,21 +512,36 @@ def _corrupt(text: str, edit: str, k: int) -> str:
     return text[:a] + edit + text[b:]
 
 
+# Token soup: a short run of any tokens, read whole and cut after each
+# token by every entry point, so that a text ends right after each token
+# that makes the parser look one further, which corrupting a bundled file
+# seldom gives.
+_SOUP = st.lists(st.sampled_from(
+    sorted(KEYWORDS) + sorted(_PUNCT)
+    + ["x", "ob", "lr", "rl", "unoriented", '"s"', "-- c", "\n", "@"]),
+    max_size=15)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_SAMPLES,
        st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10 ** 4)),
-                max_size=2))
-def test_parser_matches_the_reference_parser(sample, edits):
+                max_size=2),
+       _SOUP)
+def test_parser_matches_the_reference_parser(sample, edits, soup):
     kind, text = sample
     for edit, k in edits:
         text = _corrupt(text, edit, k)
-    try:
-        want = _ref_parse(kind, text)
-    except ParseError as err:
-        with pytest.raises(ParseError) as exc:
-            _parse(kind, text)
-        got = exc.value
-        assert ((got.message, got.line, got.col, got.expected)
-                == (err.message, err.line, err.col, err.expected))
-        return
-    assert _parse(kind, text) == want
+    cases = [(kind, text)] + [
+        (kind, " ".join(soup[:n])) for n in range(len(soup) + 1)
+        for kind in ("source", "telescope", "sort", "term")]
+    for kind, text in cases:
+        try:
+            want = _ref_parse(kind, text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as exc:
+                _parse(kind, text)
+            got = exc.value
+            assert ((got.message, got.line, got.col, got.expected)
+                    == (err.message, err.line, err.col, err.expected))
+            continue
+        assert _parse(kind, text) == want

@@ -14,16 +14,13 @@ from gat.surface import parse_term
 from gat.syntax import (
     Cut,
     Subst,
-    Telescope,
     Var,
     free_vars,
-    identity_subst,
     replace_at,
     subst_apply_sort,
     subst_apply_term,
     subst_compose,
     subterm_at,
-    term_size,
 )
 
 
@@ -123,15 +120,6 @@ def test_composition_respects_action():
         assert lhs == rhs
 
 
-def test_identity_subst_acts_as_identity():
-    rng = random.Random(8)
-    tele = Telescope(tuple((v, Cut("ob", Subst())) for v in VARS))
-    ident = identity_subst(tele)
-    for _ in range(200):
-        m = random_term(rng, 3)
-        assert subst_apply_term(ident, m) == m
-
-
 def test_compose_is_associative():
     rng = random.Random(9)
     for _ in range(300):
@@ -153,9 +141,9 @@ def test_free_vars_of_substituted_term_bounded():
 
 
 def test_term_size_counts_nodes():
-    assert term_size(Var("x")) == 1
-    assert term_size(cut("k")) == 1
-    assert term_size(cut("f", ("a", Var("x")))) == 2
+    assert Var("x").size == 1
+    assert cut("k").size == 1
+    assert cut("f", ("a", Var("x"))).size == 2
 
 
 def test_terms_have_slots_and_equal_structures_are_one_node():
@@ -226,9 +214,9 @@ TERMS = st.recursive(
 
 @given(TERMS)
 def test_term_size_is_the_node_count(m):
-    assert term_size(m) == m.size == _count_nodes(m)
+    assert m.size == _count_nodes(m)
     if isinstance(m, Cut):
-        assert term_size(m.args) == _count_nodes(m.args)
+        assert m.args.size == _count_nodes(m.args)
 
 
 def test_dead_terms_leave_the_table():
