@@ -80,7 +80,7 @@ class CheckedTheory:
     They hold per-symbol telescopes and result sorts, the axiom lists with
     their item indices, the proof-irrelevant sort symbols, the rewrite
     rules by the head of their source, and per-symbol match plans (see
-    `_plan`).  Its three caches (see `_reset_engine_tables`) are never
+    `_plan`).  Its four caches (see `_reset_engine_tables`) are never
     copied.  Like terms (see `gat.syntax`), a theory is used from one
     thread at a time.
     """
@@ -97,13 +97,16 @@ class CheckedTheory:
         # axiom, in item order; a tuple per head
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
+        # the fourth cache: judgments derived with no conversion, which no
+        # rule can change (see `_judge`)
+        self._kept: dict = {}
         self._reset_engine_tables()
 
     def _reset_engine_tables(self) -> None:
-        # The three caches: the checker's judgments (`_judge`), the
-        # normal-form memo every equality query shares, and the axiom
-        # instances replay has validated.  A hit in each meters the fuel of
-        # what it skips; an `instances` hit skips no sort check.
+        # The three caches: the checker's judgments that converted
+        # (`_judge`), the normal-form memo every equality query shares, and
+        # the axiom instances replay has validated.  A hit in each meters
+        # the fuel of what it skips; an `instances` hit skips no sort check.
         # An axiom's rule may change what a query spends, or its verdict, so
         # an axiom drops them all.  A declaration changes no rule, no
         # proof-irrelevant sort and no plan of a symbol already declared,
@@ -288,25 +291,46 @@ def infer_term(th: CheckedTheory, psi: Telescope, m: Term) -> Sort | CheckError:
                       message=f"not a term expression: {m!r}")
 
 
+# Conversions the checker has run, in every theory, as `meter` totals fuel:
+# counted so that `_judge` can tell a derivation that ran none.  A
+# conversion is an `eq_sort` call, or a `_judged` hit, which stands for the
+# conversions of the derivation it skips.  A zero-fuel `eq_sort` counts too:
+# one proved by a proof-irrelevant argument still depends on the rules.
+_conversions = 0
+_MISSING = object()
+
+
 def _judge(th: CheckedTheory, psi: Telescope, t: Cut, params: Telescope,
            result: Sort | None) -> Sort | CheckError | None:
     """`result` (None for a sort) under `t`'s arguments once they check
     against `params` over `psi`.  Successes only (a later item may mend a
-    failure) are kept with the fuel they metered, which a hit meters again.
-    The key holds `psi.bindings`, not `psi`: a tuple hashes in C, where the
-    frozen dataclass hashes in Python, and equal telescopes have equal
-    bindings."""
+    failure) are kept, in one of two tables.  A derivation that ran no
+    conversion compares sorts only syntactically, so no rule can change it
+    and it metered no fuel: it goes into `th._kept`, which no axiom drops.
+    One that converted goes into `th._judged`, which each axiom drops, with
+    the fuel it metered, which a hit meters again.  A sort judgment keeps
+    None, so `_kept` is read with a sentinel.  The key holds `psi.bindings`,
+    not `psi`: a tuple hashes in C, where the frozen dataclass hashes in
+    Python, and equal telescopes have equal bindings."""
+    global _conversions
     key = (psi.bindings, t)
+    sort = th._kept.get(key, _MISSING)
+    if sort is not _MISSING:
+        return sort
     hit = th._judged.get(key)
     if hit is not None:
+        _conversions += 1
         meter(hit[1])
         return hit[0]
-    start = meter()
+    conversions, start = _conversions, meter()
     err = check_subst(th, psi, t.args, params)
     if err is not None:
         return err
     sort = None if result is None else subst_apply_sort(t.args, result)
-    th._judged[key] = sort, meter() - start
+    if _conversions == conversions:
+        th._kept[key] = sort
+    else:
+        th._judged[key] = sort, meter() - start
     return sort
 
 
@@ -325,11 +349,20 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
         return CheckError(ErrorKind.PRESUPPOSITION_VIOLATION,
                           message=f"expected sort is not well-formed: {sort_err}",
                           found=a)
+    return _convert(th, psi, m, a, cfg)
+
+
+def _convert(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
+             cfg=None) -> CheckError | None:
+    """`check_term` once `a` is known to be a well-formed sort over `psi`:
+    infer `m`'s sort, then convert it to `a`."""
+    global _conversions
     inferred = infer_term(th, psi, m)
     if isinstance(inferred, CheckError):
         return inferred
     if inferred == a:
         return None
+    _conversions += 1
     verdict = eq_sort(th, psi, inferred, a, cfg)
     if isinstance(verdict, Equal):
         return None
@@ -344,9 +377,15 @@ def check_term(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
 
 def check_subst(th: CheckedTheory, phi: Telescope, psi: Subst,
                 target: Telescope) -> CheckError | None:
-    """`psi` maps `phi` into `target`, a checked telescope: entry i checks
-    against target sort i instantiated by the preceding entries; target
-    names must match."""
+    """`psi` maps `phi` into `target`: entry i checks against target sort
+    i instantiated by the preceding entries; target names must match.
+
+    `target` must be a checked telescope (one `check_telescope` accepts,
+    as every declared symbol's is), for the instantiated target sorts are
+    not checked again.  They need not be: target sort i is well formed over
+    target's first i bindings, and entries 0..i-1 check, so they map `phi`
+    into those bindings, and a well-formed sort instantiated by such a
+    substitution is well formed over `phi` (Cartmell's presupposition)."""
     if len(psi) != len(target):
         return CheckError(ErrorKind.ARITY_MISMATCH,
                           message=f"expected {len(target)} entries, "
@@ -362,7 +401,7 @@ def check_subst(th: CheckedTheory, phi: Telescope, psi: Subst,
         # Target sort i mentions only the distinct names bound before it,
         # and psi binds them first, in entries 0..i-1: so `psi` itself
         # instantiates the sort as those entries do.
-        err = check_term(th, phi, value, subst_apply_sort(psi, vsort))
+        err = _convert(th, phi, value, subst_apply_sort(psi, vsort))
         if err is not None:
             return err.at(i)
     return None

@@ -175,7 +175,8 @@ class _Parser:
 
     def fail_expected(self, i: int, what: str):
         """Token `i` is not `what`: a punctuation mark, or a name's role."""
-        found = _value(self.tokens[i]) or "end of file"
+        tok = self.tokens[i]
+        found = _value(tok) if tok else "end of file"
         shown = repr(what) if what in _PUNCT else what
         self.fail(i, f"expected {shown}, found {found!r}", (what,))
 

@@ -336,15 +336,15 @@ def test_rules_and_plans_match_the_rebuilt_index(name):
     _assert_tables_match_reference(load(name))
 
 
-CACHES = {"_judged", "nf_memo", "instances"}
+CACHES = {"_judged", "_kept", "nf_memo", "instances"}
 
 
 @pytest.mark.parametrize("name", library_names())
 def test_a_copy_has_the_tables_of_its_theory_and_empty_caches(name):
     th = load(name)
-    # adding the last axiom dropped the checker's cache; a check refills it
-    assert check_telescope(th, th.theory.items[-1].params) is None
-    assert th._judged
+    # adding the last axiom dropped `_judged`, not the judgments the build
+    # derived with no conversion
+    assert th._kept
     fields, copied = vars(th), vars(th.copy())
     assert fields.keys() == copied.keys() and CACHES < fields.keys()
     assert ({k: v for k, v in copied.items() if k not in CACHES}
@@ -387,13 +387,13 @@ def test_the_judgment_cache_changes_no_result_and_no_fuel(monkeypatch):
 
     def reset_forgetful(th):
         reset(th)
-        th._judged = _Forgetful()
+        th._judged, th._kept = _Forgetful(), _Forgetful()
 
     monkeypatch.setattr(CheckedTheory, "_reset_engine_tables",
                         reset_forgetful)
     assert _judgments_and_fuel() == cached
     results, fuel = cached
-    assert fuel == [0, 0, 5, 71, 2042]
+    assert fuel == [0, 0, 5, 65, 2042]
     assert all(err is None for _, _, err in results)
 
 
@@ -421,6 +421,57 @@ def test_a_judgment_made_before_an_axiom_is_not_reused_after_it():
     with record_fuel() as cold:
         assert check_term(th.copy(), Telescope(), m, n) == err
     assert warm[0] == cold[0] == EqEngineConfig().fuel
+
+
+# f{c{}/t} checks by converting T{p{}/x} to T{q{}/x}, which P's irrelevance
+# proves with no rewrite, and so with no fuel.
+ZERO_FUEL_CONVERSION = """
+SORT P()
+OP p() : P{}
+OP q() : P{}
+TERMAX "P irrelevance" (a: P{}, b: P{}) a = b : P{}
+SORT T(x: P{})
+OP c() : T{p{}/x}
+OP f(t: T{q{}/x}) : P{}
+"""
+
+
+def test_a_conversion_that_meters_no_fuel_is_derived_again_after_an_axiom(
+        monkeypatch):
+    th = check_theory(parse_theory(ZERO_FUEL_CONVERSION))
+    calls = []
+    real = checker.eq_sort
+    monkeypatch.setattr(checker, "eq_sort",
+                        lambda *args: calls.append(args) or real(*args))
+    m, p = parse_term("f{c{}/t}"), parse_sort("P{}")
+    with record_fuel() as fuel:
+        assert infer_term(th, Telescope(), m) == p
+    assert (len(calls), fuel[0]) == (1, 0)
+    assert infer_term(th, Telescope(), m) == p
+    assert len(calls) == 1
+    axiom = parse_theory('TERMAX "p to q" () p{} = q{} : P{}')
+    assert checker._extend_checked(th, axiom.items) is None
+    assert infer_term(th, Telescope(), m) == p
+    assert len(calls) == 2
+
+
+def test_each_target_sort_check_subst_trusts_is_well_formed(monkeypatch):
+    """Cartmell's presupposition, run: a target sort instantiated by entries
+    that check is well formed, so `check_subst` need not check it."""
+    # `check_subst` gives `_convert` the sorts it trusts; `check_term` gives
+    # it only sorts it has checked
+    given = set()
+    real = checker._convert
+
+    def convert(th, psi, m, a, cfg=None):
+        given.add((th, psi, a))
+        return real(th, psi, m, a, cfg)
+
+    monkeypatch.setattr(checker, "_convert", convert)
+    _judgments_and_fuel()
+    monkeypatch.undo()
+    assert len(given) > 100
+    assert all(check_sort(th, psi, a) is None for th, psi, a in given)
 
 
 def test_each_axiom_is_oriented_once_while_a_theory_is_built(mltt, monkeypatch):

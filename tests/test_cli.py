@@ -214,7 +214,7 @@ def test_norm_that_gives_up_exits_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name, fuel", [
-    ("monoid", 0), ("cat", 0), ("cwf", 5), ("mltt", 71)])
+    ("monoid", 0), ("cat", 0), ("cwf", 5), ("mltt", 65)])
 def test_check_json_reports_fuel_used(capsys, name, fuel):
     code, out, _ = run(capsys, "check", str(library_path(name)), "--json")
     assert code == 0

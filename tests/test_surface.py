@@ -91,6 +91,17 @@ def test_error_line_and_column(text, message, line, col, expected):
     assert str(exc.value) == f"{line}:{col}: {message}"
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, '""', "1:1: expected term, found ''"),
+    (parse_source, 'SORT ""', "1:6: expected sort symbol, found ''"),
+], ids=["term", "sort-symbol"])
+def test_an_empty_string_literal_is_not_shown_as_end_of_file(
+        parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ParseError):
         parse_theory('TERMAX "a" [sideways] (x: ob{}) x = x : ob{}')
@@ -299,7 +310,8 @@ class _RefParser:
         raise _error(self.text, self.i, message, expected)
 
     def found(self) -> str:
-        return _value(self.peek()) or "end of file"
+        tok = self.peek()
+        return _value(tok) if tok else "end of file"
 
     def expect_punct(self, ch: str) -> str:
         if self.peek() != ch:
