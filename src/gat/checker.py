@@ -30,7 +30,6 @@ from .syntax import (
     TermAxiom,
     Theory,
     Var,
-    free_vars,
     is_valid_name,
     subst_apply_sort,
 )
@@ -148,7 +147,7 @@ class CheckedTheory:
         bindings = params.bindings
         irr = tuple(s.head in self.irrelevant_heads for _, s in bindings)
         loose = tuple(
-            irr[i] or any(name in free_vars(s) for _, s in bindings[i + 1:])
+            irr[i] or any(name in s.fv for _, s in bindings[i + 1:])
             for i, (name, _) in enumerate(bindings))
         order = tuple(sorted(range(len(loose)), key=loose.__getitem__))
         return order, loose, irr

@@ -96,7 +96,6 @@ from .syntax import (
     Telescope,
     Term,
     Var,
-    free_vars,
     replace_at,
     subst_apply_sort,
     subst_apply_term,
@@ -385,9 +384,7 @@ class _Engine:
             return None
         # discharging matches other rules, which resets the flag
         inexact = self._inexact
-        needed = set(free_vars(dst))
-        for _, pattern, _ in pending:
-            needed |= free_vars(pattern)
+        needed = dst.fv.union(*(pattern.fv for _, pattern, _ in pending))
         if not self._complete(sigma, needed, ax.params):
             return None
         sub = Subst(tuple(sigma.items()))
@@ -568,7 +565,7 @@ class _Engine:
             if not self.match(seed, u, sigma, []):
                 continue
             self.soft_match(other, w, sigma)
-            needed = free_vars(left) | free_vars(right)
+            needed = left.fv | right.fv
             if not self._complete(sigma, needed, ax.params):
                 continue
             sub = Subst(tuple(sigma.items()))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (LR, RL, Cut, SortAxiom, Subst, TermAxiom, Var, free_vars,
+from .syntax import (LR, RL, Cut, SortAxiom, Subst, TermAxiom, Var,
                      subst_apply_term)
 
 TERM_AXIOM = "term-axiom"
@@ -41,18 +41,22 @@ def sides(ax, direction: str):
 
 
 def equal_mod_irr(th, x, y) -> bool:
-    """Whether x and y differ at most in arguments of proof-irrelevant sort."""
-    if x is y:
-        return True
-    if not (isinstance(x, Cut) and isinstance(y, Cut) and x.head == y.head
-            and len(x.args.entries) == len(y.args.entries)):
-        return False
-    plan = th.plans.get(x.head)
-    irr = () if plan is None else plan[2]
-    return all(
-        xt == yt and (i < len(irr) and irr[i] or equal_mod_irr(th, xv, yv))
-        for i, ((xt, xv), (yt, yv)) in enumerate(zip(x.args.entries,
-                                                      y.args.entries)))
+    """Whether x and y differ at most in arguments of proof-irrelevant sort.
+    The pairs left to compare are kept on a stack, not the Python stack."""
+    pairs = [(x, y)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        if not (isinstance(x, Cut) and isinstance(y, Cut) and x.head == y.head
+                and x.args.targets() == y.args.targets()):
+            return False
+        plan = th.plans.get(x.head)
+        irr = () if plan is None else plan[2]
+        for i, pair in enumerate(zip(x.args.values(), y.args.values())):
+            if not (i < len(irr) and irr[i]):
+                pairs.append(pair)
+    return True
 
 
 def replay(th, start, trace, check=None):
@@ -158,8 +162,8 @@ def _instance(th, s, check):
     if hit is None:
         ax = items[i]
         src, dst = sides(ax, s.direction)
-        names, bound = set(sigma.targets()), free_vars(src)
-        if (len(names) < len(sigma.entries) or not bound | free_vars(dst)
+        names, bound = set(sigma.targets()), src.fv
+        if (len(names) < len(sigma.entries) or not bound | dst.fv
                 <= names <= set(ax.params.names())):
             raise _Reject("sigma is no instantiation of the axiom's variables")
         checks = []
@@ -168,7 +172,7 @@ def _instance(th, s, check):
             if v in bound or (value is Var("?" + v)
                               and sort.head in th.irrelevant_heads):
                 continue
-            if not free_vars(sort) <= names:
+            if not sort.fv <= names:
                 raise _Reject(f"no sort check for sigma's value for {v!r}")
             checks.append((v, value, subst_apply_term(sigma, sort)))
         hit = th.instances[key] = (subst_apply_term(sigma, src),

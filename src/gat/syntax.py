@@ -13,9 +13,11 @@ binding structure.
 node of that structure when there is one, so equal structures are one
 object, and `==` and `hash` are object identity.  The table of live nodes
 holds them weakly and forgets a node when it dies.  Each node carries its
-node count in `size`.  Nodes are immutable, and copying or unpickling one
-returns the interned node.  Terms are built from one thread at a time, as
-interning is not atomic; so is a `CheckedTheory` used (see `gat.checker`).
+node count in `size` and the frozenset of its free variables in `fv`, both
+set when it is interned; closed nodes share one empty `fv`.  Nodes are
+immutable, and copying or unpickling one returns the interned node.  Terms
+are built from one thread at a time, as interning is not atomic; so is a
+`CheckedTheory` used (see `gat.checker`).
 """
 
 from __future__ import annotations
@@ -83,8 +85,12 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
+# The `fv` of every closed node.
+_CLOSED: frozenset = frozenset()
+
+
 class Var(_Node):
-    __slots__ = ("name", "size")
+    __slots__ = ("name", "size", "fv")
     __match_args__ = ("name",)
 
     def __new__(cls, name: str):
@@ -94,13 +100,14 @@ class Var(_Node):
             node = _new(cls, name)
             _init(node, "name", name)
             _init(node, "size", 1)
+            _init(node, "fv", frozenset((name,)))
         return node
 
 
 class Cut(_Node):
     """A declared symbol applied to a substitution for its telescope."""
 
-    __slots__ = ("head", "args", "size")
+    __slots__ = ("head", "args", "size", "fv")
     __match_args__ = ("head", "args")
 
     def __new__(cls, head: str, args: Subst):
@@ -112,6 +119,7 @@ class Cut(_Node):
             _init(node, "head", head)
             _init(node, "args", args)
             _init(node, "size", 1 + args.size)
+            _init(node, "fv", args.fv)
         return node
 
 
@@ -124,7 +132,7 @@ Sort = Cut
 class Subst(_Node):
     """Ordered assignment of terms to target variables; targets distinct."""
 
-    __slots__ = ("entries", "size")
+    __slots__ = ("entries", "size", "fv")
     __match_args__ = ("entries",)
 
     def __new__(cls, entries: tuple[tuple[str, Term], ...] = ()):
@@ -134,6 +142,12 @@ class Subst(_Node):
             node = _new(cls, entries)
             _init(node, "entries", entries)
             _init(node, "size", sum(v.size for _, v in entries))
+            fv = _CLOSED
+            for _, v in entries:
+                # keep an entry's set when it covers the others so far
+                if not v.fv <= fv:
+                    fv = v.fv if fv <= v.fv else fv | v.fv
+            _init(node, "fv", fv)
         return node
 
     def targets(self) -> tuple[str, ...]:
@@ -231,43 +245,26 @@ def subst_apply_term(psi: Subst, m: Term) -> Term:
 
     Variables absent from psi's targets pass through unchanged; a matched
     variable is replaced by its assigned term; cuts compose their argument
-    substitution with psi.
+    substitution with psi.  A closed term is returned as it is.
     """
+    if not m.fv:
+        return m
     if isinstance(m, Var):
         v = psi.lookup(m.name)
         return m if v is None else v
     return Cut(m.head, subst_compose(m.args, psi))
 
 
-def subst_apply_sort(psi: Subst, a: Sort) -> Sort:
-    return Cut(a.head, subst_compose(a.args, psi))
+# A sort is a cut, and is rewritten as one.
+subst_apply_sort = subst_apply_term
 
 
 def subst_compose(phi: Subst, psi: Subst) -> Subst:
-    """Entry-wise rewrite of phi's values by psi; targets unchanged."""
+    """Entry-wise rewrite of phi's values by psi; targets unchanged.  A
+    closed phi is returned as it is."""
+    if not phi.fv:
+        return phi
     return Subst(tuple((t, subst_apply_term(psi, v)) for t, v in phi.entries))
-
-
-def free_vars(obj: Term | Subst | Telescope) -> set[str]:
-    """Variables occurring in variable position, through cut arguments."""
-    out: set[str] = set()
-    _collect_free(obj, out)
-    return out
-
-
-def _collect_free(obj, out: set[str]) -> None:
-    if isinstance(obj, Var):
-        out.add(obj.name)
-    elif isinstance(obj, Cut):
-        _collect_free(obj.args, out)
-    elif isinstance(obj, Subst):
-        for _, v in obj.entries:
-            _collect_free(v, out)
-    elif isinstance(obj, Telescope):
-        for _, s in obj.bindings:
-            _collect_free(s, out)
-    else:
-        raise TypeError(f"free_vars: unsupported object {obj!r}")
 
 
 def subterm_at(obj: Term, path: tuple[int, ...]) -> Term:

@@ -44,7 +44,6 @@ from gat.syntax import (
     TermAxiom,
     Theory,
     Var,
-    free_vars,
 )
 
 
@@ -315,7 +314,7 @@ def _reference_tables(th):
         for i, n in enumerate(params.names()):
             later = set()
             for _, s in params.bindings[i + 1:]:
-                later |= free_vars(s)
+                later |= s.fv
             flex.append(n in later)
         irr = tuple(s.head in th.irrelevant_heads for _, s in params.bindings)
         loose = tuple(f or i for f, i in zip(flex, irr))

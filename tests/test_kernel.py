@@ -41,7 +41,6 @@ from gat.syntax import (
     Subst,
     Telescope,
     Var,
-    free_vars,
     replace_at,
     subst_apply_sort,
     subst_apply_term,
@@ -308,6 +307,33 @@ def test_irrelevance_steps_are_checked(mltt):
                                                  u, u),), tele))
 
 
+DEEP = """
+SORT N()
+OP z() : N{}
+OP s(n: N{}) : N{}
+SORT P()
+OP p() : P{}
+OP q() : P{}
+TERMAX "P irrelevant" (x: P{}, y: P{}) x = y : P{}
+OP w(e: P{}) : N{}
+"""
+
+
+def test_deep_terms_compare_modulo_irrelevance_without_recursion():
+    # 5000 nested s{} at the default recursion limit, differing only in
+    # the innermost argument, which is proof-irrelevant or not
+    th = check_theory(parse_source(DEEP).theory)
+    x, y, z = (parse_term(t) for t in ("w{p{}/e}", "w{q{}/e}", "z{}"))
+    for _ in range(5000):
+        x, y, z = (Cut("s", Subst((("n", t),))) for t in (x, y, z))
+    assert kernel.equal_mod_irr(th, x, y)
+    assert not kernel.equal_mod_irr(th, x, z)
+    traces = [EqTrace(x, end, (EqStep(IRRELEVANCE, None, None, (), x, end),),
+                      EMPTY) for end in (y, z)]
+    assert replay_trace(th, x, traces[0]) is y
+    assert _rejected(th, traces[1])
+
+
 # -- the instance cache ------------------------------------------------------
 
 
@@ -451,14 +477,14 @@ def _genuine(th, s, tele) -> bool:
     src, dst = (ax.lhs, ax.rhs) if s.direction == LR else (ax.rhs, ax.lhs)
     names = s.sigma.targets()
     if (len(set(names)) != len(names) or not set(names) <= set(ax.params.names())
-            or not free_vars(src) | free_vars(dst) <= set(names)):
+            or not src.fv | dst.fv <= set(names)):
         return False
     for v, value in s.sigma.entries:
         sort = ax.params.lookup(v)
-        if v in free_vars(src) or (value == Var("?" + v)
-                                   and sort.head in th.irrelevant_heads):
+        if v in src.fv or (value == Var("?" + v)
+                           and sort.head in th.irrelevant_heads):
             continue
-        if (tele is None or not free_vars(sort) <= set(names)
+        if (tele is None or not sort.fv <= set(names)
                 or not th.accepts(tele, value, subst_apply_sort(s.sigma, sort))):
             return False
     return (_reference(th, s.before, s.pre, tele) == subst_apply_term(s.sigma, src)

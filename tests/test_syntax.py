@@ -15,7 +15,6 @@ from gat.syntax import (
     Cut,
     Subst,
     Var,
-    free_vars,
     replace_at,
     subst_apply_sort,
     subst_apply_term,
@@ -81,14 +80,30 @@ class TestCompose:
 
 class TestFreeVars:
     def test_variable(self):
-        assert free_vars(Var("x")) == {"x"}
+        assert Var("x").fv == {"x"}
 
     def test_nullary_cut(self):
-        assert free_vars(cut("th")) == set()
+        assert cut("th").fv == set()
 
     def test_nested(self):
         m = cut("th", ("a", Var("x")), ("c", cut("th2", ("b", Var("y")))))
-        assert free_vars(m) == {"x", "y"}
+        assert m.fv == {"x", "y"}
+
+    def test_sets_are_shared(self):
+        # a cut has its substitution's set, a substitution the set of an
+        # entry that covers the others, and closed nodes one empty set
+        inner = cut("th2", ("b", Var("x")), ("d", Var("y")))
+        m = cut("th", ("a", Var("x")), ("c", inner))
+        assert m.fv is m.args.fv is inner.fv is inner.args.fv
+        assert cut("th").fv is Subst().fv is cut("th", ("a", cut("k"))).fv
+
+    def test_a_deep_term_needs_no_recursion(self):
+        # 5000 nested cuts, at the default recursion limit
+        m, closed = Var("x"), cut("lz")
+        for _ in range(5000):
+            m, closed = cut("ls", ("u", m)), cut("ls", ("u", closed))
+        assert m.fv == {"x"}
+        assert subst_apply_term(Subst((("x", RED),)), closed) is closed
 
 
 # -- random raw syntax for the algebraic laws ------------------------------
@@ -135,8 +150,8 @@ def test_free_vars_of_substituted_term_bounded():
     for _ in range(300):
         m = random_term(rng, 3)
         psi = random_subst(rng, 2, targets=("x", "y"))
-        got = free_vars(subst_apply_term(psi, m))
-        bound = (free_vars(m) - {"x", "y"}) | free_vars(psi)
+        got = subst_apply_term(psi, m).fv
+        bound = (m.fv - {"x", "y"}) | psi.fv
         assert got <= bound
 
 
@@ -188,7 +203,7 @@ def test_an_index_outside_the_arguments_has_no_subterm(path):
 def test_terms_are_immutable():
     m = cut("f", ("a", Var("x")))
     for obj, name in ((m, "head"), (m.args, "entries"), (Var("x"), "name"),
-                      (m, "size")):
+                      (m, "size"), (m.args, "fv")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):
@@ -217,6 +232,63 @@ def test_term_size_is_the_node_count(m):
     assert m.size == _count_nodes(m)
     if isinstance(m, Cut):
         assert m.args.size == _count_nodes(m.args)
+
+
+def _collect_free(obj, memo):
+    """The reference for `fv`: the variables met by walking the term, with
+    each shared node walked once."""
+    if obj not in memo:
+        if isinstance(obj, Var):
+            memo[obj] = {obj.name}
+        elif isinstance(obj, Cut):
+            memo[obj] = _collect_free(obj.args, memo)
+        else:
+            memo[obj] = set().union(*(_collect_free(v, memo)
+                                      for _, v in obj.entries))
+    return memo[obj]
+
+
+def _subterms(m):
+    """Each distinct subterm of `m`, itself included."""
+    seen, todo = set(), [m]
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen.add(n)
+            if isinstance(n, Cut):
+                todo += n.args.values()
+    return seen
+
+
+@st.composite
+def shared_terms(draw):
+    """A term built bottom up from a pool of earlier terms, so that its
+    subterms recur."""
+    pool = [*map(Var, VARS), cut("k")]
+    for _ in range(draw(st.integers(1, 12))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
+        head = draw(st.sampled_from("fgk"))
+        values = [pool[i] for i in picks]
+        pool.append(Cut(head, Subst(tuple(zip("abc", values)))))
+    return pool[-1]
+
+
+@given(shared_terms())
+def test_free_variables_are_the_walked_ones(m):
+    memo: dict = {}
+    for n in _subterms(m):
+        assert n.fv == _collect_free(n, memo)
+
+
+@given(shared_terms(), st.lists(TERMS, min_size=3, max_size=3))
+def test_substitution_returns_a_closed_term_as_it_is(m, values):
+    # interning alone would give back the same node; that the closed term
+    # is not walked shows in test_a_deep_term_needs_no_recursion
+    psi = Subst(tuple(zip(VARS, values)))
+    for n in _subterms(m):
+        if not n.fv:
+            assert subst_apply_term(psi, n) is n
+            assert subst_compose(n.args, psi) is n.args
 
 
 def test_dead_terms_leave_the_table():
