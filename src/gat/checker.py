@@ -78,10 +78,10 @@ class CheckedTheory:
     `__init__` starts them empty and `_add_item` extends them per item.
     They hold per-symbol telescopes and result sorts, the axiom lists with
     their item indices, the proof-irrelevant sort symbols, the rewrite
-    rules by the head of their source, and per-symbol match plans (see
-    `_plan`).  Its four caches (see `_reset_engine_tables`) are never
-    copied.  Like terms (see `gat.syntax`), a theory is used from one
-    thread at a time.
+    rules that can fire by the head of their source (see `_add_rule`), and
+    per-symbol match plans (see `_plan`).  Its four caches (see
+    `_reset_engine_tables`) are never copied.  Like terms (see
+    `gat.syntax`), a theory is used from one thread at a time.
     """
 
     def __init__(self) -> None:
@@ -93,7 +93,9 @@ class CheckedTheory:
         self.axiom_labels: dict[str, int] = {}
         self.irrelevant_heads: frozenset[str] = frozenset()
         # (kind, item index, source, target, direction, axiom) per oriented
-        # axiom, in item order; a tuple per head
+        # axiom, in item order
+        self._oriented: list[tuple] = []
+        # those of them that can fire (see `_add_rule`), a tuple per head
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
         # the fourth cache: judgments derived with no conversion, which no
@@ -158,9 +160,20 @@ class CheckedTheory:
             self.axiom_labels[ax.label] = index
         rule = oriented(ax)
         if rule is not None:
-            src, dst = rule
-            self.rules[src.head] = self.rules.get(src.head, ()) + (
-                (kind, index, src, dst, ax.orientation, ax),)
+            rule = (kind, index, *rule, ax.orientation, ax)
+            self._oriented.append(rule)
+            self._add_rule(rule)
+
+    def _add_rule(self, rule: tuple) -> None:
+        """Append `rule` to the rules of its source's head, unless no match
+        can complete its instantiation: a target variable the source lacks
+        is bound by no match, and `_complete` fills it only at a
+        proof-irrelevant sort.  A sort axiom left out still serves the
+        bridge."""
+        _, _, src, dst, _, ax = rule
+        if all(ax.params.lookup(v).head in self.irrelevant_heads
+               for v in dst.fv - src.fv):
+            self.rules[src.head] = self.rules.get(src.head, ()) + (rule,)
 
     def _add_item(self, item) -> None:
         index = len(self.theory.items)
@@ -188,6 +201,10 @@ class CheckedTheory:
                 self.plans = {name: self._plan(params) for name, params in (
                     *self.sort_decls.items(),
                     *((n, p) for n, (p, _) in self.op_decls.items()))}
+                # a rule left out for a variable of this sort may now fire
+                self.rules = {}
+                for rule in self._oriented:
+                    self._add_rule(rule)
 
 
 def check_theory(raw: Theory) -> CheckedTheory | CheckError:

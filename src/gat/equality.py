@@ -31,19 +31,20 @@ always match strictly, which is what keeps distinct axioms apart.
 Every query (`eq_sort`, `eq_term`, `normalize_term`) runs its own engine
 with its own fuel and its own table of the terms it has normalized.  All of
 them read the rewrite rules and match plans the `CheckedTheory` extends as
-items are added: each axiom appends its rule (see `oriented`), each
-declaration adds its symbol's plan.  They also share one normal-form memo
-held by the theory.  Adding an axiom drops only that memo and replay's
-instance cache; a sort or operation declaration, which changes no rule,
-keeps them.  A memo entry records how its term normalized: the entries of
-its arguments, the terms its deferred positions made it normalize, and its
-root rewrite.  Computed or taken from the memo, a term the query has not
-normalized yet is charged in one order: its arguments; then, one nesting
-level deeper, each deferred position's instance and subject; then its root
-rewrite, through the one helper `_charge`, which spends 1 fuel, checks the
-size of the result and then normalizes the result.  A term already in the
-query's own table costs nothing.  So a verdict, its trace and the fuel it
-used never depend on what the memo holds.
+items are added: each axiom appends its rule (see `oriented`) unless no
+match can complete it, each declaration adds its symbol's plan.  They also
+share one normal-form memo held by the theory.  Adding an axiom drops only
+that memo and replay's instance cache; a sort or operation declaration,
+which changes no rule, keeps them.  A memo entry records how its term
+normalized: the entries of its arguments, the terms its deferred positions
+made it normalize, and its root rewrite.  Computed or taken from the memo,
+a term the query has not normalized yet is charged in one order: its
+arguments; then, one nesting level deeper, each deferred position's
+instance and subject; then its root rewrite, through the one helper
+`_charge`, which spends 1 fuel, checks the size of the result and then
+normalizes the result.  A term already in the query's own table costs
+nothing.  So a verdict, its trace and the fuel it used never depend on what
+the memo holds.
 
 Traces.  An `EqTrace` lists `EqStep`s, each rewriting the subterm at `path`
 from `before` to `after`; between substitutions, a path's first index picks
@@ -62,7 +63,10 @@ step relates two terms of the proof-irrelevant sort in `note`.  Sub-traces
 stay nested in their step, so a trace's top-level steps are exactly the
 rewrites, irrelevance and bridge steps between its ends.  Inverting a trace
 reverses it, flips each direction and swaps and inverts each step's `pre`
-and `post`.
+and `post`.  The trace a query returns builds its top-level steps on first
+read, from the memo entries of both sides, once; `pre` and `post` are built
+with the entry that holds them.  So a trace no one reads costs nothing, and
+a trace read late is the one an eager engine would have returned.
 
 `replay_trace` checks a trace with `gat.kernel`, which imports nothing from
 this engine; its sort-check callback is `CheckedTheory.accepts` over the
@@ -74,7 +78,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .kernel import (
@@ -133,11 +137,29 @@ class EqStep:
     post: tuple["EqStep", ...] = ()
 
 
+class _Steps:
+    """`EqTrace.steps`, whose default is ().  The engine passes a trace an
+    `_Unemitted` for its steps, and they are emitted on first read, once:
+    every reader, `==`, `hash`, `repr` and `dataclasses.replace` included,
+    sees the tuple an eager trace holds."""
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return ()
+        steps = trace.__dict__["steps"]
+        if type(steps) is _Unemitted:
+            steps = trace.__dict__["steps"] = steps.emit()
+        return steps
+
+    def __set__(self, trace, steps) -> None:
+        trace.__dict__["steps"] = steps
+
+
 @dataclass(frozen=True)
 class EqTrace:
     start: object
     end: object
-    steps: tuple[EqStep, ...] = ()
+    steps: tuple[EqStep, ...] = _Steps()
     tele: Telescope | None = None
 
 
@@ -250,8 +272,7 @@ class _Entry:
     term's arguments, `pending` and `step.after` are what `_entry` charges
     a query that takes the entry from the memo.  Every entry is a full
     normalization: a query that hits a bound ends without one.  Steps are
-    kept unflattened: `_emit` prefixes paths only when a query asks for
-    them."""
+    kept unflattened: `_emit` prefixes paths only when a trace is read."""
 
     nf: Term
     kids: tuple[tuple[int, "_Entry"], ...]
@@ -261,17 +282,49 @@ class _Entry:
 
 
 def _emit(e: _Entry | None, path: tuple[int, ...], out: list) -> None:
-    """Append the steps of `e`, with `path` prefixed, to `out`."""
-    while e is not None:
-        for i, kid in e.kids:
-            _emit(kid, path + (i,), out)
-        s = e.step
-        if s is None:
-            return
-        out.append(EqStep(s.kind, s.axiom, s.direction, path, s.before,
-                          s.after, s.note, s.sigma, s.pre, s.post)
-                   if path else s)
-        e = e.rest
+    """Append the steps of `e`, with `path` prefixed, to `out`: those of its
+    kids at their indices, then its rewrite, then those of `rest`.  The walk
+    keeps its own stack of entries, and of rewrites waiting for the kids
+    before them, so an entry of any depth emits."""
+    todo = [] if e is None else [(e, path)]
+    while todo:
+        e, path = todo.pop()
+        if type(e) is EqStep:
+            out.append(_moved(e, path) if path else e)
+            continue
+        if e.step is not None:
+            if e.rest is not None:
+                todo.append((e.rest, path))
+            todo.append((e.step, path))
+        if e.kids:
+            todo += [(kid, path + (i,)) for i, kid in reversed(e.kids)]
+
+
+def _moved(s: EqStep, path: tuple[int, ...]) -> EqStep:
+    """`s` at `path`, its fields copied without the frozen `__init__`,
+    which costs a call per field."""
+    out = object.__new__(EqStep)
+    out.__dict__.update(s.__dict__, path=path)
+    return out
+
+
+@dataclass(eq=False, slots=True)
+class _Unemitted:
+    """The steps of a top-level trace before anyone reads them: those of
+    entry `x`, then `mid`, then those of entry `y` inverted.  Entries never
+    change once made, and emitting spends no fuel, so emitting late gives
+    what emitting at once would."""
+
+    x: _Entry | None
+    mid: tuple[EqStep, ...] = ()
+    y: _Entry | None = None
+
+    def emit(self) -> tuple[EqStep, ...]:
+        steps: list[EqStep] = []
+        back: list[EqStep] = []
+        _emit(self.x, (), steps)
+        _emit(self.y, (), back)
+        return tuple(steps) + self.mid + _invert(back)
 
 
 class _Engine:
@@ -442,12 +495,17 @@ class _Engine:
 
     def normalize(self, t: Term, path: tuple[int, ...] = ()):
         """The normal form of `t` and the steps there, at `path`."""
-        if isinstance(t, Var):
-            return t, []
-        e = self._entry(t)
+        nf, e = self.normal_entry(t)
         steps: list[EqStep] = []
         _emit(e, path, steps)
-        return e.nf, steps
+        return nf, steps
+
+    def normal_entry(self, t: Term):
+        """The normal form of `t` and its entry, None for a variable."""
+        if isinstance(t, Var):
+            return t, None
+        e = self._entry(t)
+        return e.nf, e
 
     def _entry(self, t: Cut) -> _Entry:
         """The normalization of `t`: from this query's table, else from the
@@ -523,16 +581,16 @@ class _Engine:
         when the normal forms differ, try one bridge step between them.  An
         `Equal` trace runs x -> nf(x) -> nf(y) -> y; otherwise `NotProven`
         with `reason`."""
-        nx, steps_x = self.normalize(x)
-        ny, steps_y = self.normalize(y)
+        nx, ex = self.normal_entry(x)
+        ny, ey = self.normal_entry(y)
         mid = self._meet(nx, ny, ())
         if mid is None:
             bridge = self._bridge(nx, ny)
             if bridge is None:
                 return NotProven(False, reason, nx, ny)
             mid = [bridge]
-        steps = tuple(steps_x + mid) + _invert(steps_y)
-        return _equal(self.th, EqTrace(x, y, steps, tele))
+        return _equal(self.th,
+                      EqTrace(x, y, _Unemitted(ex, tuple(mid), ey), tele))
 
     def _bridge(self, x, y) -> EqStep | None:
         """Exhibit sorts x and y as the two sides of one sort axiom under a
@@ -633,7 +691,7 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
         verdict = eq_term(th, phi, v0, v1, subst_apply_sort(p0, sort))
         if not isinstance(verdict, Equal):
             return verdict
-        steps += (replace(s, path=(i,) + s.path) for s in verdict.trace.steps)
+        steps += (_moved(s, (i,) + s.path) for s in verdict.trace.steps)
     return _equal(th, EqTrace(p0, p1, tuple(steps), phi))
 
 
@@ -642,8 +700,8 @@ def normalize_term(th: CheckedTheory, m: Term):
     `NotProven` when a bound ends the rewriting first.  Its fuel goes to
     `record_fuel`, as every bounded query's does."""
     def body(engine: _Engine):
-        nf, steps = engine.normalize(m)
-        return nf, EqTrace(m, nf, tuple(steps))
+        nf, e = engine.normal_entry(m)
+        return nf, EqTrace(m, nf, _Unemitted(e))
     return _bounded(th, None, body)
 
 

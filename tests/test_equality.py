@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import replay_ok
+from gat import equality
 from gat.equality import (
     DEFAULT_CFG,
     SORT_AXIOM,
@@ -25,7 +26,12 @@ from gat.equality import (
     record_verdicts,
     replay_trace,
 )
-from gat.canonicity import GenBudget, generate_closed_obs_terms
+from gat.equality import _emit, _Entry, _invert, _Unemitted
+from gat.canonicity import (
+    GenBudget,
+    evaluate_closed,
+    generate_closed_obs_terms,
+)
 from gat.checker import (
     CheckError,
     ErrorKind,
@@ -35,10 +41,13 @@ from gat.checker import (
     infer_term,
     theory_extends,
 )
-from gat.kernel import IRRELEVANCE, IRRELEVANT_SORT
+from gat.checker import _extend_checked
+from gat.kernel import IRRELEVANCE, IRRELEVANT_SORT, TERM_AXIOM
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
 from gat.syntax import (
+    LR,
+    RL,
     Cut,
     OpDecl,
     SortDecl,
@@ -137,6 +146,26 @@ def test_lifted_pi_elements_join_through_the_bridge(mltt):
         assert [s.axiom for s in sort_steps] == [
             mltt.axiom_labels["element lifting"]]
         assert replay_ok(mltt, verdict.trace)
+
+
+def test_an_axiom_whose_rule_cannot_fire_serves_only_the_bridge(mltt):
+    # "element lifting"'s target binds b, which its source lacks, and b is
+    # of the relevant sort lvl: so no match completes its rule
+    idx = mltt.axiom_labels["element lifting"]
+    assert idx not in (rule[1] for rules in mltt.rules.values()
+                       for rule in rules)
+    # with the rule put back in item order, every bridge query through the
+    # axiom gives the same verdict, trace and fuel
+    restored = mltt.copy()
+    (rule,) = (r for r in restored._oriented if r[1] == idx)
+    restored.rules["el"] = tuple(sorted(restored.rules["el"] + (rule,),
+                                        key=lambda r: r[1]))
+    for x, y in ((PI_HIGH, PI_LOW), (PI_LOW, PI_HIGH)):
+        verdict, fuel = _metered(mltt.copy(), eq_sort, (PI_TELE, x, y), None)
+        assert isinstance(verdict, Equal)
+        assert idx in (s.axiom for s in verdict.trace.steps)
+        assert _metered(restored, eq_sort, (PI_TELE, x, y), None) == (
+            verdict, fuel)
 
 
 def test_sort_step_must_name_the_axiom_it_uses(mltt):
@@ -763,3 +792,135 @@ TERMAX "pick" (n: N{}) c{n/n} = d{} : T{z{}/n}
     assert isinstance(err, CheckError)
     assert err.kind == ErrorKind.EQUALITY_FUEL_EXHAUSTED
     assert err.item == 6
+
+
+# -- traces built on first read ----------------------------------------------
+
+
+def _trace_queries(monoid, mltt):
+    """Thunks that each run one query afresh and return its trace: the sweep
+    terms at depths 3-6 of seed 0 through `normalize_term`, `eq_term` and
+    `eq_sort`, and the open monoid and cat queries through the first two."""
+    empty = Telescope()
+    out = []
+    for depth in range(3, 7):
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0))[:5]:
+            nf = normalize_term(mltt, t)[0]
+            sort = infer_term(mltt, empty, t)
+            nf_sort = Cut(sort.head, Subst(tuple(
+                (name, normalize_term(mltt, v)[0])
+                for name, v in sort.args.entries)))
+            out += [lambda t=t: normalize_term(mltt, t)[1],
+                    lambda t=t, nf=nf, a=sort: eq_term(
+                        mltt, empty, t, nf, a).trace,
+                    lambda a=sort, b=nf_sort: eq_sort(
+                        mltt, empty, a, b).trace]
+    for th, tele, m, n, sort in _open_queries(monoid):
+        out += [lambda th=th, m=m: normalize_term(th, m)[1],
+                lambda th=th, tele=tele, m=m, n=n, a=sort: eq_term(
+                    th, tele, m, n, a).trace]
+    return out
+
+
+def test_a_trace_read_late_is_the_trace_read_at_once(monoid, mltt):
+    queries = _trace_queries(monoid, mltt)
+    at_once = []
+    for query in queries:
+        trace = query()
+        trace.steps
+        at_once.append(trace)
+    late = [query() for query in queries]
+    assert sum(len(t.steps) for t in at_once) > len(at_once)
+    for query, early, trace in zip(queries, at_once, late):
+        assert trace == early and trace.steps == early.steps
+        eager = EqTrace(early.start, early.end, tuple(early.steps),
+                        early.tele)
+        # each comparison reads a trace not read before
+        assert query() == eager and hash(query()) == hash(eager)
+        assert repr(query()) == repr(eager)
+        assert dataclasses.replace(query(), tele=eager.tele) == eager
+        assert dataclasses.replace(query(), steps=eager.steps) == eager
+
+
+def test_a_trace_read_after_an_axiom_keeps_its_steps(monoid):
+    tele = parse_telescope("x: ob{}, y: ob{}")
+    m = parse_term("cmp{cmp{x/a, id{}/b}/a, cmp{id{}/a, y/b}/b}")
+    n = parse_term("cmp{x/a, y/b}")
+    left = parse_source('TERMAX "left projection" (x: ob{}, y: ob{}) '
+                        'cmp{x/a, y/b} = x : ob{}').theory
+    th = monoid.copy()
+    at_once = eq_term(th, tele, m, n, OB).trace
+    at_once.steps
+    late = eq_term(th, tele, m, n, OB).trace
+    norm = normalize_term(th, m)[1]
+    ext = theory_extends(th, left)
+    assert not isinstance(ext, CheckError)
+    # the axiom, added to the theory itself, drops the memo the entries of
+    # `late` and `norm` came from
+    memo = th.nf_memo
+    assert _extend_checked(th, left.items) is None and th.nf_memo is not memo
+    assert normalize_term(th, m)[0] == Var("x")
+    assert late == at_once and late.steps and norm.end == n
+    for t in (th, ext, monoid):
+        assert replay_ok(t, late) and replay_ok(t, norm)
+
+
+def test_evaluating_a_closed_term_emits_no_step(mltt, monkeypatch):
+    calls = []
+    real = equality._emit
+    monkeypatch.setattr(equality, "_emit",
+                        lambda *args: calls.append(args) or real(*args))
+    terms = generate_closed_obs_terms(mltt, GenBudget(max_depth=5, seed=0))
+    for t in terms:
+        evaluate_closed(mltt, t)
+    assert calls == []
+    assert normalize_term(mltt, terms[0])[1].steps and calls
+
+
+def _emit_by_recursion(e, path, out):
+    """The walk `_emit` makes, written as the recursion it replaces."""
+    while e is not None:
+        for i, kid in e.kids:
+            _emit_by_recursion(kid, path + (i,), out)
+        s = e.step
+        if s is None:
+            return
+        out.append(dataclasses.replace(s, path=path) if path else s)
+        e = e.rest
+
+
+def _deep_entry(depth):
+    """An entry nested `depth` deep through its kids, each at argument 0
+    or 1.  Every 500th level, and the innermost, also rewrites; every other
+    rewrite leads to an entry with a kid of its own."""
+    x = Var("x")
+    e = None
+    for k in range(depth):
+        step = rest = None
+        if k % 500 == 0:
+            step = EqStep(TERM_AXIOM, k, LR, (), x, Var(f"x{k}"))
+        if k % 1000 == 0:
+            leaf = _Entry(x, (), EqStep(TERM_AXIOM, -k, RL, (), x, x),
+                          None, ())
+            rest = _Entry(x, ((2, leaf),), None, None, ())
+        e = _Entry(x, () if e is None else ((k % 2, e),), step, rest, ())
+    return e
+
+
+def test_emit_walks_an_entry_of_any_depth():
+    e = _deep_entry(5000)
+    steps = []
+    _emit(e, (7,), steps)
+    assert len(steps) == 10 + 5
+    trace = EqTrace(None, None, _Unemitted(e, (), e))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 6000)
+    try:
+        expected, top = [], []
+        _emit_by_recursion(e, (7,), expected)
+        _emit_by_recursion(e, (), top)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert steps == expected
+    assert trace.steps == tuple(top) + _invert(top)
