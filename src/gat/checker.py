@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equality import Equal, eq_sort, meter, oriented
+from .equality import Equal, eq_sort, oriented, tally
 from .kernel import SORT_AXIOM, TERM_AXIOM
 from .syntax import (
     Cut,
@@ -79,9 +79,10 @@ class CheckedTheory:
     They hold per-symbol telescopes and result sorts, the axiom lists with
     their item indices, the proof-irrelevant sort symbols, the rewrite
     rules that can fire by the head of their source (see `_add_rule`), and
-    per-symbol match plans (see `_plan`).  Its four caches (see
-    `_reset_engine_tables`) are never copied.  Like terms (see
-    `gat.syntax`), a theory is used from one thread at a time.
+    per-symbol match plans (see `_plan`).  Its judgment table (see
+    `_judge`) and its two engine caches (see `_reset_engine_tables`) are
+    never copied.  Like terms (see `gat.syntax`), a theory is used from
+    one thread at a time.
     """
 
     def __init__(self) -> None:
@@ -98,21 +99,18 @@ class CheckedTheory:
         # those of them that can fire (see `_add_rule`), a tuple per head
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
-        # the fourth cache: judgments derived with no conversion, which no
-        # rule can change (see `_judge`)
-        self._kept: dict = {}
+        # the checker's judgments, which no axiom drops (see `_judge`)
+        self._judged: dict = {}
         self._reset_engine_tables()
 
     def _reset_engine_tables(self) -> None:
-        # The three caches: the checker's judgments that converted
-        # (`_judge`), the normal-form memo every equality query shares, and
-        # the axiom instances replay has validated.  A hit in each meters
-        # the fuel of what it skips; an `instances` hit skips no sort check.
-        # An axiom's rule may change what a query spends, or its verdict, so
-        # an axiom drops them all.  A declaration changes no rule, no
+        # The normal-form memo every equality query shares, and the axiom
+        # instances replay has validated.  A hit in either meters the fuel
+        # of what it skips; an `instances` hit skips no sort check.  An
+        # axiom's rule may change what a query spends, or its verdict, so an
+        # axiom drops them both.  A declaration changes no rule, no
         # proof-irrelevant sort and no plan of a symbol already declared,
         # and so keeps them: they hold only terms over those symbols.
-        self._judged: dict = {}
         self.nf_memo: dict = {}
         self.instances: dict = {}
 
@@ -307,46 +305,39 @@ def infer_term(th: CheckedTheory, psi: Telescope, m: Term) -> Sort | CheckError:
                       message=f"not a term expression: {m!r}")
 
 
-# Conversions the checker has run, in every theory, as `meter` totals fuel:
-# counted so that `_judge` can tell a derivation that ran none.  A
-# conversion is an `eq_sort` call, or a `_judged` hit, which stands for the
-# conversions of the derivation it skips.  A zero-fuel `eq_sort` counts too:
-# one proved by a proof-irrelevant argument still depends on the rules.
-_conversions = 0
-_MISSING = object()
-
-
 def _judge(th: CheckedTheory, psi: Telescope, t: Cut, params: Telescope,
            result: Sort | None) -> Sort | CheckError | None:
     """`result` (None for a sort) under `t`'s arguments once they check
     against `params` over `psi`.  Successes only (a later item may mend a
-    failure) are kept, in one of two tables.  A derivation that ran no
-    conversion compares sorts only syntactically, so no rule can change it
-    and it metered no fuel: it goes into `th._kept`, which no axiom drops.
-    One that converted goes into `th._judged`, which each axiom drops, with
-    the fuel it metered, which a hit meters again.  A sort judgment keeps
-    None, so `_kept` is read with a sentinel.  The key holds `psi.bindings`,
-    not `psi`: a tuple hashes in C, where the frozen dataclass hashes in
-    Python, and equal telescopes have equal bindings."""
-    global _conversions
+    failure) are kept in `th._judged` as (sort, fuel, axioms).  Axioms
+    enter only through conversion, which `tally.conversions` counts: each
+    checker `eq_sort` call, even one an irrelevance axiom proves for no
+    fuel, and each hit standing for a derivation that converted.  A
+    derivation that ran none holds for good and metered no fuel: `axioms`
+    is None.  One that converted holds while the theory's axiom count is
+    `axioms`, and a hit meters its fuel again.  The key holds
+    `psi.bindings`, not `psi`: a tuple hashes in C, where the frozen
+    dataclass hashes in Python, and equal telescopes have equal bindings."""
     key = (psi.bindings, t)
-    sort = th._kept.get(key, _MISSING)
-    if sort is not _MISSING:
-        return sort
     hit = th._judged.get(key)
     if hit is not None:
-        _conversions += 1
-        meter(hit[1])
-        return hit[0]
-    conversions, start = _conversions, meter()
+        sort, fuel, axioms = hit
+        if axioms is None:
+            return sort
+        if axioms == len(th.sort_axioms) + len(th.term_axioms):
+            tally.conversions += 1
+            tally.fuel += fuel
+            return sort
+    conversions, start = tally.conversions, tally.fuel
     err = check_subst(th, psi, t.args, params)
     if err is not None:
         return err
     sort = None if result is None else subst_apply_sort(t.args, result)
-    if _conversions == conversions:
-        th._kept[key] = sort
+    if tally.conversions == conversions:
+        th._judged[key] = sort, 0, None
     else:
-        th._judged[key] = sort, meter() - start
+        th._judged[key] = (sort, tally.fuel - start,
+                           len(th.sort_axioms) + len(th.term_axioms))
     return sort
 
 
@@ -372,13 +363,12 @@ def _convert(th: CheckedTheory, psi: Telescope, m: Term, a: Sort,
              cfg=None) -> CheckError | None:
     """`check_term` once `a` is known to be a well-formed sort over `psi`:
     infer `m`'s sort, then convert it to `a`."""
-    global _conversions
     inferred = infer_term(th, psi, m)
     if isinstance(inferred, CheckError):
         return inferred
     if inferred == a:
         return None
-    _conversions += 1
+    tally.conversions += 1
     verdict = eq_sort(th, psi, inferred, a, cfg)
     if isinstance(verdict, Equal):
         return None

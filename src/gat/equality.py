@@ -181,48 +181,49 @@ class _Bound(Exception):
     on the way out.  The argument names the bound."""
 
 
-# What the active `record_verdicts` collects, and all fuel `meter`ed.
-_verdicts: list | None = None
-_metered = 0
+class _Tally:
+    """The process-wide accounting: the fuel metered by bounded queries and
+    checker cache hits, the checker's conversions (see `gat.checker._judge`)
+    and the innermost active `record_verdicts` log, or None.  Slotted, as
+    the checker updates it at every hit."""
+
+    __slots__ = ("fuel", "conversions", "verdicts")
+
+    def __init__(self) -> None:
+        self.fuel, self.conversions, self.verdicts = 0, 0, None
+
+
+tally = _Tally()
 
 
 @contextmanager
 def record_verdicts():
     """Collect each `Equal` verdict given while active as (theory, trace);
     on exit, pass them on to the recorder this one is nested in."""
-    global _verdicts
-    outer, _verdicts = _verdicts, []
-    log = _verdicts
+    outer = tally.verdicts
+    log = tally.verdicts = []
     try:
         yield log
     finally:
-        _verdicts = outer
+        tally.verdicts = outer
         if outer is not None:
             outer += log
-
-
-def meter(fuel: int = 0) -> int:
-    """Meter `fuel` more: a bounded query's, or that of a derivation the
-    checker took from its cache.  Returns all fuel metered so far."""
-    global _metered
-    _metered += fuel
-    return _metered
 
 
 @contextmanager
 def record_fuel():
     """Yield a one-element list holding, on exit, the fuel metered meanwhile
-    by every query and checker cache hit (see `meter`).  Recorders nest."""
-    out, start = [0], meter()
+    into `tally` by every query and checker cache hit.  Recorders nest."""
+    out, start = [0], tally.fuel
     try:
         yield out
     finally:
-        out[0] = meter() - start
+        out[0] = tally.fuel - start
 
 
 def _equal(th: CheckedTheory, trace: EqTrace) -> Equal:
-    if _verdicts is not None:
-        _verdicts.append((th, trace))
+    if tally.verdicts is not None:
+        tally.verdicts.append((th, trace))
     return Equal(trace)
 
 
@@ -652,7 +653,7 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
         return NotProven(True, "term nesting deeper than the recursion limit "
                                f"({sys.getrecursionlimit()}) allows")
     finally:
-        meter(cfg.fuel - max(engine.fuel, 0))
+        tally.fuel += cfg.fuel - max(engine.fuel, 0)
 
 
 def eq_sort(th: CheckedTheory, psi: Telescope, a: Sort, b: Sort,

@@ -59,10 +59,11 @@ def equal_mod_irr(th, x, y) -> bool:
     return True
 
 
-def replay(th, start, trace, check=None):
+def replay(th, start, trace, check):
     """What `trace` reaches from `start`, or a `ReplayError` naming the
     first top-level step that fails (-1: the start, len(steps): the end).
-    `check(m, a)`: does `m` have sort `a` over the trace's telescope?"""
+    `check(m, a)`: does `m` have sort `a` over the trace's telescope?
+    None when it has none: then every open sort check fails."""
     if trace.start != start:
         return ReplayError(-1, "trace start differs from the given object")
     try:

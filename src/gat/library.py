@@ -21,7 +21,6 @@ __all__ = [
     "library_names",
     "library_path",
     "load",
-    "theory_extends",
 ]
 
 _NAMES = ("monoid", "cat", "cwf", "mltt")

@@ -412,7 +412,7 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _print_item(item, notations=()) -> str:
+def _print_item(item) -> str:
     if isinstance(item, SortDecl):
         return f"SORT {item.name}({print_telescope(item.params)})"
     if isinstance(item, OpDecl):

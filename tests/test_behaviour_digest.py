@@ -1,0 +1,136 @@
+"""A digest of what the checker and the equality engine do.
+
+The test writes one canonical text dump of verdicts, traces and fuel, and
+compares its SHA-256 with a recorded constant.  A refactor that claims to
+keep behaviour keeps the constant; a change that alters a verdict, a step
+of a trace or a fuel figure must record the new digest and say why.
+
+The dump covers:
+  * the bundled theories built from source, as `gat check` builds them,
+    with the fuel each build meters;
+  * for each seed-0 canonicity term at depths 1-6: `normalize_term`,
+    `infer_term`, `eq_term` to the normal form and the replay of its trace;
+  * the open term queries on monoid and cat of `tests/test_equality.py`,
+    normalized, compared and replayed.
+Every call is written with the fuel `record_fuel` saw it meter.  A
+`normalize_term` trace has no telescope, so its replay is written as the
+`ReplayError` of the first step that leaves a sort check open, if any.
+"""
+
+import hashlib
+
+from test_equality import _open_queries
+from gat.canonicity import GenBudget, generate_closed_obs_terms
+from gat.checker import CheckError, check_theory, infer_term, theory_extends
+from gat.equality import (
+    Equal,
+    NotProven,
+    ReplayError,
+    eq_term,
+    normalize_term,
+    record_fuel,
+    replay_trace,
+)
+from gat.library import entry, library_names
+from gat.surface import parse_source, print_telescope, print_term
+from gat.syntax import Subst, Telescope
+
+DIGEST = "b010e44659ce0f910f0969b9b2868d5a48fcf7b43e238e6532306517cb23ec59"
+
+
+def _show(x) -> str:
+    if x is None:
+        return "-"
+    if isinstance(x, Subst):
+        return "<" + ", ".join(f"{print_term(v)}/{t}"
+                               for t, v in x.entries) + ">"
+    if isinstance(x, Telescope):
+        return "(" + print_telescope(x) + ")"
+    if isinstance(x, CheckError):
+        return f"{x}; expected {_show(x.expected)}; found {_show(x.found)}"
+    if isinstance(x, ReplayError):
+        return f"ReplayError({x.step}, {x.reason})"
+    if isinstance(x, NotProven):
+        return (f"NotProven({x.fuel_exhausted}, {x.reason}, "
+                f"{_show(x.lhs_nf)}, {_show(x.rhs_nf)})")
+    return print_term(x)
+
+
+def _steps(out: list, steps, indent: str) -> None:
+    for s in steps:
+        out.append(f"{indent}{s.kind} {s.axiom} {s.direction} {s.path} "
+                   f"{_show(s.before)} => {_show(s.after)} "
+                   f"note {_show(s.note)} sigma {_show(s.sigma)}")
+        out.append(f"{indent} pre")
+        _steps(out, s.pre, indent + "  ")
+        out.append(f"{indent} post")
+        _steps(out, s.post, indent + "  ")
+
+
+def _trace(out: list, th, trace) -> None:
+    out.append(f" trace {_show(trace.start)} => {_show(trace.end)} "
+               f"over {_show(trace.tele)}")
+    _steps(out, trace.steps, "  ")
+    out.append(f" replay {_show(replay_trace(th, trace.start, trace))}")
+
+
+def _call(out: list, name: str, fn, *args):
+    with record_fuel() as fuel:
+        result = fn(*args)
+    out.append(f"{name} fuel {fuel[0]}")
+    return result
+
+
+def _normalize(out: list, th, m):
+    got = _call(out, "normalize_term", normalize_term, th, m)
+    if isinstance(got, NotProven):
+        out.append(f" {_show(got)}")
+        return None
+    nf, trace = got
+    _trace(out, th, trace)
+    return nf
+
+
+def _eq_term(out: list, th, tele, m, n, sort) -> None:
+    verdict = _call(out, "eq_term", eq_term, th, tele, m, n, sort)
+    if isinstance(verdict, Equal):
+        _trace(out, th, verdict.trace)
+    else:
+        out.append(f" {_show(verdict)}")
+
+
+def _build(out: list) -> dict:
+    built = {}
+    for name in library_names():
+        src = parse_source(entry(name).source)
+        with record_fuel() as fuel:
+            built[name] = (check_theory(src.theory) if src.extends is None
+                           else theory_extends(built[src.extends], src.theory))
+        out.append(f"build {name} fuel {fuel[0]}")
+    return built
+
+
+def _dump() -> str:
+    out: list[str] = []
+    built = _build(out)
+    mltt, empty = built["mltt"], Telescope()
+    for depth in range(1, 7):
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0)):
+            out.append(f"term {depth} {_show(t)}")
+            nf = _normalize(out, mltt, t)
+            sort = _call(out, "infer_term", infer_term, mltt, empty, t)
+            out.append(f" sort {_show(sort)}")
+            if nf is not None and not isinstance(sort, CheckError):
+                _eq_term(out, mltt, empty, t, nf, sort)
+    for th, tele, m, n, sort in _open_queries(built["monoid"]):
+        out.append(f"query {_show(tele)} {_show(m)} = {_show(n)} : "
+                   f"{_show(sort)}")
+        _normalize(out, th, m)
+        _normalize(out, th, n)
+        _eq_term(out, th, tele, m, n, sort)
+    return "\n".join(out) + "\n"
+
+
+def test_the_behaviour_digest_is_the_recorded_one():
+    assert hashlib.sha256(_dump().encode()).hexdigest() == DIGEST

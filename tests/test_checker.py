@@ -17,6 +17,7 @@ from gat.checker import (
     infer_term,
     theory_extends,
 )
+from gat.checker import _extend_checked
 from gat.equality import (
     SORT_AXIOM,
     TERM_AXIOM,
@@ -356,15 +357,15 @@ def test_rules_and_plans_match_the_rebuilt_index(name):
     _assert_tables_match_reference(load(name))
 
 
-CACHES = {"_judged", "_kept", "nf_memo", "instances"}
+CACHES = {"_judged", "nf_memo", "instances"}
 
 
 @pytest.mark.parametrize("name", library_names())
 def test_a_copy_has_the_tables_of_its_theory_and_empty_caches(name):
     th = load(name)
-    # adding the last axiom dropped `_judged`, not the judgments the build
-    # derived with no conversion
-    assert th._kept
+    # the judgments the build derived with no conversion hold after its
+    # last axiom
+    assert any(axioms is None for _, _, axioms in th._judged.values())
     fields, copied = vars(th), vars(th.copy())
     assert fields.keys() == copied.keys() and CACHES < fields.keys()
     assert ({k: v for k, v in copied.items() if k not in CACHES}
@@ -407,7 +408,7 @@ def test_the_judgment_cache_changes_no_result_and_no_fuel(monkeypatch):
 
     def reset_forgetful(th):
         reset(th)
-        th._judged, th._kept = _Forgetful(), _Forgetful()
+        th._judged = _Forgetful()
 
     monkeypatch.setattr(CheckedTheory, "_reset_engine_tables",
                         reset_forgetful)
@@ -415,6 +416,46 @@ def test_the_judgment_cache_changes_no_result_and_no_fuel(monkeypatch):
     results, fuel = cached
     assert fuel == [0, 0, 5, 65, 2042]
     assert all(err is None for _, _, err in results)
+
+
+# f{c{}/x} checks by converting T{b{}/n} to T{a{}/n}, with "b to a"; after
+# "a to d" it converts by rewriting both sides to T{d{}/n}.  g{a{}/x} checks
+# with no conversion.
+JUDGED_ACROSS_AN_AXIOM = """
+SORT N()
+OP a() : N{}
+OP b() : N{}
+OP d() : N{}
+SORT T(n: N{})
+OP c() : T{b{}/n}
+OP f(x: T{a{}/n}) : N{}
+OP g(x: N{}) : N{}
+TERMAX "b to a" () b{} = a{} : N{}
+"""
+
+
+def test_a_judgment_holds_across_an_axiom_only_if_it_did_not_convert(
+        monkeypatch):
+    th = check_theory(parse_theory(JUDGED_ACROSS_AN_AXIOM))
+    converted, plain = parse_term("f{c{}/x}"), parse_term("g{a{}/x}")
+    derived = []
+    real = checker.check_subst
+    monkeypatch.setattr(checker, "check_subst",
+                        lambda *args: derived.append(args[2]) or real(*args))
+
+    def infer(m):
+        """How often `m`'s own judgment was derived, and the fuel metered."""
+        derived.clear()
+        with record_fuel() as fuel:
+            assert infer_term(th, Telescope(), m) == parse_sort("N{}")
+        return derived.count(m.args), fuel[0]
+
+    assert [infer(converted), infer(converted)] == [(1, 1), (0, 1)]
+    assert [infer(plain), infer(plain)] == [(1, 0), (0, 0)]
+    assert _extend_checked(th, parse_theory(
+        'TERMAX "a to d" () a{} = d{} : N{}').items) is None
+    assert [infer(plain), infer(converted), infer(converted)] == [
+        (0, 0), (1, 2), (0, 2)]
 
 
 # "f c" checks f{c{}/x} by converting T{b{}} to T{a{}}; after "b to a" the
