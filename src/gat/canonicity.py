@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .checker import CheckedTheory, CheckError, check_term, infer_term
-from .equality import NotProven, normalize_term
+from .equality import Equal, NotProven, eq_sort, normalize_term
 from .syntax import Cut, Subst, Telescope, Term
 
 __all__ = [
@@ -70,13 +70,22 @@ def _op(th: CheckedTheory, head: str, *values: Term) -> Cut:
 def evaluate_closed(th_mltt: CheckedTheory, m: Term):
     """Normalize a closed term of sort el(empty, obs) and read off the
     constant.  Returns RED, GREEN, or Stuck(normal form).  Raises
-    ValueError when the term does not check, is not of that sort, or its
-    normalization gives up within the engine's bounds."""
+    ValueError when the term does not check, its sort is not that one by
+    `eq_sort`, or a bound ends that query or the normalization."""
     sort = infer_term(th_mltt, _EMPTY_TELE, m)
     if isinstance(sort, CheckError):
         raise ValueError(f"term does not check over the empty telescope: {sort}")
-    _require_el_obs(th_mltt, sort)
-    nf = _nf(th_mltt, m)
+    # an el sort is compared at its own level: terms live at several levels
+    same = (isinstance(sort, Cut) and sort.head == "el"
+            and eq_sort(th_mltt, _EMPTY_TELE, sort,
+                        _el_obs(th_mltt, sort.args.lookup("l"))))
+    # the normal form once the sort is el(empty, obs), else the failed check
+    out = normalize_term(th_mltt, m) if isinstance(same, Equal) else same
+    if isinstance(out, NotProven) and out.fuel_exhausted:
+        raise ValueError(f"normalization gave up: {out.reason}")
+    if not isinstance(out, tuple):
+        raise ValueError("term is not a closed element of the observable type")
+    nf = out[0]
     if isinstance(nf, Cut) and nf.head == "red":
         return RED
     if isinstance(nf, Cut) and nf.head == "green":
@@ -84,25 +93,10 @@ def evaluate_closed(th_mltt: CheckedTheory, m: Term):
     return Stuck(nf)
 
 
-def _require_el_obs(th: CheckedTheory, sort) -> None:
-    # el at the empty context with the type argument normalizing to obs,
-    # at any level (generated terms live at several levels).
-    ok = isinstance(sort, Cut) and sort.head == "el"
-    if ok:
-        emp = _op(th, "emp")
-        g_nf = _nf(th, sort.args.lookup("g"))
-        a_nf = _nf(th, sort.args.lookup("A"))
-        ok = (g_nf == emp and isinstance(a_nf, Cut) and a_nf.head == "obs"
-              and a_nf.args.lookup("g") == emp)
-    if not ok:
-        raise ValueError("term is not a closed element of the observable type")
-
-
-def _nf(th: CheckedTheory, t: Term) -> Term:
-    out = normalize_term(th, t)
-    if isinstance(out, NotProven):
-        raise ValueError(f"normalization gave up: {out.reason}")
-    return out[0]
+def _el_obs(th: CheckedTheory, level: Term) -> Cut:
+    """el(empty, obs) at `level`."""
+    emp = _op(th, "emp")
+    return _op(th, "el", level, emp, _op(th, "obs", level, emp))
 
 
 # -- generation ------------------------------------------------------------
@@ -115,18 +109,16 @@ def generate_closed_obs_terms(th_mltt: CheckedTheory,
     Depth 1 gives exactly the two constants at level zero.  Deeper budgets
     wrap recursively generated terms in beta redexes, lift-collapsing
     redexes, universe-annotated wrappers, and substitution actions.  Each
-    term is re-checked before it is returned."""
+    term is checked at el(empty, obs) of its level before it is returned."""
     rng = random.Random(f"{budget.max_depth}:{budget.seed}:{_LEVEL_CAP}")
     gen = _Generator(th_mltt, rng)
     if budget.max_depth == 1:
-        candidates = [_op(th_mltt, name, gen.levels[0], gen.emp)
-                      for name in ("red", "green")]
-    else:
-        candidates = [gen.term(budget.max_depth, rng.randint(0, _LEVEL_CAP))
-                      for _ in range(40)]
-    for t in candidates:
-        gen.post_check(t)
-    return candidates
+        return [gen.post_check(_op(th_mltt, name, gen.levels[0], gen.emp), 0)
+                for name in ("red", "green")]
+    # each level is drawn just before its term, the order that pins the output
+    levels = (rng.randint(0, _LEVEL_CAP) for _ in range(40))
+    return [gen.post_check(gen.term(budget.max_depth, level), level)
+            for level in levels]
 
 
 class _Generator:
@@ -153,11 +145,12 @@ class _Generator:
         return _op(th, "ltcmp", lv[a], lv[a + 1], lv[b], step,
                    self.lt_proof(a + 1, b))
 
-    def post_check(self, t: Term) -> None:
-        sort = infer_term(self.th, _EMPTY_TELE, t)
-        if isinstance(sort, CheckError):
-            raise AssertionError(f"generated term fails to check: {sort}")
-        _require_el_obs(self.th, sort)
+    def post_check(self, t: Term, level: int) -> Term:
+        err = check_term(self.th, _EMPTY_TELE, t,
+                         _el_obs(self.th, self.levels[level]))
+        if err is not None:
+            raise AssertionError(f"generated term fails to check: {err}")
+        return t
 
     def term(self, depth: int, level: int) -> Term:
         if depth <= 1:

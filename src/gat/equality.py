@@ -699,7 +699,10 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
 def normalize_term(th: CheckedTheory, m: Term):
     """Normal form of `m` with the oriented axioms, plus the trace there;
     `NotProven` when a bound ends the rewriting first.  Its fuel goes to
-    `record_fuel`, as every bounded query's does."""
+    `record_fuel`, as every bounded query's does.  The trace has no
+    telescope, so replay rejects any step that leaves a sort check open
+    (115 of the 202 seed-0 canonicity terms); the replayable proof is
+    `eq_term` to the normal form over the telescope of `m`."""
     def body(engine: _Engine):
         nf, e = engine.normal_entry(m)
         return nf, EqTrace(m, nf, _Unemitted(e))
@@ -707,8 +710,8 @@ def normalize_term(th: CheckedTheory, m: Term):
 
 
 def replay_trace(th: CheckedTheory, start, trace: EqTrace):
-    """Re-check a trace with the kernel in `gat.kernel`, which shares no
-    code with this engine: the term the trace reaches from `start`, or a
+    """Re-check a trace with the kernel in `gat.kernel`, which imports
+    nothing from this engine: the term the trace reaches from `start`, or a
     `ReplayError`.  Terms in steps are checked against `trace.tele`."""
     tele = trace.tele
     check = None if tele is None else (lambda m, a: th.accepts(tele, m, a))

@@ -1,15 +1,17 @@
-"""Trusted replay of equality traces, sharing no code with the rewriter.
+"""Trusted replay of equality traces.
 
-It trusts the theory's tables, `gat.syntax` and a sort-check callback, and
-compares whole terms by identity, since terms are hash-consed.  Among the
-tables, it trusts each symbol's mask of proof-irrelevant argument positions
-(the third part of its plan in `th.plans`) when it compares terms modulo
-irrelevance.  The step format and what each kind of step must satisfy are
-set out in `gat.equality`.  The callback is asked about IRRELEVANT_SORT
-steps and the `sigma` values an axiom's source side leaves open.  Axiom
-instances are validated once per theory (see `_instance`), but their sort
-checks run at every use, so replay gives the same verdict and meters the
-same fuel warm or cold.
+It imports nothing from `gat` but `gat.syntax`; the engine in
+`gat.equality` reuses its `sides` and its comparison modulo irrelevance,
+`equal_mod_irr`.  It trusts the theory's tables, `gat.syntax` and a
+sort-check callback, and compares whole terms by identity, since terms are
+hash-consed.  Among the tables, it trusts each symbol's mask of
+proof-irrelevant argument positions (the third part of its plan in
+`th.plans`) when it compares terms modulo irrelevance.  The step format and
+what each kind of step must satisfy are set out in `gat.equality`.  The
+callback is asked about IRRELEVANT_SORT steps and the `sigma` values an
+axiom's source side leaves open.  Axiom instances are validated once per
+theory (see `_instance`), but their sort checks run at every use, so replay
+gives the same verdict and meters the same fuel warm or cold.
 """
 
 from __future__ import annotations

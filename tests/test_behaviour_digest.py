@@ -1,4 +1,4 @@
-"""A digest of what the checker and the equality engine do.
+"""A digest of what the checker, the equality engine and canonicity do.
 
 The test writes one canonical text dump of verdicts, traces and fuel, and
 compares its SHA-256 with a recorded constant.  A refactor that claims to
@@ -8,19 +8,28 @@ of a trace or a fuel figure must record the new digest and say why.
 The dump covers:
   * the bundled theories built from source, as `gat check` builds them,
     with the fuel each build meters;
-  * for each seed-0 canonicity term at depths 1-6: `normalize_term`,
-    `infer_term`, `eq_term` to the normal form and the replay of its trace;
+  * for each seed-0 canonicity depth from 1 to 6, `generate_closed_obs_terms`,
+    and for each term it gives: `evaluate_closed` and its value,
+    `normalize_term`, `infer_term`, `eq_term` to the normal form and the
+    replay of its trace;
   * the open term queries on monoid and cat of `tests/test_equality.py`,
     normalized, compared and replayed.
-Every call is written with the fuel `record_fuel` saw it meter.  A
-`normalize_term` trace has no telescope, so its replay is written as the
-`ReplayError` of the first step that leaves a sort check open, if any.
+Every call, replay included, is written with the fuel `record_fuel` saw it
+meter.  A `normalize_term` trace has no telescope, so its replay is written
+as the `ReplayError` of the first step that leaves a sort check open, if
+any.
 """
 
 import hashlib
 
 from test_equality import _open_queries
-from gat.canonicity import GenBudget, generate_closed_obs_terms
+from gat.canonicity import (
+    CanonicalValue,
+    GenBudget,
+    Stuck,
+    evaluate_closed,
+    generate_closed_obs_terms,
+)
 from gat.checker import CheckError, check_theory, infer_term, theory_extends
 from gat.equality import (
     Equal,
@@ -35,7 +44,7 @@ from gat.library import entry, library_names
 from gat.surface import parse_source, print_telescope, print_term
 from gat.syntax import Subst, Telescope
 
-DIGEST = "b010e44659ce0f910f0969b9b2868d5a48fcf7b43e238e6532306517cb23ec59"
+DIGEST = "7b1d160c3eb884bb32af92bf1e764b9468b23a5e5cf673b9bc2b32a0ff0a961d"
 
 
 def _show(x) -> str:
@@ -50,6 +59,10 @@ def _show(x) -> str:
         return f"{x}; expected {_show(x.expected)}; found {_show(x.found)}"
     if isinstance(x, ReplayError):
         return f"ReplayError({x.step}, {x.reason})"
+    if isinstance(x, CanonicalValue):
+        return x.tag
+    if isinstance(x, Stuck):
+        return f"Stuck({print_term(x.term)})"
     if isinstance(x, NotProven):
         return (f"NotProven({x.fuel_exhausted}, {x.reason}, "
                 f"{_show(x.lhs_nf)}, {_show(x.rhs_nf)})")
@@ -71,7 +84,8 @@ def _trace(out: list, th, trace) -> None:
     out.append(f" trace {_show(trace.start)} => {_show(trace.end)} "
                f"over {_show(trace.tele)}")
     _steps(out, trace.steps, "  ")
-    out.append(f" replay {_show(replay_trace(th, trace.start, trace))}")
+    replayed = _call(out, " replay_trace", replay_trace, th, trace.start, trace)
+    out.append(f" replay {_show(replayed)}")
 
 
 def _call(out: list, name: str, fn, *args):
@@ -115,9 +129,12 @@ def _dump() -> str:
     built = _build(out)
     mltt, empty = built["mltt"], Telescope()
     for depth in range(1, 7):
-        for t in generate_closed_obs_terms(
-                mltt, GenBudget(max_depth=depth, seed=0)):
+        terms = _call(out, f"generate {depth}", generate_closed_obs_terms,
+                      mltt, GenBudget(max_depth=depth, seed=0))
+        for t in terms:
             out.append(f"term {depth} {_show(t)}")
+            value = _call(out, "evaluate_closed", evaluate_closed, mltt, t)
+            out.append(f" value {_show(value)}")
             nf = _normalize(out, mltt, t)
             sort = _call(out, "infer_term", infer_term, mltt, empty, t)
             out.append(f" sort {_show(sort)}")

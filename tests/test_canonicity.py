@@ -13,10 +13,12 @@ from gat.canonicity import (
     generate_closed_obs_terms,
 )
 from gat.checker import check_term, infer_term, theory_extends
-from gat.equality import Equal, eq_term
+from gat.equality import Equal, eq_term, record_verdicts
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_term, print_term
 from gat.syntax import Cut, Telescope
+
+from conftest import replay_ok
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,20 @@ def mltt():
 
 
 EL_OBS = parse_sort("el{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}")
+# (λx. green) red, with the body weakened along the projection
+CONST_BETA = parse_term(
+    "app{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A, "
+    "tyact{lz{}/l, ext{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/d, "
+    "emp{}/g, proj{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/f, "
+    "obs{lz{}/l, emp{}/g}/A}/B, "
+    "lam{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A, "
+    "tyact{lz{}/l, ext{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/d, "
+    "emp{}/g, proj{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/f, "
+    "obs{lz{}/l, emp{}/g}/A}/B, "
+    "elact{lz{}/l, ext{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/d, "
+    "emp{}/g, proj{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/f, "
+    "obs{lz{}/l, emp{}/g}/A, green{lz{}/l, emp{}/g}/M}/M}/M, "
+    "red{lz{}/l, emp{}/g}/N}")
 
 
 def test_depth_one_is_the_two_constants(mltt):
@@ -78,22 +94,8 @@ def test_red_constant_evaluates_to_red(mltt):
 
 
 def test_constant_function_beta_reduces(mltt):
-    # (λx. green) red, with the body weakened along the projection
-    t = parse_term(
-        "app{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A, "
-        "tyact{lz{}/l, ext{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/d, "
-        "emp{}/g, proj{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/f, "
-        "obs{lz{}/l, emp{}/g}/A}/B, "
-        "lam{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A, "
-        "tyact{lz{}/l, ext{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/d, "
-        "emp{}/g, proj{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/f, "
-        "obs{lz{}/l, emp{}/g}/A}/B, "
-        "elact{lz{}/l, ext{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/d, "
-        "emp{}/g, proj{lz{}/l, emp{}/g, obs{lz{}/l, emp{}/g}/A}/f, "
-        "obs{lz{}/l, emp{}/g}/A, green{lz{}/l, emp{}/g}/M}/M}/M, "
-        "red{lz{}/l, emp{}/g}/N}")
-    assert check_term(mltt, Telescope(), t, EL_OBS) is None
-    assert evaluate_closed(mltt, t) == GREEN
+    assert check_term(mltt, Telescope(), CONST_BETA, EL_OBS) is None
+    assert evaluate_closed(mltt, CONST_BETA) == GREEN
 
 
 def test_evaluate_rejects_non_observation_input(mltt):
@@ -101,6 +103,35 @@ def test_evaluate_rejects_non_observation_input(mltt):
         evaluate_closed(mltt, parse_term("lz{}"))
     with pytest.raises(ValueError):
         evaluate_closed(mltt, parse_term("homid{emp{}/g}"))
+
+
+def test_evaluate_rejects_a_closed_element_of_another_type(mltt):
+    # the function of CONST_BETA: an element of el, at the empty context,
+    # whose type is a pi, not obs
+    fn = CONST_BETA.args.lookup("M")
+    sort = infer_term(mltt, Telescope(), fn)
+    assert fn.head == "lam" and sort.head == "el"
+    assert sort.args.lookup("g") == parse_term("emp{}")
+    assert sort.args.lookup("A").head == "pi"
+    with pytest.raises(ValueError, match="not a closed element of the "
+                                         "observable type"):
+        evaluate_closed(mltt, fn)
+
+
+def test_the_observable_check_is_a_replayable_verdict(mltt):
+    for depth in (1, 3):
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0)):
+            sort = infer_term(mltt, Telescope(), t)
+            level = print_term(sort.args.lookup("l"))
+            el_obs = parse_sort(f"el{{{level}/l, emp{{}}/g, "
+                                f"obs{{{level}/l, emp{{}}/g}}/A}}")
+            with record_verdicts() as log:
+                evaluate_closed(mltt, t)
+            proofs = [trace for th, trace in log if th is mltt
+                      and (trace.start, trace.end) == (sort, el_obs)]
+            assert proofs, print_term(t)
+            assert all(replay_ok(mltt, trace) for trace in proofs)
 
 
 def test_evaluation_that_gives_up_is_a_value_error(mltt):
@@ -122,8 +153,6 @@ def test_open_term_is_rejected(mltt):
 
 def test_sweep_slice_is_canonical_with_replayable_proofs(mltt):
     from gat.equality import normalize_term
-
-    from conftest import replay_ok
 
     for seed in (0, 1):
         for t in generate_closed_obs_terms(
