@@ -130,6 +130,7 @@ class _Generator:
         self.levels = [_op(th, "lz")]
         for _ in range(_LEVEL_CAP):
             self.levels.append(_op(th, "ls", self.levels[-1]))
+        self.el_obs = [_el_obs(th, level) for level in self.levels]
 
     def obs(self, level: int) -> Cut:
         return _op(self.th, "obs", self.levels[level], self.emp)
@@ -146,8 +147,7 @@ class _Generator:
                    self.lt_proof(a + 1, b))
 
     def post_check(self, t: Term, level: int) -> Term:
-        err = check_term(self.th, _EMPTY_TELE, t,
-                         _el_obs(self.th, self.levels[level]))
+        err = check_term(self.th, _EMPTY_TELE, t, self.el_obs[level])
         if err is not None:
             raise AssertionError(f"generated term fails to check: {err}")
         return t

@@ -105,12 +105,13 @@ class CheckedTheory:
 
     def _reset_engine_tables(self) -> None:
         # The normal-form memo every equality query shares, and the axiom
-        # instances replay has validated.  A hit in either meters the fuel
-        # of what it skips; an `instances` hit skips no sort check.  An
-        # axiom's rule may change what a query spends, or its verdict, so an
-        # axiom drops them both.  A declaration changes no rule, no
-        # proof-irrelevant sort and no plan of a symbol already declared,
-        # and so keeps them: they hold only terms over those symbols.
+        # instances replay has validated.  A memo hit meters the fuel of
+        # what it skips; replay meters none, and an `instances` hit skips
+        # only the sort checks of closed values.  An axiom's rule may change
+        # what a query spends, or its verdict, so an axiom drops them both.
+        # A declaration changes no rule, no proof-irrelevant sort and no
+        # plan of a symbol already declared, and so keeps them: they hold
+        # only terms over those symbols.
         self.nf_memo: dict = {}
         self.instances: dict = {}
 
@@ -121,11 +122,6 @@ class CheckedTheory:
         for item in self.theory.items:
             out._add_item(item)
         return out
-
-    def accepts(self, psi: Telescope, m: Term, a: Sort) -> bool:
-        """Whether `m` checks at sort `a` over `psi`: the sort check the
-        replay kernel is given."""
-        return check_term(self, psi, m, a) is None
 
     def counts(self) -> dict[str, int]:
         return {

@@ -199,7 +199,7 @@ def _cmd_norm(args) -> int:
     th, notations, tele = _open(args)
     term = parse_term(args.term)
     _ok(infer_term(th, tele, term))
-    out = normalize_term(th, term)
+    out = normalize_term(th, term, tele)
     if isinstance(out, NotProven):
         print(f"NotProven: {out.reason}")
         return 1

@@ -68,10 +68,9 @@ read, from the memo entries of both sides, once; `pre` and `post` are built
 with the entry that holds them.  So a trace no one reads costs nothing, and
 a trace read late is the one an eager engine would have returned.
 
-`replay_trace` checks a trace with `gat.kernel`, which imports nothing from
-this engine; its sort-check callback is `CheckedTheory.accepts` over the
-trace's telescope.  Replay rewrites nothing, and the sort checks it asks
-(see `gat.kernel`) meter fuel as any check does, warm or cold alike.
+`replay_trace` is `gat.kernel.replay`, which imports nothing from this
+engine or from the checker: it decides a trace's sort checks over the
+trace's telescope by itself, rewrites nothing and meters no fuel.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from .kernel import (
     TERM_AXIOM,
     ReplayError,
     equal_mod_irr,
-    replay,
+    replay as replay_trace,
     sides,
 )
 from .syntax import (
@@ -198,8 +197,9 @@ tally = _Tally()
 
 @contextmanager
 def record_verdicts():
-    """Collect each `Equal` verdict given while active as (theory, trace);
-    on exit, pass them on to the recorder this one is nested in."""
+    """Collect the trace of each `Equal` verdict and of each normalization
+    given while active as (theory, trace); on exit, pass them on to the
+    recorder this one is nested in."""
     outer = tally.verdicts
     log = tally.verdicts = []
     try:
@@ -221,10 +221,10 @@ def record_fuel():
         out[0] = tally.fuel - start
 
 
-def _equal(th: CheckedTheory, trace: EqTrace) -> Equal:
+def _logged(th: CheckedTheory, trace: EqTrace) -> EqTrace:
     if tally.verdicts is not None:
         tally.verdicts.append((th, trace))
-    return Equal(trace)
+    return trace
 
 
 def _flip(direction: str | None) -> str | None:
@@ -590,8 +590,8 @@ class _Engine:
             if bridge is None:
                 return NotProven(False, reason, nx, ny)
             mid = [bridge]
-        return _equal(self.th,
-                      EqTrace(x, y, _Unemitted(ex, tuple(mid), ey), tele))
+        return Equal(_logged(
+            self.th, EqTrace(x, y, _Unemitted(ex, tuple(mid), ey), tele)))
 
     def _bridge(self, x, y) -> EqStep | None:
         """Exhibit sorts x and y as the two sides of one sort axiom under a
@@ -660,7 +660,7 @@ def eq_sort(th: CheckedTheory, psi: Telescope, a: Sort, b: Sort,
             cfg: EqEngineConfig | None = None):
     def body(engine: _Engine):
         if a == b:
-            return _equal(th, EqTrace(a, b, (), psi))
+            return Equal(_logged(th, EqTrace(a, b, (), psi)))
         return engine.join(a, b, psi, "sorts do not join")
     return _bounded(th, cfg, body)
 
@@ -671,7 +671,7 @@ def eq_term(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort,
         if isinstance(a, Cut) and a.head in th.irrelevant_heads:
             steps = () if m == n else (
                 EqStep(IRRELEVANT_SORT, None, None, (), m, n, note=a),)
-            return _equal(th, EqTrace(m, n, steps, psi))
+            return Equal(_logged(th, EqTrace(m, n, steps, psi)))
         return engine.join(m, n, psi, "normal forms differ")
     return _bounded(th, cfg, body)
 
@@ -693,26 +693,17 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
         if not isinstance(verdict, Equal):
             return verdict
         steps += (_moved(s, (i,) + s.path) for s in verdict.trace.steps)
-    return _equal(th, EqTrace(p0, p1, tuple(steps), phi))
+    return Equal(_logged(th, EqTrace(p0, p1, tuple(steps), phi)))
 
 
-def normalize_term(th: CheckedTheory, m: Term):
-    """Normal form of `m` with the oriented axioms, plus the trace there;
-    `NotProven` when a bound ends the rewriting first.  Its fuel goes to
-    `record_fuel`, as every bounded query's does.  The trace has no
-    telescope, so replay rejects any step that leaves a sort check open
-    (115 of the 202 seed-0 canonicity terms); the replayable proof is
-    `eq_term` to the normal form over the telescope of `m`."""
+def normalize_term(th: CheckedTheory, m: Term,
+                   tele: Telescope = Telescope(())):
+    """Normal form of `m` with the oriented axioms, plus the trace there
+    over `tele`, the telescope of `m` (empty for a closed term), which
+    replays; `NotProven` when a bound ends the rewriting first.  Its fuel
+    goes to `record_fuel`, as every bounded query's does."""
     def body(engine: _Engine):
         nf, e = engine.normal_entry(m)
-        return nf, EqTrace(m, nf, _Unemitted(e))
+        return nf, _logged(th, EqTrace(m, nf, _Unemitted(e), tele))
     return _bounded(th, None, body)
 
-
-def replay_trace(th: CheckedTheory, start, trace: EqTrace):
-    """Re-check a trace with the kernel in `gat.kernel`, which imports
-    nothing from this engine: the term the trace reaches from `start`, or a
-    `ReplayError`.  Terms in steps are checked against `trace.tele`."""
-    tele = trace.tele
-    check = None if tele is None else (lambda m, a: th.accepts(tele, m, a))
-    return replay(th, start, trace, check)

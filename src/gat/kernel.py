@@ -2,16 +2,25 @@
 
 It imports nothing from `gat` but `gat.syntax`; the engine in
 `gat.equality` reuses its `sides` and its comparison modulo irrelevance,
-`equal_mod_irr`.  It trusts the theory's tables, `gat.syntax` and a
-sort-check callback, and compares whole terms by identity, since terms are
-hash-consed.  Among the tables, it trusts each symbol's mask of
-proof-irrelevant argument positions (the third part of its plan in
-`th.plans`) when it compares terms modulo irrelevance.  The step format and
-what each kind of step must satisfy are set out in `gat.equality`.  The
-callback is asked about IRRELEVANT_SORT steps and the `sigma` values an
-axiom's source side leaves open.  Axiom instances are validated once per
-theory (see `_instance`), but their sort checks run at every use, so replay
-gives the same verdict and meters the same fuel warm or cold.
+`equal_mod_irr`.  It trusts `gat.syntax` and the theory's tables: axioms by
+item index, proof-irrelevant sort symbols, each operation's telescope and
+result sort, and each symbol's mask of proof-irrelevant argument positions
+(the third part of its plan in `th.plans`).  It asks no callback, and
+compares whole terms by identity, since terms are hash-consed.  The step
+format and what each kind of step must satisfy are set out in
+`gat.equality`.
+
+`_sort_of` checks the terms of IRRELEVANT_SORT steps, and the `sigma`
+values an axiom's source side leaves open, over the trace's telescope with
+no conversion: a check that needs one is rejected.  That is sound but
+incomplete.  A step an engine trace takes backwards, towards the normal
+form both sides of its query share, can put a value under that check as
+normalization left it, where it checks only up to conversion (`eq_term`
+from a beta redex's normal form to the redex, say).  No query in the tests
+or the canonicity sweep does.  Axiom instances are validated once per
+theory (see `_instance`); their open checks run at every use.  Replay
+rewrites nothing and meters no fuel, so it gives the same verdict warm or
+cold.
 """
 
 from __future__ import annotations
@@ -61,15 +70,16 @@ def equal_mod_irr(th, x, y) -> bool:
     return True
 
 
-def replay(th, start, trace, check):
+def replay(th, start, trace):
     """What `trace` reaches from `start`, or a `ReplayError` naming the
-    first top-level step that fails (-1: the start, len(steps): the end).
-    `check(m, a)`: does `m` have sort `a` over the trace's telescope?
-    None when it has none: then every open sort check fails."""
+    first top-level step that fails (-1: the start or a trace with no
+    telescope, len(steps): the end)."""
     if trace.start != start:
         return ReplayError(-1, "trace start differs from the given object")
+    if trace.tele is None:
+        return ReplayError(-1, "no telescope")
     try:
-        end = _walk(th, start, trace.steps, check)
+        end = _walk(th, start, trace.steps, trace.tele)
     except _Reject as r:
         return ReplayError(*r.args)
     if trace.end is not None and end != trace.end:
@@ -91,7 +101,7 @@ def _plug(parent, i: int, child):
     return Cut(parent.head, args) if isinstance(parent, Cut) else args
 
 
-def _walk(th, focus, steps, check):
+def _walk(th, focus, steps, tele):
     """Replay `steps` with a zipper: `stack` holds the (parent, child index)
     pairs from the root down to `focus`, and a parent is rebuilt only when
     the walk leaves it."""
@@ -112,7 +122,7 @@ def _walk(th, focus, steps, check):
         if focus is not s.before or isinstance(focus, Subst):
             raise _Reject(n, "recorded subterm differs from the current one")
         try:
-            _step(th, s, check)
+            _step(th, s, tele)
         except _Reject as r:
             raise _Reject(n, r.args[0]) from None
         focus = s.after
@@ -121,39 +131,41 @@ def _walk(th, focus, steps, check):
     return focus
 
 
-def _step(th, s, check) -> None:
+def _step(th, s, tele) -> None:
     if s.kind == IRRELEVANCE:
         if not equal_mod_irr(th, s.before, s.after):
             raise _Reject("sides differ at a relevant position")
     elif s.kind == IRRELEVANT_SORT:
         a = s.note
         if not (isinstance(a, Cut) and a.head in th.irrelevant_heads
-                and check and check(s.before, a) and check(s.after, a)):
+                and _sort_of(th, tele, s.before) is a
+                and _sort_of(th, tele, s.after) is a):
             raise _Reject("terms do not check at a proof-irrelevant sort")
     elif s.kind in (TERM_AXIOM, SORT_AXIOM):
-        src, dst = _instance(th, s, check)
-        _sub(th, s.before, s.pre, src, check, "pre")
-        _sub(th, dst, s.post, s.after, check, "post")
+        src, dst = _instance(th, s, tele)
+        _sub(th, s.before, s.pre, src, tele, "pre")
+        _sub(th, dst, s.post, s.after, tele, "post")
     else:
         raise _Reject(f"unknown step kind {s.kind!r}")
 
 
-def _sub(th, start, steps, end, check, what: str) -> None:
+def _sub(th, start, steps, end, tele, what: str) -> None:
     if steps:
         try:
-            start = _walk(th, start, steps, check)
+            start = _walk(th, start, steps, tele)
         except _Reject as r:
             raise _Reject(f"{what} step {r.args[0]}: {r.args[1]}") from None
     if start is not end:
         raise _Reject(f"{what} does not connect the step to the axiom instance")
 
 
-def _instance(th, s, check):
+def _instance(th, s, tele):
     """(source, target) of the instance of item `s.axiom` that `s` names.
-    `th.instances` holds, per theory, what the telescope does not decide:
-    both sides under a well-shaped `sigma`, and a (variable, value, sort)
-    check per value the source side leaves open (bar `?` placeholders at
-    proof-irrelevant sorts).  The checks run at every use, hit or miss."""
+    Each value the source side leaves open (bar `?` placeholders at
+    proof-irrelevant sorts) must have its instantiated sort.  `th.instances`
+    holds, per theory, both sides under a well-shaped `sigma` and the
+    (variable, value, sort) checks of the open values, which run at every
+    use over `tele`; a closed value's check is decided once, before that."""
     items, i, sigma = th.theory.items, s.axiom, s.sigma
     kind = TermAxiom if s.kind == TERM_AXIOM else SortAxiom
     if not (type(i) is int and 0 <= i < len(items)
@@ -177,11 +189,47 @@ def _instance(th, s, check):
                 continue
             if not sort.fv <= names:
                 raise _Reject(f"no sort check for sigma's value for {v!r}")
-            checks.append((v, value, subst_apply_term(sigma, sort)))
+            check = (v, value, subst_apply_term(sigma, sort))
+            if value.fv:
+                checks.append(check)
+            else:
+                _check(th, tele, *check)
         hit = th.instances[key] = (subst_apply_term(sigma, src),
                                    subst_apply_term(sigma, dst), tuple(checks))
     src, dst, checks = hit
-    for v, value, sort in checks:
-        if check is None or not check(value, sort):
-            raise _Reject(f"sigma's value for {v!r} does not check at its sort")
+    for check in checks:
+        _check(th, tele, *check)
     return src, dst
+
+
+def _check(th, tele, v: str, value, sort) -> None:
+    if _sort_of(th, tele, value) is not sort:
+        raise _Reject(f"sigma's value for {v!r} does not check at its sort")
+
+
+def _sort_of(th, tele, t):
+    """The sort of term `t` over `tele` as written, or None when `t` is no
+    term there: each argument's sort must be its parameter's sort under the
+    arguments, by identity, with no conversion.  The walk is post-order, on
+    a stack of its own, with a memo by identity."""
+    memo: dict = {}
+    todo = [t]
+    while todo:
+        m = todo[-1]
+        if type(m) is Var:
+            todo.pop()
+            memo[m] = tele.lookup(m.name)
+            if memo[m] is None:
+                return None
+            continue
+        decl = th.op_decls.get(m.head) if type(m) is Cut else None
+        if decl is None or m.args.targets() != decl[0].names():
+            return None
+        todo += [v for v in m.args.values() if v not in memo]
+        if todo[-1] is m:
+            todo.pop()
+            for (_, v), (_, sort) in zip(m.args.entries, decl[0].bindings):
+                if memo[v] is not subst_apply_term(m.args, sort):
+                    return None
+            memo[m] = subst_apply_term(m.args, decl[1])
+    return memo[t]

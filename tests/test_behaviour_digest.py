@@ -15,9 +15,7 @@ The dump covers:
   * the open term queries on monoid and cat of `tests/test_equality.py`,
     normalized, compared and replayed.
 Every call, replay included, is written with the fuel `record_fuel` saw it
-meter.  A `normalize_term` trace has no telescope, so its replay is written
-as the `ReplayError` of the first step that leaves a sort check open, if
-any.
+meter.
 """
 
 import hashlib
@@ -44,7 +42,7 @@ from gat.library import entry, library_names
 from gat.surface import parse_source, print_telescope, print_term
 from gat.syntax import Subst, Telescope
 
-DIGEST = "7b1d160c3eb884bb32af92bf1e764b9468b23a5e5cf673b9bc2b32a0ff0a961d"
+DIGEST = "b89b944670c5efb96b0ac072c670b3505a6db8b95a384f39bc725d2b06a4af91"
 
 
 def _show(x) -> str:
@@ -95,8 +93,8 @@ def _call(out: list, name: str, fn, *args):
     return result
 
 
-def _normalize(out: list, th, m):
-    got = _call(out, "normalize_term", normalize_term, th, m)
+def _normalize(out: list, th, m, tele):
+    got = _call(out, "normalize_term", normalize_term, th, m, tele)
     if isinstance(got, NotProven):
         out.append(f" {_show(got)}")
         return None
@@ -135,7 +133,7 @@ def _dump() -> str:
             out.append(f"term {depth} {_show(t)}")
             value = _call(out, "evaluate_closed", evaluate_closed, mltt, t)
             out.append(f" value {_show(value)}")
-            nf = _normalize(out, mltt, t)
+            nf = _normalize(out, mltt, t, empty)
             sort = _call(out, "infer_term", infer_term, mltt, empty, t)
             out.append(f" sort {_show(sort)}")
             if nf is not None and not isinstance(sort, CheckError):
@@ -143,8 +141,8 @@ def _dump() -> str:
     for th, tele, m, n, sort in _open_queries(built["monoid"]):
         out.append(f"query {_show(tele)} {_show(m)} = {_show(n)} : "
                    f"{_show(sort)}")
-        _normalize(out, th, m)
-        _normalize(out, th, n)
+        _normalize(out, th, m, tele)
+        _normalize(out, th, n, tele)
         _eq_term(out, th, tele, m, n, sort)
     return "\n".join(out) + "\n"
 

@@ -6,8 +6,11 @@ import re
 import jsonschema
 import pytest
 
+from conftest import replay_ok
 from gat.cli import REPORT_SCHEMA_PATH, main
+from gat.equality import record_verdicts
 from gat.library import library_path
+from gat.surface import parse_telescope, parse_term
 
 
 MONOID = str(library_path("monoid"))
@@ -196,10 +199,15 @@ def test_eq_requires_exactly_one_mode(capsys):
 
 
 def test_norm(capsys):
-    code, out, _ = run(capsys, "norm", MONOID, "--telescope", "x: ob{}",
-                       "--term", "cmp{cmp{x/a, id{}/b}/a, id{}/b}")
+    term = "cmp{cmp{x/a, id{}/b}/a, id{}/b}"
+    with record_verdicts() as log:
+        code, out, _ = run(capsys, "norm", MONOID, "--telescope", "x: ob{}",
+                           "--term", term)
     assert code == 0
     assert out.strip() == "x"
+    # the normalization trace is over the given telescope, and replays
+    ((th, trace),) = [(th, t) for th, t in log if t.start == parse_term(term)]
+    assert trace.tele == parse_telescope("x: ob{}") and replay_ok(th, trace)
 
 
 def test_norm_that_gives_up_exits_1(capsys, tmp_path):

@@ -337,9 +337,21 @@ def test_normalization_trace_reaches_the_normal_form(monoid):
     assert replay_trace(monoid, m, trace) == nf
 
 
+def test_a_normalization_trace_holds_the_telescope_it_is_given(monoid):
+    tele = parse_telescope("x: ob{}")
+    m = parse_term("cmp{x/a, id{}/b}")
+    assert normalize_term(monoid, m)[1].tele == Telescope()
+    nf, trace = normalize_term(monoid, m, tele)
+    assert trace.tele is tele and replay_trace(monoid, m, trace) is nf
+
+
 def test_replay_of_empty_trace(monoid):
     x = Var("x")
-    assert replay_trace(monoid, x, EqTrace(x, x)) == x
+    assert replay_trace(monoid, x, EqTrace(x, x, (), parse_telescope(
+        "x: ob{}"))) == x
+    # a trace with no telescope is no proof, however few its steps
+    assert replay_trace(monoid, x, EqTrace(x, x)) == ReplayError(
+        -1, "no telescope")
 
 
 def test_replay_rejects_corrupted_subterm(monoid):

@@ -1,8 +1,9 @@
 """The replay kernel: recorded traces replay, mutated and forged ones do not.
 
-Every mutation here must be rejected with a `ReplayError`.  The property at
-the end compares the kernel, with its zipper walk and its instance cache,
-against a definitional replay that walks from the root and caches nothing.
+Every mutation here must be rejected with a `ReplayError`.  One property
+compares the kernel, with its zipper walk and its instance cache, against a
+definitional replay that walks from the root and caches nothing; another
+compares the kernel's sort check with the checker's.
 """
 
 import ast
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gat import kernel
+from gat import checker, equality, kernel
 from gat.canonicity import GenBudget, generate_closed_obs_terms
-from gat.checker import check_theory, infer_term, theory_extends
+from gat.checker import check_term, check_theory, infer_term, theory_extends
 from gat.equality import (
     IRRELEVANCE,
     IRRELEVANT_SORT,
@@ -31,6 +32,7 @@ from gat.equality import (
     normalize_term,
     record_fuel,
     replay_trace,
+    tally,
 )
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
@@ -264,30 +266,31 @@ def test_lone_unit_steps_between_the_two_unit_shapes_are_rejected(monoid):
     assert replay_trace(monoid, before, two) == after
 
 
-def test_sigma_outside_the_source_side_is_sort_checked(mltt):
-    # "obs substitution" read right to left introduces g and f
+OBS = parse_term("obs{lz{}/l, emp{}/g}")
+
+
+def _obs_substitution(mltt, g, f, tele=EMPTY) -> EqTrace:
+    """A one-step trace from `OBS` by "obs substitution" read right to left,
+    which introduces g and f: the source side leaves both open."""
     idx = mltt.axiom_labels["obs substitution"]
+    sigma = Subst((("a", parse_term("lz{}")), ("d", parse_term("emp{}")),
+                   ("g", g), ("f", f)))
+    after = subst_apply_term(sigma, dict(mltt.term_axioms)[idx].lhs)
+    step = EqStep(TERM_AXIOM, idx, RL, (), OBS, after, None, sigma)
+    return EqTrace(OBS, after, (step,), tele)
+
+
+def test_sigma_outside_the_source_side_is_sort_checked(mltt):
     lz, emp = parse_term("lz{}"), parse_term("emp{}")
-    before = parse_term("obs{lz{}/l, emp{}/g}")
-
-    def step(g, f):
-        sigma = Subst((("a", lz), ("d", emp), ("g", g), ("f", f)))
-        ax = dict(mltt.term_axioms)[idx]
-        return EqStep(TERM_AXIOM, idx, RL, (), before,
-                      subst_apply_term(sigma, ax.lhs), None, sigma)
-
+    bang = parse_term("bang{emp{}/g}")
     th = mltt.copy()
-    good = step(emp, parse_term("bang{emp{}/g}"))
-    # no telescope, no sort check, even once the instance is cached
+    # no telescope, no replay, even once the instance is cached
     for tele, ok in ((None, False), (EMPTY, True), (None, False)):
-        trace = EqTrace(before, good.after, (good,), tele)
-        assert _rejected(th, trace) != ok
-    # f is no arrow emp -> lz, and g is no object
-    for bad in (step(emp, lz), step(lz, parse_term("bang{emp{}/g}"))):
-        assert _rejected(th, EqTrace(before, bad.after, (bad,), EMPTY))
-    # a substitution where sigma's value for f belongs is no term at all
-    bad = step(emp, Subst())
-    assert _rejected(th, EqTrace(before, bad.after, (bad,), EMPTY))
+        assert _rejected(th, _obs_substitution(th, emp, bang, tele)) != ok
+    # f is no arrow emp -> lz, g is no object, and a substitution where
+    # sigma's value for f belongs is no term at all
+    for g, f in ((emp, lz), (lz, bang), (emp, Subst())):
+        assert _rejected(th, _obs_substitution(th, g, f))
 
 
 def test_irrelevance_steps_are_checked(mltt):
@@ -376,8 +379,9 @@ def test_warm_and_cold_replay_agree(mltt, monoid, sweep, monoid_trace):
             assert warm == _replayed(th, trace, tele)
             assert warm == _replayed(th.copy(), trace, tele)
             outs.append(warm)
-    # without a telescope, the traces with a sort check fail
-    assert sum(isinstance(out, ReplayError) for out, _ in outs) > 1
+    # replay meters no fuel, and without a telescope no trace replays
+    assert all(fuel == 0 for _, fuel in outs)
+    assert outs[1::2] == [(ReplayError(-1, "no telescope"), 0)] * len(cases)
 
 
 HAND_BUILT = """
@@ -392,16 +396,20 @@ TERMAX "f drop" [rl] (x: T{a{}/n}) f{x/x} = a{} : N{}
 """
 
 
-def test_a_cached_instance_meters_its_sort_check_again():
-    # right to left, "f drop" introduces x; c{} checks at T{a{}/n} by one
-    # conversion, b{} -> a{}, which a cached instance must meter again
+def test_a_sort_check_that_needs_a_conversion_is_rejected():
+    # right to left, "f drop" introduces x; c{} checks at T{a{}/n} only by
+    # one conversion, b{} -> a{}, which the kernel does not make: it
+    # rejects the step warm and cold, and meters no fuel
     th = check_theory(parse_source(HAND_BUILT).theory)
-    a, fc = parse_term("a{}"), parse_term("f{c{}/x}")
+    a, fc, c = parse_term("a{}"), parse_term("f{c{}/x}"), parse_term("c{}")
+    assert check_term(th, EMPTY, c, parse_sort("T{a{}/n}")) is None
     step = EqStep(TERM_AXIOM, th.axiom_labels["f drop"], RL, (), a, fc, None,
-                  Subst((("x", parse_term("c{}")),)))
+                  Subst((("x", c),)))
     trace = EqTrace(a, fc, (step,), EMPTY)
+    rejected = ReplayError(
+        0, "sigma's value for 'x' does not check at its sort")
     assert [_replayed(t, trace, EMPTY) for t in (th, th, th.copy())] == [
-        (fc, 1)] * 3
+        (rejected, 0)] * 3
 
 
 def test_cached_instances_are_dropped_when_the_theory_is_extended(monoid):
@@ -463,13 +471,22 @@ def _reference(th, term, steps, tele):
     return term
 
 
+def _checks(th, tele, m, a) -> bool:
+    """Whether the checker infers the sort `a` itself for `m` over `tele`,
+    with no conversion: the check the kernel makes.  `check_term` also
+    derives `a` again, which the kernel does not: `a` is well formed by
+    Cartmell's presupposition, and that derivation may convert."""
+    conversions = tally.conversions
+    return infer_term(th, tele, m) is a and tally.conversions == conversions
+
+
 def _genuine(th, s, tele) -> bool:
     if s.kind == IRRELEVANCE:
         return _irr_equal(th, s.before, s.after)
     if s.kind == IRRELEVANT_SORT:
         return (isinstance(s.note, Cut) and s.note.head in th.irrelevant_heads
-                and tele is not None and th.accepts(tele, s.before, s.note)
-                and th.accepts(tele, s.after, s.note))
+                and tele is not None and _checks(th, tele, s.before, s.note)
+                and _checks(th, tele, s.after, s.note))
     axioms = {TERM_AXIOM: th.term_axioms, SORT_AXIOM: th.sort_axioms}
     ax = dict(axioms.get(s.kind, ())).get(s.axiom)
     if ax is None or s.direction not in (LR, RL) or not isinstance(s.sigma, Subst):
@@ -484,8 +501,8 @@ def _genuine(th, s, tele) -> bool:
         if v in src.fv or (value == Var("?" + v)
                            and sort.head in th.irrelevant_heads):
             continue
-        if (tele is None or not sort.fv <= set(names)
-                or not th.accepts(tele, value, subst_apply_sort(s.sigma, sort))):
+        if (tele is None or not sort.fv <= set(names) or not _checks(
+                th, tele, value, subst_apply_sort(s.sigma, sort))):
             return False
     return (_reference(th, s.before, s.pre, tele) == subst_apply_term(s.sigma, src)
             and _reference(th, subst_apply_term(s.sigma, dst), s.post, tele)
@@ -532,6 +549,98 @@ def test_one_field_mutation_is_rejected_unless_still_genuine(
         out = replay_trace(th, trace.start, mutated)
         assert isinstance(out, ReplayError) != genuine
         assert genuine or out.step >= i
+
+
+# -- the kernel's own sort check --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def seed0(mltt):
+    """The `eq_term` proof and the normalization trace of each seed-0 sweep
+    term at depths 1-6."""
+    proofs = _sweep_traces(mltt, range(1, 7), None)
+    return proofs, [normalize_term(mltt, p.start)[1] for p in proofs]
+
+
+@pytest.fixture(scope="module")
+def sort_pool(mltt, seed0):
+    """The terms of the seed-0 sweep's steps and of two bridge traces, with
+    their sigma values and the bridge telescope's variables; and the sorts
+    they infer over that telescope, with the sorts of the axiom parameters
+    the sigma values instantiate."""
+    terms, sorts = {}, {}
+
+    def collect(steps):
+        for s in steps:
+            terms.update(dict.fromkeys((s.before, s.after)))
+            if isinstance(s.sigma, Subst):
+                terms.update(dict.fromkeys(s.sigma.values()))
+                params = mltt.theory.items[s.axiom].params
+                sorts.update(dict.fromkeys(
+                    subst_apply_sort(s.sigma, params.lookup(v))
+                    for v in s.sigma.targets()))
+            collect(s.pre + s.post)
+
+    for trace in seed0[0] + [_bridge(mltt, LOW, HIGH)[0],
+                             _bridge(mltt, HIGH, LOW)[0]]:
+        collect(trace.steps)
+    terms.update(dict.fromkeys(Var(v) for v in BRIDGE_TELE.names()))
+    for t in terms:
+        sort = infer_term(mltt, BRIDGE_TELE, t)
+        if isinstance(sort, Cut):
+            sorts[sort] = None
+    return list(terms), list(sorts)
+
+
+def _swapped(data, m, pool):
+    """`m` with one argument replaced by a term of `pool`, if it has one."""
+    if not (isinstance(m, Cut) and m.args.entries):
+        return m
+    entries = list(m.args.entries)
+    i = data.draw(st.integers(0, len(entries) - 1))
+    entries[i] = (entries[i][0], data.draw(st.sampled_from(pool)))
+    return Cut(m.head, Subst(tuple(entries)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_the_kernel_checks_a_sort_as_the_checker_does_without_conversion(
+        mltt, sort_pool, data):
+    terms, sorts = sort_pool
+    tele = data.draw(st.sampled_from((EMPTY, BRIDGE_TELE)))
+    m = data.draw(st.sampled_from(terms))
+    own = infer_term(mltt, tele, m)
+    a = (own if isinstance(own, Cut) and data.draw(st.booleans())
+         else data.draw(st.sampled_from(sorts)))
+    # the pair as it is, or one of them with one argument swapped
+    swap = data.draw(st.sampled_from(("neither", "term", "sort")))
+    if swap == "term":
+        m = _swapped(data, m, terms)
+    elif swap == "sort":
+        a = _swapped(data, a, terms)
+    assert (kernel._sort_of(mltt, tele, m) is a) == _checks(mltt, tele, m, a)
+
+
+def test_replay_asks_neither_the_checker_nor_the_engine(mltt, seed0,
+                                                        monkeypatch):
+    traces = seed0[0] + seed0[1]
+    th = mltt.copy()  # a cold instance cache: every instance is validated
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay asked the checker or the engine")
+
+    for module, name in ((checker, "check_term"), (checker, "infer_term"),
+                         (checker, "eq_sort"), (equality, "eq_sort"),
+                         (equality, "_Engine")):
+        monkeypatch.setattr(module, name, refuse)
+    for trace in traces:
+        assert replay_trace(th, trace.start, trace) is trace.end
+    # a checker that accepts everything changes nothing: lz{} is no arrow
+    monkeypatch.setattr(checker, "check_term", lambda *args, **kwargs: None)
+    bad = _obs_substitution(th, parse_term("emp{}"), parse_term("lz{}"))
+    assert replay_trace(th, OBS, bad) == ReplayError(
+        0, "sigma's value for 'f' does not check at its sort")
 
 
 # -- the trust boundary ------------------------------------------------------
