@@ -70,7 +70,8 @@ a trace read late is the one an eager engine would have returned.
 
 `replay_trace` is `gat.kernel.replay`, which imports nothing from this
 engine or from the checker: it decides a trace's sort checks over the
-trace's telescope by itself, rewrites nothing and meters no fuel.
+trace's telescope by itself, rewrites nothing and meters no fuel.  It
+replays a join's inverted half from the trace's end, as it was normalized.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .kernel import (
+    FLIP,
     IRRELEVANCE,
     IRRELEVANT_SORT,
     SORT_AXIOM,
@@ -147,7 +149,7 @@ class _Steps:
             return ()
         steps = trace.__dict__["steps"]
         if type(steps) is _Unemitted:
-            steps = trace.__dict__["steps"] = steps.emit()
+            steps = trace.__dict__["steps"] = sum(steps.emit(), ())
         return steps
 
     def __set__(self, trace, steps) -> None:
@@ -227,20 +229,13 @@ def _logged(th: CheckedTheory, trace: EqTrace) -> EqTrace:
     return trace
 
 
-def _flip(direction: str | None) -> str | None:
-    if direction == LR:
-        return RL
-    if direction == RL:
-        return LR
-    return direction
-
-
 def _invert(steps) -> tuple[EqStep, ...]:
     """The steps backwards: each one flipped, its sub-traces swapped and
     inverted."""
     return tuple(
-        EqStep(s.kind, s.axiom, _flip(s.direction), s.path, s.after, s.before,
-               s.note, s.sigma, _invert(s.post), _invert(s.pre))
+        EqStep(s.kind, s.axiom, FLIP.get(s.direction, s.direction), s.path,
+               s.after, s.before, s.note, s.sigma, _invert(s.post),
+               _invert(s.pre))
         for s in reversed(steps)) if steps else ()
 
 
@@ -312,20 +307,20 @@ def _moved(s: EqStep, path: tuple[int, ...]) -> EqStep:
 @dataclass(eq=False, slots=True)
 class _Unemitted:
     """The steps of a top-level trace before anyone reads them: those of
-    entry `x`, then `mid`, then those of entry `y` inverted.  Entries never
-    change once made, and emitting spends no fuel, so emitting late gives
-    what emitting at once would."""
+    entry `x`, then `mid`, then those of entry `y` inverted, which `emit`
+    gives as three tuples.  Entries never change once made, and emitting
+    spends no fuel, so emitting late gives what emitting at once would."""
 
     x: _Entry | None
     mid: tuple[EqStep, ...] = ()
     y: _Entry | None = None
 
-    def emit(self) -> tuple[EqStep, ...]:
+    def emit(self) -> tuple[tuple[EqStep, ...], ...]:
         steps: list[EqStep] = []
         back: list[EqStep] = []
         _emit(self.x, (), steps)
         _emit(self.y, (), back)
-        return tuple(steps) + self.mid + _invert(back)
+        return tuple(steps), self.mid, _invert(back)
 
 
 class _Engine:
@@ -665,15 +660,19 @@ def eq_sort(th: CheckedTheory, psi: Telescope, a: Sort, b: Sort,
     return _bounded(th, cfg, body)
 
 
-def eq_term(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort,
-            cfg: EqEngineConfig | None = None):
+def _term_query(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort):
     def body(engine: _Engine):
         if isinstance(a, Cut) and a.head in th.irrelevant_heads:
             steps = () if m == n else (
                 EqStep(IRRELEVANT_SORT, None, None, (), m, n, note=a),)
             return Equal(_logged(th, EqTrace(m, n, steps, psi)))
         return engine.join(m, n, psi, "normal forms differ")
-    return _bounded(th, cfg, body)
+    return body
+
+
+def eq_term(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort,
+            cfg: EqEngineConfig | None = None):
+    return _bounded(th, cfg, _term_query(th, psi, m, n, a))
 
 
 def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
@@ -681,27 +680,34 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
     """Entry-wise term equality into `target`, a checked telescope: entry i
     is compared at target sort i, which mentions only names `p0` binds
     before entry i, instantiated by `p0`.  The trace holds each entry's
-    steps, their paths led by the entry's index."""
+    steps, their paths led by the entry's index: all steps from `p0` to
+    normal forms first, then those between them, then those to `p1`."""
     if len(p0) != len(p1) or len(p0) != len(target):
         return NotProven(False, "substitution lengths differ")
-    steps: list[EqStep] = []
+    parts: tuple[list[EqStep], ...] = ([], [], [])
     for i, ((t0, v0), (t1, v1), (name, sort)) in enumerate(zip(
             p0.entries, p1.entries, target.bindings)):
         if t0 != name or t1 != name:
             return NotProven(False, f"target names do not match {name!r}")
-        verdict = eq_term(th, phi, v0, v1, subst_apply_sort(p0, sort))
+        verdict = _bounded(th, None, _term_query(
+            th, phi, v0, v1, subst_apply_sort(p0, sort)))
         if not isinstance(verdict, Equal):
             return verdict
-        steps += (_moved(s, (i,) + s.path) for s in verdict.trace.steps)
-    return Equal(_logged(th, EqTrace(p0, p1, tuple(steps), phi)))
+        # no one has read the steps yet, so they are still unemitted
+        steps = verdict.trace.__dict__["steps"]
+        for part, half in zip(parts, steps.emit() if type(steps) is _Unemitted
+                              else ((), steps, ())):
+            part += (_moved(s, (i,) + s.path) for s in half)
+    return Equal(_logged(th, EqTrace(p0, p1, tuple(sum(parts, [])), phi)))
 
 
 def normalize_term(th: CheckedTheory, m: Term,
                    tele: Telescope = Telescope(())):
     """Normal form of `m` with the oriented axioms, plus the trace there
-    over `tele`, the telescope of `m` (empty for a closed term), which
-    replays; `NotProven` when a bound ends the rewriting first.  Its fuel
-    goes to `record_fuel`, as every bounded query's does."""
+    over `tele`, the telescope of `m`, which replays: the default, empty,
+    is for a closed term, and replay rejects a trace whose telescope leaves
+    a variable of `m` unbound.  `NotProven` when a bound ends the rewriting
+    first.  Its fuel goes to `record_fuel`, as every bounded query's does."""
     def body(engine: _Engine):
         nf, e = engine.normal_entry(m)
         return nf, _logged(th, EqTrace(m, nf, _Unemitted(e), tele))

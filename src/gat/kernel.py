@@ -10,17 +10,25 @@ compares whole terms by identity, since terms are hash-consed.  The step
 format and what each kind of step must satisfy are set out in
 `gat.equality`.
 
-`_sort_of` checks the terms of IRRELEVANT_SORT steps, and the `sigma`
-values an axiom's source side leaves open, over the trace's telescope with
-no conversion: a check that needs one is rejected.  That is sound but
-incomplete.  A step an engine trace takes backwards, towards the normal
-form both sides of its query share, can put a value under that check as
-normalization left it, where it checks only up to conversion (`eq_term`
-from a beta redex's normal form to the redex, say).  No query in the tests
-or the canonicity sweep does.  Axiom instances are validated once per
-theory (see `_instance`); their open checks run at every use.  Replay
-rewrites nothing and meters no fuel, so it gives the same verdict warm or
-cold.
+A trace from x to y proves x = y over its telescope, and presupposes, as
+that judgment does, that x and y are well formed there; replay checks only
+that their free variables are bound.  So replay need not take every step
+from x: it takes them from x until one fails, and the rest backward from
+y, each as the step that uses its axiom the other way round.  A join's
+second half is the other side's normalization inverted, and so replays
+forward from that side.  Taken in either direction, a step checks the
+values its source side leaves open: `sigma`'s values outside it, and both
+terms of an IRRELEVANT_SORT step.  `_sort_of` checks them over the trace's
+telescope with no conversion, so a check that needs one is rejected.  That
+is sound but incomplete.  An inverted rewrite can introduce a value, as
+normalization left it, that checks only up to conversion; replay accepts
+it from the end, where the rewrite's source binds that value.  A step's
+sub-traces are replayed in the step's direction only, so the inverted part
+of a rewrite's `pre` (see `gat.equality`) is checked as it stands; none of
+the seed 0-9 sweep queries, asked either way round, fails there.  Axiom
+instances are validated once per theory and direction (see `_instance`);
+their open checks run at every use.  Replay rewrites nothing and meters no
+fuel, so it gives the same verdict warm or cold.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ TERM_AXIOM = "term-axiom"
 SORT_AXIOM = "sort-axiom"
 IRRELEVANCE = "irrelevance"
 IRRELEVANT_SORT = "irrelevant-sort"
+FLIP = {LR: RL, RL: LR}
 
 
 @dataclass(frozen=True)
@@ -71,20 +80,42 @@ def equal_mod_irr(th, x, y) -> bool:
 
 
 def replay(th, start, trace):
-    """What `trace` reaches from `start`, or a `ReplayError` naming the
-    first top-level step that fails (-1: the start or a trace with no
-    telescope, len(steps): the end)."""
+    """`trace.end` (with no end recorded, what the steps reach) when the
+    trace joins `start` to it, else a `ReplayError` naming the first
+    top-level step that fails from `start` (-1: the start or the telescope,
+    len(steps): the end).  From the first step that fails on, the steps are
+    replayed backward from the end, and must reach the term the walk from
+    `start` stopped at."""
+    tele, end, steps = trace.tele, trace.end, trace.steps
     if trace.start != start:
         return ReplayError(-1, "trace start differs from the given object")
-    if trace.tele is None:
+    if tele is None:
         return ReplayError(-1, "no telescope")
+    names = frozenset(tele.names())
+    if not _over(names, start):
+        return ReplayError(-1, "start is not over the trace's telescope")
+    if end is not None and not _over(names, end):
+        return ReplayError(len(steps), "end is not over the trace's telescope")
     try:
-        end = _walk(th, start, trace.steps, trace.tele)
+        reached = _walk(th, start, steps, tele)
     except _Reject as r:
-        return ReplayError(*r.args)
-    if trace.end is not None and end != trace.end:
-        return ReplayError(len(trace.steps), "trace end differs from the result")
-    return end
+        n, reason, met = r.args
+        try:
+            if end is not None and _walk(th, end, steps[n:], tele,
+                                         True) is met:
+                return end
+        except _Reject:
+            pass
+        return ReplayError(n, reason)
+    if end is not None and reached != end:
+        return ReplayError(len(steps), "trace end differs from the result")
+    return reached
+
+
+def _over(names, x) -> bool:
+    """Whether `names` binds every free variable of `x` bar the engine's `?`
+    placeholders, which stand at proof-irrelevant positions."""
+    return x.fv <= names or all(v in names or v[0] == "?" for v in x.fv)
 
 
 def _children(node):
@@ -101,37 +132,45 @@ def _plug(parent, i: int, child):
     return Cut(parent.head, args) if isinstance(parent, Cut) else args
 
 
-def _walk(th, focus, steps, tele):
-    """Replay `steps` with a zipper: `stack` holds the (parent, child index)
-    pairs from the root down to `focus`, and a parent is rebuilt only when
-    the walk leaves it."""
+def _walk(th, focus, steps, tele, back: bool = False):
+    """Replay `steps` from `focus`, or backward from their end when `back`,
+    with a zipper: `stack` holds the (parent, child index) pairs from the
+    root down to `focus`, and a parent is rebuilt only when the walk leaves
+    it.  A step that fails raises `_Reject(n, reason, root)`, where `root`
+    is the term the walk had reached."""
     stack: list = []
-    for n, s in enumerate(steps):
+    for n in reversed(range(len(steps))) if back else range(len(steps)):
+        s = steps[n]
         path = s.path
         k = 0
         while k < len(stack) and k < len(path) and stack[k][1] == path[k]:
             k += 1
         while len(stack) > k:
             focus = _plug(*stack.pop(), focus)
-        for i in path[k:]:
-            entries = _children(focus)
-            if type(i) is not int or not 0 <= i < len(entries or ()):
-                raise _Reject(n, "path leads outside the term")
-            stack.append((focus, i))
-            focus = entries[i][1]
-        if focus is not s.before or isinstance(focus, Subst):
-            raise _Reject(n, "recorded subterm differs from the current one")
         try:
-            _step(th, s, tele)
+            for i in path[k:]:
+                entries = _children(focus)
+                if type(i) is not int or not 0 <= i < len(entries or ()):
+                    raise _Reject("path leads outside the term")
+                stack.append((focus, i))
+                focus = entries[i][1]
+            if (focus is not (s.after if back else s.before)
+                    or isinstance(focus, Subst)):
+                raise _Reject("recorded subterm differs from the current one")
+            _step(th, s, tele, back)
         except _Reject as r:
-            raise _Reject(n, r.args[0]) from None
-        focus = s.after
+            while stack:
+                focus = _plug(*stack.pop(), focus)
+            raise _Reject(n, r.args[0], focus) from None
+        focus = s.before if back else s.after
     while stack:
         focus = _plug(*stack.pop(), focus)
     return focus
 
 
-def _step(th, s, tele) -> None:
+def _step(th, s, tele, back: bool) -> None:
+    """Check step `s`; when `back`, as the step from `s.after` to
+    `s.before` that uses its axiom the other way round."""
     if s.kind == IRRELEVANCE:
         if not equal_mod_irr(th, s.before, s.after):
             raise _Reject("sides differ at a relevant position")
@@ -142,25 +181,30 @@ def _step(th, s, tele) -> None:
                 and _sort_of(th, tele, s.after) is a):
             raise _Reject("terms do not check at a proof-irrelevant sort")
     elif s.kind in (TERM_AXIOM, SORT_AXIOM):
-        src, dst = _instance(th, s, tele)
-        _sub(th, s.before, s.pre, src, tele, "pre")
-        _sub(th, dst, s.post, s.after, tele, "post")
+        src, dst = _instance(th, s, tele, back)
+        if back:
+            _sub(th, s.after, s.post, src, tele, back, "post")
+            _sub(th, dst, s.pre, s.before, tele, back, "pre")
+        else:
+            _sub(th, s.before, s.pre, src, tele, back, "pre")
+            _sub(th, dst, s.post, s.after, tele, back, "post")
     else:
         raise _Reject(f"unknown step kind {s.kind!r}")
 
 
-def _sub(th, start, steps, end, tele, what: str) -> None:
+def _sub(th, start, steps, end, tele, back: bool, what: str) -> None:
     if steps:
         try:
-            start = _walk(th, start, steps, tele)
+            start = _walk(th, start, steps, tele, back)
         except _Reject as r:
             raise _Reject(f"{what} step {r.args[0]}: {r.args[1]}") from None
     if start is not end:
         raise _Reject(f"{what} does not connect the step to the axiom instance")
 
 
-def _instance(th, s, tele):
-    """(source, target) of the instance of item `s.axiom` that `s` names.
+def _instance(th, s, tele, back: bool):
+    """(source, target) of the instance of item `s.axiom` that `s` names,
+    used in `s.direction`, or the other way round when `back`.
     Each value the source side leaves open (bar `?` placeholders at
     proof-irrelevant sorts) must have its instantiated sort.  `th.instances`
     holds, per theory, both sides under a well-shaped `sigma` and the
@@ -172,11 +216,12 @@ def _instance(th, s, tele):
             and isinstance(items[i], kind) and s.direction in (LR, RL)
             and type(sigma) is Subst):
         raise _Reject(f"no {s.kind} at item {i!r} to use {s.direction!r}")
-    key = (s.kind, i, s.direction, sigma)
+    direction = FLIP[s.direction] if back else s.direction
+    key = (s.kind, i, direction, sigma)
     hit = th.instances.get(key)
     if hit is None:
         ax = items[i]
-        src, dst = sides(ax, s.direction)
+        src, dst = sides(ax, direction)
         names, bound = set(sigma.targets()), src.fv
         if (len(names) < len(sigma.entries) or not bound | dst.fv
                 <= names <= set(ax.params.names())):

@@ -340,9 +340,14 @@ def test_normalization_trace_reaches_the_normal_form(monoid):
 def test_a_normalization_trace_holds_the_telescope_it_is_given(monoid):
     tele = parse_telescope("x: ob{}")
     m = parse_term("cmp{x/a, id{}/b}")
-    assert normalize_term(monoid, m)[1].tele == Telescope()
     nf, trace = normalize_term(monoid, m, tele)
     assert trace.tele is tele and replay_trace(monoid, m, trace) is nf
+    # the default is the empty telescope, which binds no x
+    closed = parse_term("cmp{id{}/a, id{}/b}")
+    assert normalize_term(monoid, closed)[1].tele == Telescope()
+    assert replay_trace(monoid, m, dataclasses.replace(
+        trace, tele=Telescope())) == ReplayError(
+            -1, "start is not over the trace's telescope")
 
 
 def test_replay_of_empty_trace(monoid):
@@ -450,8 +455,8 @@ def _open_queries(monoid):
 def test_warm_memo_matches_a_cold_engine_on_open_queries(monoid):
     for th, tele, m, n, sort in _open_queries(monoid):
         warm = th.copy()
-        normalize_term(warm, m)
-        normalize_term(warm, n)
+        normalize_term(warm, m, tele)
+        normalize_term(warm, n, tele)
         verdict, used = _assert_warm_is_cold(th, warm, tele, m, n, sort)
         assert isinstance(verdict, Equal) and used > 1
 
@@ -595,13 +600,14 @@ def test_a_rewrite_past_fuel_and_size_cap_ends_on_fuel():
 
 def test_extension_rewrites_with_its_axiom_and_the_base_does_not(monoid):
     base = monoid.copy()
+    tele = parse_telescope("x: ob{}, y: ob{}")
     m = parse_term("cmp{x/a, y/b}")
-    assert normalize_term(base, m)[0] == m
+    assert normalize_term(base, m, tele)[0] == m
     ext = theory_extends(base, parse_source(
         'TERMAX "left projection" (x: ob{}, y: ob{}) '
         'cmp{x/a, y/b} = x : ob{}').theory)
-    assert normalize_term(ext, m)[0] == Var("x")
-    assert normalize_term(base, m)[0] == m
+    assert normalize_term(ext, m, tele)[0] == Var("x")
+    assert normalize_term(base, m, tele)[0] == m
 
 
 
@@ -829,7 +835,7 @@ def _trace_queries(monoid, mltt):
                     lambda a=sort, b=nf_sort: eq_sort(
                         mltt, empty, a, b).trace]
     for th, tele, m, n, sort in _open_queries(monoid):
-        out += [lambda th=th, m=m: normalize_term(th, m)[1],
+        out += [lambda th=th, tele=tele, m=m: normalize_term(th, m, tele)[1],
                 lambda th=th, tele=tele, m=m, n=n, a=sort: eq_term(
                     th, tele, m, n, a).trace]
     return out
@@ -865,14 +871,14 @@ def test_a_trace_read_after_an_axiom_keeps_its_steps(monoid):
     at_once = eq_term(th, tele, m, n, OB).trace
     at_once.steps
     late = eq_term(th, tele, m, n, OB).trace
-    norm = normalize_term(th, m)[1]
+    norm = normalize_term(th, m, tele)[1]
     ext = theory_extends(th, left)
     assert not isinstance(ext, CheckError)
     # the axiom, added to the theory itself, drops the memo the entries of
     # `late` and `norm` came from
     memo = th.nf_memo
     assert _extend_checked(th, left.items) is None and th.nf_memo is not memo
-    assert normalize_term(th, m)[0] == Var("x")
+    assert normalize_term(th, m, tele)[0] == Var("x")
     assert late == at_once and late.steps and norm.end == n
     for t in (th, ext, monoid):
         assert replay_ok(t, late) and replay_ok(t, norm)

@@ -1,9 +1,10 @@
 """The replay kernel: recorded traces replay, mutated and forged ones do not.
 
 Every mutation here must be rejected with a `ReplayError`.  One property
-compares the kernel, with its zipper walk and its instance cache, against a
-definitional replay that walks from the root and caches nothing; another
-compares the kernel's sort check with the checker's.
+compares the kernel, with its zipper walk, its turn to the trace's end and
+its instance cache, against a definitional replay that walks from the root,
+tries every step to turn at and caches nothing; another compares the
+kernel's sort check with the checker's.
 """
 
 import ast
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gat import checker, equality, kernel
-from gat.canonicity import GenBudget, generate_closed_obs_terms
+from gat.canonicity import GenBudget, _el_obs, generate_closed_obs_terms
 from gat.checker import check_term, check_theory, infer_term, theory_extends
 from gat.equality import (
     IRRELEVANCE,
@@ -28,6 +29,7 @@ from gat.equality import (
     Equal,
     ReplayError,
     eq_sort,
+    eq_subst,
     eq_term,
     normalize_term,
     record_fuel,
@@ -89,19 +91,23 @@ def monoid_trace(monoid):
                   parse_term("cmp{cmp{id{}/a, x/b}/a, cmp{y/a, z/b}/b}"), OB)
 
 
-def _sweep_traces(mltt, depths, count):
-    out = []
+def _sweep_traces(mltt, depths, count, back=False):
+    """The proofs t = nf of the first `count` seed-0 sweep terms t at each
+    depth, and when `back`, then those of nf = t."""
+    pairs = []
     for depth in depths:
         for t in generate_closed_obs_terms(
                 mltt, GenBudget(max_depth=depth, seed=0))[:count]:
-            nf = normalize_term(mltt, t)[0]
-            out.append(_proof(mltt, EMPTY, t, nf, infer_term(mltt, EMPTY, t)))
-    return out
+            pairs.append((t, normalize_term(mltt, t)[0],
+                          infer_term(mltt, EMPTY, t)))
+    if back:
+        pairs += [(nf, t, sort) for t, nf, sort in pairs]
+    return [_proof(mltt, EMPTY, *pair) for pair in pairs]
 
 
 @pytest.fixture(scope="module")
 def sweep(mltt):
-    return _sweep_traces(mltt, (2, 3, 4), 8)
+    return _sweep_traces(mltt, (2, 3, 4), 8, back=True)
 
 
 @pytest.fixture(scope="module")
@@ -270,14 +276,17 @@ OBS = parse_term("obs{lz{}/l, emp{}/g}")
 
 
 def _obs_substitution(mltt, g, f, tele=EMPTY) -> EqTrace:
-    """A one-step trace from `OBS` by "obs substitution" read right to left,
-    which introduces g and f: the source side leaves both open."""
+    """A trace from `OBS` back to itself by "obs substitution", read right
+    to left, which introduces g and f (the source side leaves both open),
+    then left to right.  Replayed from either end, the step that
+    introduces them checks them."""
     idx = mltt.axiom_labels["obs substitution"]
     sigma = Subst((("a", parse_term("lz{}")), ("d", parse_term("emp{}")),
                    ("g", g), ("f", f)))
-    after = subst_apply_term(sigma, dict(mltt.term_axioms)[idx].lhs)
-    step = EqStep(TERM_AXIOM, idx, RL, (), OBS, after, None, sigma)
-    return EqTrace(OBS, after, (step,), tele)
+    mid = subst_apply_term(sigma, dict(mltt.term_axioms)[idx].lhs)
+    return EqTrace(OBS, OBS, (
+        EqStep(TERM_AXIOM, idx, RL, (), OBS, mid, None, sigma),
+        EqStep(TERM_AXIOM, idx, LR, (), mid, OBS, None, sigma)), tele)
 
 
 def test_sigma_outside_the_source_side_is_sort_checked(mltt):
@@ -342,9 +351,12 @@ def test_deep_terms_compare_modulo_irrelevance_without_recursion():
 
 def test_instances_checked_over_a_telescope_are_not_cached(mltt):
     # left to right, "element lifting" takes b and p from the sort it
-    # reaches: the values are open, so their check holds for one telescope
+    # reaches: the values are open, so their check holds for one telescope.
+    # The trace goes there and back, so that b and p are checked whichever
+    # end replay takes the bridge from.
     th = mltt.copy()
-    trace, i = _bridge(th, LOW, HIGH)
+    there, back = _bridge(th, LOW, HIGH)[0], _bridge(th, HIGH, LOW)[0]
+    trace = EqTrace(LOW, LOW, there.steps + back.steps, BRIDGE_TELE)
     bad = parse_telescope(
         "a: lvl{}, b: ob{}, p: lt{a/u, a/v}, g: ob{}, A: ty{a/l, g/g}, "
         "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
@@ -398,18 +410,24 @@ TERMAX "f drop" [rl] (x: T{a{}/n}) f{x/x} = a{} : N{}
 
 def test_a_sort_check_that_needs_a_conversion_is_rejected():
     # right to left, "f drop" introduces x; c{} checks at T{a{}/n} only by
-    # one conversion, b{} -> a{}, which the kernel does not make: it
-    # rejects the step warm and cold, and meters no fuel
+    # one conversion, b{} -> a{}, which the kernel does not make.  Alone,
+    # the step replays backward from its end, which binds x.  There and
+    # back, the step from either end introduces x, and step 0 fails.  Warm
+    # and cold alike, with no fuel
     th = check_theory(parse_source(HAND_BUILT).theory)
     a, fc, c = parse_term("a{}"), parse_term("f{c{}/x}"), parse_term("c{}")
     assert check_term(th, EMPTY, c, parse_sort("T{a{}/n}")) is None
-    step = EqStep(TERM_AXIOM, th.axiom_labels["f drop"], RL, (), a, fc, None,
-                  Subst((("x", c),)))
+    drop, sigma = th.axiom_labels["f drop"], Subst((("x", c),))
+    step = EqStep(TERM_AXIOM, drop, RL, (), a, fc, None, sigma)
     trace = EqTrace(a, fc, (step,), EMPTY)
+    assert [_replayed(t, trace, EMPTY) for t in (th, th, th.copy())] == [
+        (fc, 0)] * 3
+    there_and_back = EqTrace(a, a, (
+        step, EqStep(TERM_AXIOM, drop, LR, (), fc, a, None, sigma)), EMPTY)
     rejected = ReplayError(
         0, "sigma's value for 'x' does not check at its sort")
-    assert [_replayed(t, trace, EMPTY) for t in (th, th, th.copy())] == [
-        (rejected, 0)] * 3
+    assert [_replayed(t, there_and_back, EMPTY)
+            for t in (th, th, th.copy())] == [(rejected, 0)] * 3
 
 
 def test_cached_instances_are_dropped_when_the_theory_is_extended(monoid):
@@ -456,7 +474,9 @@ def _irr_equal(th, x, y) -> bool:
 
 def _reference(th, term, steps, tele):
     """The term `steps` reach from `term`, each step checked from its
-    definition at a path followed from the root; None if one fails."""
+    definition at a path followed from the root; None if one fails.  A
+    step's sub-traces are checked so, from the step's `before` and from its
+    target side's instance."""
     for s in steps:
         if not all(type(i) is int and i >= 0 for i in s.path):
             return None
@@ -509,6 +529,40 @@ def _genuine(th, s, tele) -> bool:
             == s.after)
 
 
+def _inverse(s):
+    """Step `s` taken from `s.after` to `s.before`."""
+    return dataclasses.replace(
+        s, direction={LR: RL, RL: LR}.get(s.direction, s.direction),
+        before=s.after, after=s.before,
+        pre=tuple(map(_inverse, reversed(s.post))),
+        post=tuple(map(_inverse, reversed(s.pre))))
+
+
+def _terms(th, term, steps, tele):
+    """The terms `steps` pass through from `term`, up to the first that
+    fails."""
+    out = [term]
+    for s in steps:
+        term = _reference(th, term, (s,), tele)
+        if term is None:
+            break
+        out.append(term)
+    return out
+
+
+def _joins(th, trace) -> bool:
+    """Whether some step k splits `trace` in two that reach one term: the
+    steps before k from the start, and those from k on, inverted, from the
+    end.  Each end is presupposed well formed, as in an equality judgment,
+    so the steps from it check only the values they introduce."""
+    n = len(trace.steps)
+    ahead = _terms(th, trace.start, trace.steps, trace.tele)
+    inverse = [_inverse(s) for s in reversed(trace.steps)]
+    behind = _terms(th, trace.end, inverse, trace.tele)
+    return any(n - k < len(behind) and behind[n - k] == t
+               for k, t in enumerate(ahead))
+
+
 @pytest.fixture(scope="module")
 def field_values(sweep):
     """Every value each field takes in the sweep's steps, nested ones too."""
@@ -530,7 +584,7 @@ def field_values(sweep):
 def test_the_reference_accepts_every_recorded_sweep_trace(mltt, sweep):
     assert sum(bool(s.pre) for t in sweep for s in t.steps) > 0
     for trace in sweep:
-        assert _reference(mltt, trace.start, trace.steps, trace.tele) == trace.end
+        assert _joins(mltt, trace)
 
 
 @settings(max_examples=300, deadline=None,
@@ -543,12 +597,79 @@ def test_one_field_mutation_is_rejected_unless_still_genuine(
     field = data.draw(st.sampled_from(FIELDS))
     value = data.draw(st.sampled_from(field_values[field]))
     mutated = _with_step(trace, i, **{field: value})
-    genuine = (_reference(mltt, trace.start, mutated.steps, mutated.tele)
-               == trace.end)
+    genuine = _joins(mltt, mutated)
+    # the step where replay of the trace as recorded turns to the end, if
+    # one fails from the start: the error names the first step that fails
+    # from the start, so a mutation past the turn is reported at the turn
+    turn = len(_terms(mltt, trace.start, trace.steps, trace.tele)) - 1
     for th in (mltt, mltt.copy()):  # a warm and a cold instance cache
         out = replay_trace(th, trace.start, mutated)
         assert isinstance(out, ReplayError) != genuine
-        assert genuine or out.step >= i
+        assert genuine or out.step >= min(i, turn)
+
+
+# -- replay from either end -------------------------------------------------
+
+
+def _turns(th, trace) -> bool:
+    """Whether a step of `trace` fails from its start, so that replay takes
+    the rest backward from its end."""
+    try:
+        kernel._walk(th, trace.start, trace.steps, trace.tele)
+    except kernel._Reject:
+        return True
+    return False
+
+
+def test_every_seed0_query_replays_either_way_round(mltt, seed0):
+    # a join's second half is the other side's normalization inverted; an
+    # inverted rewrite can introduce a value that checks only up to
+    # conversion, and replay takes such steps from the end they start at
+    turned = []
+    for proof in seed0[0]:
+        t, nf = proof.start, proof.end
+        sort = infer_term(mltt, EMPTY, t)
+        obs = _el_obs(mltt, sort.args.lookup("l"))
+        traces = [_proof(mltt, EMPTY, nf, t, sort)]
+        for x, y in ((sort, obs), (obs, sort)):
+            verdict = eq_sort(mltt, EMPTY, x, y)
+            assert isinstance(verdict, Equal)
+            assert replay_trace(mltt, x, verdict.trace) is y
+            traces.append(verdict.trace)
+        turned.append([_turns(mltt, trace) for trace in traces])
+    # the queries with the redex on the right turn, those with it on the
+    # left never do
+    back_term, ahead_sort, back_sort = (sum(column) for column in zip(*turned))
+    assert len(turned) == 202 and back_term > 0 and back_sort > 0
+    assert ahead_sort == 0 and not any(_turns(mltt, p) for p in seed0[0])
+
+
+def test_a_substitution_trace_turns_once(mltt, seed0):
+    # entry x needs its backward half, entry y none: each entry's steps to
+    # its normal form come first, so one turn serves both
+    proofs = seed0[0]
+    for a, b in zip(proofs[::7], proofs[1::7]):
+        target = Telescope((("x", infer_term(mltt, EMPTY, a.start)),
+                            ("y", infer_term(mltt, EMPTY, b.start))))
+        p0 = Subst((("x", a.end), ("y", b.start)))
+        p1 = Subst((("x", a.start), ("y", b.end)))
+        verdict = eq_subst(mltt, EMPTY, p0, p1, target)
+        assert isinstance(verdict, Equal)
+        assert replay_trace(mltt, p0, verdict.trace) is p1
+        firsts = [s.path[0] for s in verdict.trace.steps]
+        assert firsts == sorted(firsts, reverse=True)
+
+
+def test_a_trace_is_over_its_telescope(monoid):
+    x, y = Var("x"), Var("y")
+    tele = parse_telescope("x: ob{}")
+    assert replay_trace(monoid, x, EqTrace(x, x, (), tele)) is x
+    assert replay_trace(monoid, y, EqTrace(y, y, (), tele)) == ReplayError(
+        -1, "start is not over the trace's telescope")
+    # replay presupposes the end well formed, so it must be over the
+    # telescope too
+    assert replay_trace(monoid, x, EqTrace(x, y, (), tele)) == ReplayError(
+        0, "end is not over the trace's telescope")
 
 
 # -- the kernel's own sort check --------------------------------------------
