@@ -10,22 +10,17 @@ compares whole terms by identity, since terms are hash-consed.  The step
 format and what each kind of step must satisfy are set out in
 `gat.equality`.
 
-A trace from x to y proves x = y over its telescope, and presupposes, as
+A trace from x to y proves x = y over its telescope and presupposes, as
 that judgment does, that x and y are well formed there; replay checks only
-that their free variables are bound.  So replay need not take every step
-from x: it takes them from x until one fails, and the rest backward from
-y, each as the step that uses its axiom the other way round.  A join's
-second half is the other side's normalization inverted, and so replays
-forward from that side.  Taken in either direction, a step checks the
-values its source side leaves open: `sigma`'s values outside it, and both
-terms of an IRRELEVANT_SORT step.  `_sort_of` checks them over the trace's
-telescope with no conversion, so a check that needs one is rejected.  That
-is sound but incomplete.  An inverted rewrite can introduce a value, as
-normalization left it, that checks only up to conversion; replay accepts
-it from the end, where the rewrite's source binds that value.  A step's
-sub-traces are replayed in the step's direction only, so the inverted part
-of a rewrite's `pre` (see `gat.equality`) is checked as it stands; none of
-the seed 0-9 sweep queries, asked either way round, fails there.  Axiom
+that their free variables are bound.  It takes the steps from x until one
+fails, then the rest backward from y, each as the step that uses its axiom
+the other way round.  Either way, a step checks what its source side leaves
+open (`sigma`'s other values, an IRRELEVANT_SORT step's terms) with
+`_sort_of`, with no conversion: sound but incomplete.  A join's second half
+inverts the other side's normalization, whose values may check only up to
+conversion, so it replays from that side, where the rewrites' sources bind
+them.  Sub-traces are replayed in their step's direction only; none of the
+seed 0-9 sweep queries, asked either way round, needs more.  Axiom
 instances are validated once per theory and direction (see `_instance`);
 their open checks run at every use.  Replay rewrites nothing and meters no
 fuel, so it gives the same verdict warm or cold.
