@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .canonicity import GenBudget, Stuck, evaluate_closed, generate_closed_obs_terms
@@ -72,9 +73,10 @@ def _read_file(path: str) -> str:
 
 def _load_file(path: str, chain: tuple[Path, ...] = ()):
     """Parse a .gat file and check it, resolving EXTENDS against the bundled
-    library first and sibling files second.  Returns (result, source).
-    `chain` lists the files whose EXTENDS led here; meeting one again is a
-    usage error."""
+    library first and sibling files second.  Returns (result, source); a
+    check error in a sibling base names that file, and comes with its
+    source.  `chain` lists the files whose EXTENDS led here; meeting one
+    again is a usage error."""
     chain += (Path(path).resolve(),)
     if chain[-1] in chain[:-1]:
         raise _UsageError("EXTENDS cycle: "
@@ -88,9 +90,12 @@ def _load_file(path: str, chain: tuple[Path, ...] = ()):
         sibling = Path(path).parent / f"{src.extends}.gat"
         if not sibling.is_file():
             raise _UsageError(f"unknown base theory: {src.extends}")
-        base, _ = _load_file(str(sibling), chain)
+        base, base_src = _load_file(str(sibling), chain)
         if isinstance(base, CheckError):
-            return base, src
+            if base_src.path == str(sibling):  # not named by a deeper base
+                base = replace(base, message=f"in {sibling.name}: "
+                               f"{base.message}")
+            return base, base_src
     return theory_extends(base, src.theory), src
 
 

@@ -46,32 +46,22 @@ normalizes the result.  A term already in the query's own table costs
 nothing.  So a verdict, its trace and the fuel it used never depend on what
 the memo holds.
 
-Traces.  An `EqTrace` lists `EqStep`s, each rewriting the subterm at `path`
-from `before` to `after`; between substitutions, a path's first index picks
-an entry.  A step of kind `TERM_AXIOM` or `SORT_AXIOM` uses the axiom at
-item `axiom` in `direction`, under the instantiation `sigma` (a `Subst`
-binding every variable of both sides, and nothing outside the axiom's
-telescope), with two sub-traces at paths relative to the step: `pre` from
-`before` to the source side's instance, and `post` from the target side's
-instance to `after`.  A rewrite's `pre` covers the positions `match`
-deferred, each as subject -> normal form ~ normal form <- instance, then
-one irrelevance step where a repeated pattern variable matched only modulo
-irrelevance; its `post` is empty.  A bridge step keeps x -> left instance
-in `pre` and right instance -> y in `post`.  An `IRRELEVANCE` step changes
-only arguments at positions of proof-irrelevant sort; an `IRRELEVANT_SORT`
-step relates two terms of the proof-irrelevant sort in `note`.  Sub-traces
-stay nested in their step, so a trace's top-level steps are exactly the
-rewrites, irrelevance and bridge steps between its ends.  Inverting a trace
-reverses it, flips each direction and swaps and inverts each step's `pre`
-and `post`.  The trace a query returns builds its top-level steps on first
-read, from the memo entries of both sides, once; `pre` and `post` are built
-with the entry that holds them.  So a trace no one reads costs nothing, and
-a trace read late is the one an eager engine would have returned.
+Traces.  An `EqTrace` lists `EqStep`s, whose format `gat.kernel` sets
+out.  A rewrite's `pre` covers the positions `match` deferred, each as
+subject -> normal form ~ normal form <- instance, then one irrelevance step
+where a repeated pattern variable matched only modulo irrelevance; its
+`post` is empty.  A bridge step keeps x -> left instance in `pre` and right
+instance -> y in `post`.  Sub-traces stay nested in their step, so a
+trace's top-level steps are exactly the rewrites, irrelevance and bridge
+steps between its ends.  A join's second half is the other side's
+normalization, inverted by `gat.kernel.invert`.  The trace a query returns
+builds its top-level steps on first read, from the memo entries of both
+sides, once; `pre` and `post` are built with the entry that holds them.  So
+a trace no one reads costs nothing, and a trace read late is the one an
+eager engine would have returned.
 
 `replay_trace` is `gat.kernel.replay`, which imports nothing from this
-engine or from the checker: it decides a trace's sort checks over the
-trace's telescope by itself, rewrites nothing and meters no fuel.  It
-replays a join's inverted half from the trace's end, as it was normalized.
+engine or from the checker.
 """
 
 from __future__ import annotations
@@ -82,13 +72,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .kernel import (
-    FLIP,
     IRRELEVANCE,
     IRRELEVANT_SORT,
     SORT_AXIOM,
     TERM_AXIOM,
+    EqStep,
     ReplayError,
     equal_mod_irr,
+    invert,
     replay as replay_trace,
     sides,
 )
@@ -120,22 +111,6 @@ class EqEngineConfig:
 
 
 DEFAULT_CFG = EqEngineConfig()
-
-
-@dataclass(frozen=True)
-class EqStep:
-    kind: str
-    axiom: int | None
-    direction: str | None
-    path: tuple[int, ...]
-    before: Term
-    after: Term
-    note: object = None
-    # axiom steps: the instantiation, and the sub-traces from `before` to
-    # the source side's instance and from the target side's to `after`
-    sigma: Subst | None = None
-    pre: tuple["EqStep", ...] = ()
-    post: tuple["EqStep", ...] = ()
 
 
 class _Steps:
@@ -229,16 +204,6 @@ def _logged(th: CheckedTheory, trace: EqTrace) -> EqTrace:
     return trace
 
 
-def _invert(steps) -> tuple[EqStep, ...]:
-    """The steps backwards: each one flipped, its sub-traces swapped and
-    inverted."""
-    return tuple(
-        EqStep(s.kind, s.axiom, FLIP.get(s.direction, s.direction), s.path,
-               s.after, s.before, s.note, s.sigma, _invert(s.post),
-               _invert(s.pre))
-        for s in reversed(steps)) if steps else ()
-
-
 def oriented(ax) -> tuple[Term, Term] | None:
     """The (source, target) of the rewrite rule the `.gat` file orients
     `ax` into; None for an unoriented axiom, and for one whose source is a
@@ -320,7 +285,7 @@ class _Unemitted:
         back: list[EqStep] = []
         _emit(self.x, (), steps)
         _emit(self.y, (), back)
-        return tuple(steps), self.mid, _invert(back)
+        return tuple(steps), self.mid, invert(back)
 
 
 class _Engine:
@@ -415,7 +380,7 @@ class _Engine:
                 steps = None
                 break
             steps += to_nf + mid
-            steps += _invert(from_nf)
+            steps += invert(from_nf)
             t = replace_at(t, path, inst)
         self._pending_depth -= 1
         return None if steps is None else (steps, t)
@@ -628,7 +593,7 @@ class _Engine:
             pre = self._meet(x, lx, ())
             post = self._meet(ry, y, ())
             if pre is not None and post is not None:
-                return sub, tuple(pre) + _invert(to_left), tuple(from_right + post)
+                return sub, tuple(pre) + invert(to_left), tuple(from_right + post)
         return None
 
 

@@ -1,21 +1,33 @@
 """Trusted replay of equality traces.
 
 It imports nothing from `gat` but `gat.syntax`; the engine in
-`gat.equality` reuses its `sides` and its comparison modulo irrelevance,
+`gat.equality` builds its traces from this module's `EqStep` and `invert`,
+and reuses its `sides` and its comparison modulo irrelevance,
 `equal_mod_irr`.  It trusts `gat.syntax` and the theory's tables: axioms by
 item index, proof-irrelevant sort symbols, each operation's telescope and
 result sort, and each symbol's mask of proof-irrelevant argument positions
 (the third part of its plan in `th.plans`).  It asks no callback, and
-compares whole terms by identity, since terms are hash-consed.  The step
-format and what each kind of step must satisfy are set out in
-`gat.equality`.
+compares whole terms by identity, since terms are hash-consed.
+
+Steps.  An `EqStep` rewrites the subterm at `path` from `before` to
+`after`; between substitutions, a path's first index picks an entry.  A
+step of kind `TERM_AXIOM` or `SORT_AXIOM` uses the axiom at item `axiom` in
+`direction`, under the instantiation `sigma` (a `Subst` binding every
+variable of both sides, and nothing outside the axiom's telescope), with
+two sub-traces at paths relative to the step: `pre` from `before` to the
+source side's instance, and `post` from the target side's instance to
+`after`.  An `IRRELEVANCE` step changes only arguments at positions of
+proof-irrelevant sort; an `IRRELEVANT_SORT` step relates two terms of the
+proof-irrelevant sort in `note`.  Sub-traces stay nested in their step.
+`invert` turns steps from x to y into steps from y to x: it reverses them,
+flips each direction and swaps and inverts each step's `pre` and `post`.
 
 A trace from x to y proves x = y over its telescope and presupposes, as
 that judgment does, that x and y are well formed there; replay checks only
 that their free variables are bound.  It takes the steps from x until one
-fails, then the rest backward from y, each as the step that uses its axiom
-the other way round.  Either way, a step checks what its source side leaves
-open (`sigma`'s other values, an IRRELEVANT_SORT step's terms) with
+fails, then walks the rest, inverted, from y: a step taken backward is its
+inversion taken forward.  Either way, a step checks what its source side
+leaves open (`sigma`'s other values, an IRRELEVANT_SORT step's terms) with
 `_sort_of`, with no conversion: sound but incomplete.  A join's second half
 inverts the other side's normalization, whose values may check only up to
 conversion, so it replays from that side, where the rewrites' sources bind
@@ -30,14 +42,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (LR, RL, Cut, SortAxiom, Subst, TermAxiom, Var,
+from .syntax import (LR, RL, Cut, SortAxiom, Subst, Term, TermAxiom, Var,
                      subst_apply_term)
 
 TERM_AXIOM = "term-axiom"
 SORT_AXIOM = "sort-axiom"
 IRRELEVANCE = "irrelevance"
 IRRELEVANT_SORT = "irrelevant-sort"
-FLIP = {LR: RL, RL: LR}
+_FLIP = {LR: RL, RL: LR}
+
+
+@dataclass(frozen=True)
+class EqStep:
+    kind: str
+    axiom: int | None
+    direction: str | None
+    path: tuple[int, ...]
+    before: Term
+    after: Term
+    note: object = None
+    # axiom steps: the instantiation, and the sub-traces from `before` to
+    # the source side's instance and from the target side's to `after`
+    sigma: Subst | None = None
+    pre: tuple["EqStep", ...] = ()
+    post: tuple["EqStep", ...] = ()
+
+
+def invert(steps) -> tuple[EqStep, ...]:
+    """The steps backwards: each one flipped, its sub-traces swapped and
+    inverted.  A direction other than LR and RL is kept as it is."""
+    return tuple(
+        EqStep(s.kind, s.axiom,
+               _FLIP[s.direction] if s.direction in (LR, RL) else s.direction,
+               s.path, s.after, s.before, s.note, s.sigma, invert(s.post),
+               invert(s.pre))
+        for s in reversed(steps)) if steps else ()
 
 
 @dataclass(frozen=True)
@@ -79,7 +118,7 @@ def replay(th, start, trace):
     trace joins `start` to it, else a `ReplayError` naming the first
     top-level step that fails from `start` (-1: the start or the telescope,
     len(steps): the end).  From the first step that fails on, the steps are
-    replayed backward from the end, and must reach the term the walk from
+    inverted and walked from the end, and must reach the term the walk from
     `start` stopped at."""
     tele, end, steps = trace.tele, trace.end, trace.steps
     if trace.start != start:
@@ -96,8 +135,8 @@ def replay(th, start, trace):
     except _Reject as r:
         n, reason, met = r.args
         try:
-            if end is not None and _walk(th, end, steps[n:], tele,
-                                         True) is met:
+            if end is not None and _walk(th, end, invert(steps[n:]),
+                                         tele) is met:
                 return end
         except _Reject:
             pass
@@ -127,15 +166,14 @@ def _plug(parent, i: int, child):
     return Cut(parent.head, args) if isinstance(parent, Cut) else args
 
 
-def _walk(th, focus, steps, tele, back: bool = False):
-    """Replay `steps` from `focus`, or backward from their end when `back`,
-    with a zipper: `stack` holds the (parent, child index) pairs from the
-    root down to `focus`, and a parent is rebuilt only when the walk leaves
-    it.  A step that fails raises `_Reject(n, reason, root)`, where `root`
-    is the term the walk had reached."""
+def _walk(th, focus, steps, tele):
+    """Replay `steps` from `focus`, in order, with a zipper: `stack` holds
+    the (parent, child index) pairs from the root down to `focus`, and a
+    parent is rebuilt only when the walk leaves it.  A step that fails
+    raises `_Reject(n, reason, root)`, where `root` is the term the walk had
+    reached.  To walk steps backward, walk their inversion."""
     stack: list = []
-    for n in reversed(range(len(steps))) if back else range(len(steps)):
-        s = steps[n]
+    for n, s in enumerate(steps):
         path = s.path
         k = 0
         while k < len(stack) and k < len(path) and stack[k][1] == path[k]:
@@ -149,23 +187,20 @@ def _walk(th, focus, steps, tele, back: bool = False):
                     raise _Reject("path leads outside the term")
                 stack.append((focus, i))
                 focus = entries[i][1]
-            if (focus is not (s.after if back else s.before)
-                    or isinstance(focus, Subst)):
+            if focus is not s.before or isinstance(focus, Subst):
                 raise _Reject("recorded subterm differs from the current one")
-            _step(th, s, tele, back)
+            _step(th, s, tele)
         except _Reject as r:
             while stack:
                 focus = _plug(*stack.pop(), focus)
             raise _Reject(n, r.args[0], focus) from None
-        focus = s.before if back else s.after
+        focus = s.after
     while stack:
         focus = _plug(*stack.pop(), focus)
     return focus
 
 
-def _step(th, s, tele, back: bool) -> None:
-    """Check step `s`; when `back`, as the step from `s.after` to
-    `s.before` that uses its axiom the other way round."""
+def _step(th, s, tele) -> None:
     if s.kind == IRRELEVANCE:
         if not equal_mod_irr(th, s.before, s.after):
             raise _Reject("sides differ at a relevant position")
@@ -176,47 +211,42 @@ def _step(th, s, tele, back: bool) -> None:
                 and _sort_of(th, tele, s.after) is a):
             raise _Reject("terms do not check at a proof-irrelevant sort")
     elif s.kind in (TERM_AXIOM, SORT_AXIOM):
-        src, dst = _instance(th, s, tele, back)
-        if back:
-            _sub(th, s.after, s.post, src, tele, back, "post")
-            _sub(th, dst, s.pre, s.before, tele, back, "pre")
-        else:
-            _sub(th, s.before, s.pre, src, tele, back, "pre")
-            _sub(th, dst, s.post, s.after, tele, back, "post")
+        src, dst = _instance(th, s, tele)
+        _sub(th, s.before, s.pre, src, tele, "pre")
+        _sub(th, dst, s.post, s.after, tele, "post")
     else:
         raise _Reject(f"unknown step kind {s.kind!r}")
 
 
-def _sub(th, start, steps, end, tele, back: bool, what: str) -> None:
+def _sub(th, start, steps, end, tele, what: str) -> None:
     if steps:
         try:
-            start = _walk(th, start, steps, tele, back)
+            start = _walk(th, start, steps, tele)
         except _Reject as r:
             raise _Reject(f"{what} step {r.args[0]}: {r.args[1]}") from None
     if start is not end:
         raise _Reject(f"{what} does not connect the step to the axiom instance")
 
 
-def _instance(th, s, tele, back: bool):
+def _instance(th, s, tele):
     """(source, target) of the instance of item `s.axiom` that `s` names,
-    used in `s.direction`, or the other way round when `back`.
-    Each value the source side leaves open (bar `?` placeholders at
-    proof-irrelevant sorts) must have its instantiated sort.  `th.instances`
-    holds, per theory, both sides under a well-shaped `sigma` and the
-    (variable, value, sort) checks of the open values, which run at every
-    use over `tele`; a closed value's check is decided once, before that."""
+    used in `s.direction`.  Each value the source side leaves open (bar `?`
+    placeholders at proof-irrelevant sorts) must have its instantiated sort.
+    `th.instances` holds, per theory, both sides under a well-shaped `sigma`
+    and the (variable, value, sort) checks of the open values, which run at
+    every use over `tele`; a closed value's check is decided once, before
+    that."""
     items, i, sigma = th.theory.items, s.axiom, s.sigma
     kind = TermAxiom if s.kind == TERM_AXIOM else SortAxiom
     if not (type(i) is int and 0 <= i < len(items)
             and isinstance(items[i], kind) and s.direction in (LR, RL)
             and type(sigma) is Subst):
         raise _Reject(f"no {s.kind} at item {i!r} to use {s.direction!r}")
-    direction = FLIP[s.direction] if back else s.direction
-    key = (s.kind, i, direction, sigma)
+    key = (s.kind, i, s.direction, sigma)
     hit = th.instances.get(key)
     if hit is None:
         ax = items[i]
-        src, dst = sides(ax, direction)
+        src, dst = sides(ax, s.direction)
         names, bound = set(sigma.targets()), src.fv
         if (len(names) < len(sigma.entries) or not bound | dst.fv
                 <= names <= set(ax.params.names())):

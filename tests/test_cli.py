@@ -98,6 +98,31 @@ def test_check_resolves_sibling_extends(capsys, tmp_path):
     assert code == 0
 
 
+def test_a_failing_sibling_base_is_named(capsys, schema, tmp_path):
+    # the error is at item 2 of base.gat, two files down from upper.gat;
+    # the --json report counts the items of the file the error is in
+    (tmp_path / "base.gat").write_text(
+        "SORT ob()\nOP pt() : ob{}\nOP f() : nope{}\n")
+    (tmp_path / "top.gat").write_text('EXTENDS "base"\nOP q() : ob{}\n')
+    (tmp_path / "upper.gat").write_text('EXTENDS "top"\nOP r() : ob{}\n')
+    message = ("UnknownSymbol at item 2 (result): in base.gat: "
+               "unknown sort symbol 'nope'")
+    for name in ("top.gat", "upper.gat"):
+        path = str(tmp_path / name)
+        assert run(capsys, "check", path) == (1, "", message + "\n")
+        code, out, _ = run(capsys, "check", "--json", path)
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert code == 1 and report["stats"]["items"] == 3
+        assert [(e["kind"], e["item"]) for e in report["errors"]] == [
+            ("UnknownSymbol", 2)]
+        assert run(capsys, "sort-of", path, "--term", "pt{}") == (
+            2, "", f"theory does not check: {message}\n")
+    # in base.gat itself, the error names no file
+    assert run(capsys, "check", str(tmp_path / "base.gat"))[2] == (
+        "UnknownSymbol at item 2 (result): unknown sort symbol 'nope'\n")
+
+
 @pytest.mark.parametrize("command", [
     ("check",), ("check", "--json"), ("sort-of", "--term", "x"),
     ("eq", "--sorts", "ob{}", "ob{}"), ("norm", "--term", "x")])

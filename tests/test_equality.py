@@ -26,7 +26,7 @@ from gat.equality import (
     record_verdicts,
     replay_trace,
 )
-from gat.equality import _emit, _Entry, _invert, _Unemitted
+from gat.equality import _emit, _Entry, _Unemitted
 from gat.canonicity import (
     GenBudget,
     evaluate_closed,
@@ -42,7 +42,7 @@ from gat.checker import (
     theory_extends,
 )
 from gat.checker import _extend_checked
-from gat.kernel import IRRELEVANCE, IRRELEVANT_SORT, TERM_AXIOM
+from gat.kernel import IRRELEVANCE, IRRELEVANT_SORT, TERM_AXIOM, invert
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
 from gat.syntax import (
@@ -941,4 +941,4 @@ def test_emit_walks_an_entry_of_any_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert steps == expected
-    assert trace.steps == tuple(top) + _invert(top)
+    assert trace.steps == tuple(top) + invert(top)

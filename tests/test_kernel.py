@@ -206,7 +206,7 @@ def test_a_step_names_its_axiom_by_an_exact_item_index(monoid_trace, monoid):
 def test_flipped_direction_is_rejected(monoid_trace, monoid, pre_step, mltt):
     for th, trace in ((monoid, monoid_trace), (mltt, pre_step[0])):
         for i, s in enumerate(trace.steps):
-            for d in (LR, RL, None, "sideways"):
+            for d in (LR, RL, None, "sideways", [LR]):
                 if d != s.direction:
                     assert _rejected(th, _with_step(trace, i, direction=d))
 
@@ -670,6 +670,38 @@ def test_a_trace_is_over_its_telescope(monoid):
     # telescope too
     assert replay_trace(monoid, x, EqTrace(x, y, (), tele)) == ReplayError(
         0, "end is not over the trace's telescope")
+
+
+def test_inversion_is_the_symmetry_of_replay(mltt, seed0):
+    # replay walks a trace backward as its inversion forward, so inverting
+    # must agree with the definitional inverse and give the steps back when
+    # done twice, and a trace from x to y, inverted, must replay from y to
+    # x: warm and cold
+    proofs, norms = seed0
+    traces = proofs + norms + [_bridge(mltt, LOW, HIGH)[0],
+                               _bridge(mltt, HIGH, LOW)[0]]
+    for proof in proofs:
+        sort = infer_term(mltt, EMPTY, proof.start)
+        traces.append(_proof(mltt, EMPTY, proof.end, proof.start, sort))
+        obs = _el_obs(mltt, sort.args.lookup("l"))
+        traces += [eq_sort(mltt, EMPTY, x, y).trace
+                   for x, y in ((sort, obs), (obs, sort))]
+    a, b = proofs[:2]
+    target = Telescope((("x", infer_term(mltt, EMPTY, a.start)),
+                        ("y", infer_term(mltt, EMPTY, b.start))))
+    traces.append(eq_subst(mltt, EMPTY, Subst((("x", a.end), ("y", b.start))),
+                           Subst((("x", a.start), ("y", b.end))),
+                           target).trace)
+    assert len(traces) == 5 * 202 + 3
+    for trace in traces:
+        inverse = kernel.invert(trace.steps)
+        assert inverse == tuple(map(_inverse, reversed(trace.steps)))
+        assert kernel.invert(inverse) == trace.steps
+    for th in (mltt, mltt.copy()):
+        for trace in traces:
+            inverse = EqTrace(trace.end, trace.start,
+                              kernel.invert(trace.steps), trace.tele)
+            assert replay_trace(th, trace.end, inverse) is trace.start
 
 
 # -- the kernel's own sort check --------------------------------------------
