@@ -80,9 +80,11 @@ class CheckedTheory:
     their item indices, the proof-irrelevant sort symbols, the rewrite
     rules that can fire by the head of their source (see `_add_rule`), and
     per-symbol match plans (see `_plan`).  Its judgment table (see
-    `_judge`) and its two engine caches (see `_reset_engine_tables`) are
-    never copied.  Like terms (see `gat.syntax`), a theory is used from
-    one thread at a time.
+    `_judge`), its two engine caches (see `_reset_engine_tables`) and its
+    table of kept `eq_sort` and `normalize_term` answers (see
+    `gat.equality._bounded`), which every item drops, are never copied.
+    Like terms (see `gat.syntax`), a theory is used from one thread at a
+    time.
     """
 
     def __init__(self) -> None:
@@ -101,6 +103,7 @@ class CheckedTheory:
         self.plans: dict[str, tuple] = {}
         # the checker's judgments, which no axiom drops (see `_judge`)
         self._judged: dict = {}
+        self.answers: dict = {}
         self._reset_engine_tables()
 
     def _reset_engine_tables(self) -> None:
@@ -111,7 +114,9 @@ class CheckedTheory:
         # what a query spends, or its verdict, so an axiom drops them both.
         # A declaration changes no rule, no proof-irrelevant sort and no
         # plan of a symbol already declared, and so keeps them: they hold
-        # only terms over those symbols.
+        # only terms over those symbols.  The kept answers are dropped by
+        # every item, in `_add_item`, declarations included, so no argument
+        # about which items matter is needed.
         self.nf_memo: dict = {}
         self.instances: dict = {}
 
@@ -170,6 +175,7 @@ class CheckedTheory:
             self.rules[src.head] = self.rules.get(src.head, ()) + (rule,)
 
     def _add_item(self, item) -> None:
+        self.answers = {}
         index = len(self.theory.items)
         self.theory = self.theory.extended((item,))
         if isinstance(item, SortDecl):

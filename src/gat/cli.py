@@ -75,13 +75,18 @@ def _load_file(path: str, chain: tuple[Path, ...] = ()):
     """Parse a .gat file and check it, resolving EXTENDS against the bundled
     library first and sibling files second.  Returns (result, source); a
     check error in a sibling base names that file, and comes with its
-    source.  `chain` lists the files whose EXTENDS led here; meeting one
-    again is a usage error."""
+    source, and a parse error in one names it too.  `chain` lists the files
+    whose EXTENDS led here; meeting one again is a usage error."""
     chain += (Path(path).resolve(),)
     if chain[-1] in chain[:-1]:
         raise _UsageError("EXTENDS cycle: "
                           + " -> ".join(p.name for p in chain))
-    src = parse_source(_read_file(path), path=path)
+    try:
+        src = parse_source(_read_file(path), path=path)
+    except ParseError as exc:
+        if len(chain) > 1:
+            exc.args = (f"in {Path(path).name}: {exc}",)
+        raise
     if src.extends is None:
         return check_theory(src.theory), src
     if src.extends in library_names():

@@ -28,23 +28,32 @@ failing the whole match, because normalization may have rewritten an
 annotation the axiom spells out in constructor form.  Forced positions
 always match strictly, which is what keeps distinct axioms apart.
 
-Every query (`eq_sort`, `eq_term`, `normalize_term`) runs its own engine
-with its own fuel and its own table of the terms it has normalized.  All of
-them read the rewrite rules and match plans the `CheckedTheory` extends as
-items are added: each axiom appends its rule (see `oriented`) unless no
-match can complete it, each declaration adds its symbol's plan.  They also
-share one normal-form memo held by the theory.  Adding an axiom drops only
-that memo and replay's instance cache; a sort or operation declaration,
-which changes no rule, keeps them.  A memo entry records how its term
-normalized: the entries of its arguments, the terms its deferred positions
-made it normalize, and its root rewrite.  Computed or taken from the memo,
-a term the query has not normalized yet is charged in one order: its
-arguments; then, one nesting level deeper, each deferred position's
-instance and subject; then its root rewrite, through the one helper
-`_charge`, which spends 1 fuel, checks the size of the result and then
-normalizes the result.  A term already in the query's own table costs
+Every query (`eq_sort`, `eq_term`, `normalize_term`) that is asked afresh
+runs its own engine with its own fuel and its own table of the terms it has
+normalized.  All of them read the rewrite rules and match plans the
+`CheckedTheory` extends as items are added: each axiom appends its rule
+(see `oriented`) unless no match can complete it, each declaration adds its
+symbol's plan.  They also share one normal-form memo held by the theory.
+Adding an axiom drops only that memo and replay's instance cache; a sort or
+operation declaration, which changes no rule, keeps them.  A memo entry
+records how its term normalized: the entries of its arguments, the terms
+its deferred positions made it normalize, and its root rewrite.  Computed
+or taken from the memo, a term the query has not normalized yet is charged
+in one order: its arguments; then, one nesting level deeper, each deferred
+position's instance and subject; then its root rewrite, through the one
+helper `_charge`, which spends 1 fuel, checks the size of the result and
+then normalizes the result.  A term already in the query's own table costs
 nothing.  So a verdict, its trace and the fuel it used never depend on what
 the memo holds.
+
+That makes the whole answer of a query a function of the theory, the query
+and its bounds, and the theory keeps those of `eq_sort` and
+`normalize_term` in `answers` (see `_bounded`): asked again, such a query
+costs one lookup and meters the fuel it spent the first time.  Every item
+the theory gains drops them.  An answer the recursion limit decided is not
+kept, since it depends on the caller's stack.  `eq_term` and `eq_subst` run
+afresh every time: few of their queries repeat, and a kept `eq_term` trace,
+the kind replay reads, would hold its emitted steps as long as the theory.
 
 Traces.  An `EqTrace` lists `EqStep`s, whose format `gat.kernel` sets
 out.  A rewrite's `pre` covers the positions `match` deferred, each as
@@ -550,8 +559,7 @@ class _Engine:
             if bridge is None:
                 return NotProven(False, reason, nx, ny)
             mid = [bridge]
-        return Equal(_logged(
-            self.th, EqTrace(x, y, _Unemitted(ex, tuple(mid), ey), tele)))
+        return Equal(EqTrace(x, y, _Unemitted(ex, tuple(mid), ey), tele))
 
     def _bridge(self, x, y) -> EqStep | None:
         """Exhibit sorts x and y as the two sides of one sort axiom under a
@@ -597,15 +605,34 @@ class _Engine:
         return None
 
 
-def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
+def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
+             key: tuple | None = None):
     """Run `body` on a fresh engine; a bound it hits becomes `NotProven`.
-    The fuel it spent is metered, whatever the verdict."""
+    The fuel it spent is metered, whatever the verdict, and the trace of an
+    `Equal` or of a normal form is logged (see `record_verdicts`).
+
+    A query that passes its `key` keeps its answer in `th.answers`, under
+    the key and the effective `cfg`: the result, the fuel spent and the
+    trace logged, or None.  Asked again, it meters that fuel, logs that
+    trace and returns that result, with no engine.  The answer of a cold
+    engine is a function of the theory, the query and its bounds, so a
+    kept one is too.  What the stack depth decided is not: a query the
+    recursion limit ended is not kept, nor is one that raised."""
     cfg = cfg or DEFAULT_CFG
+    if key is not None:
+        key += (cfg,)
+        kept = th.answers.get(key)
+        if kept is not None:
+            result, spent, trace = kept
+            tally.fuel += spent
+            if trace is not None:
+                _logged(th, trace)
+            return result
     engine = _Engine(th, cfg)
     try:
-        return body(engine)
+        result = body(engine)
     except _Bound as stop:
-        return NotProven(True, stop.args[0])
+        result = NotProven(True, stop.args[0])
     except RecursionError:
         # The engine recurses once per nesting level of a term, so a deep
         # enough term runs out of interpreter stack before it runs out of
@@ -613,16 +640,24 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body):
         return NotProven(True, "term nesting deeper than the recursion limit "
                                f"({sys.getrecursionlimit()}) allows")
     finally:
-        tally.fuel += cfg.fuel - max(engine.fuel, 0)
+        spent = cfg.fuel - max(engine.fuel, 0)
+        tally.fuel += spent
+    trace = (result.trace if type(result) is Equal
+             else result[1] if type(result) is tuple else None)
+    if trace is not None:
+        _logged(th, trace)
+    if key is not None:
+        th.answers[key] = result, spent, trace
+    return result
 
 
 def eq_sort(th: CheckedTheory, psi: Telescope, a: Sort, b: Sort,
             cfg: EqEngineConfig | None = None):
     def body(engine: _Engine):
         if a == b:
-            return Equal(_logged(th, EqTrace(a, b, (), psi)))
+            return Equal(EqTrace(a, b, (), psi))
         return engine.join(a, b, psi, "sorts do not join")
-    return _bounded(th, cfg, body)
+    return _bounded(th, cfg, body, ("sort", psi.bindings, a, b))
 
 
 def _term_query(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort):
@@ -630,7 +665,7 @@ def _term_query(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort):
         if isinstance(a, Cut) and a.head in th.irrelevant_heads:
             steps = () if m == n else (
                 EqStep(IRRELEVANT_SORT, None, None, (), m, n, note=a),)
-            return Equal(_logged(th, EqTrace(m, n, steps, psi)))
+            return Equal(EqTrace(m, n, steps, psi))
         return engine.join(m, n, psi, "normal forms differ")
     return body
 
@@ -675,6 +710,6 @@ def normalize_term(th: CheckedTheory, m: Term,
     first.  Its fuel goes to `record_fuel`, as every bounded query's does."""
     def body(engine: _Engine):
         nf, e = engine.normal_entry(m)
-        return nf, _logged(th, EqTrace(m, nf, _Unemitted(e), tele))
-    return _bounded(th, None, body)
+        return nf, EqTrace(m, nf, _Unemitted(e), tele)
+    return _bounded(th, None, body, ("norm", m, tele.bindings))
 

@@ -357,7 +357,7 @@ def test_rules_and_plans_match_the_rebuilt_index(name):
     _assert_tables_match_reference(load(name))
 
 
-CACHES = {"_judged", "nf_memo", "instances"}
+CACHES = {"_judged", "nf_memo", "instances", "answers"}
 
 
 @pytest.mark.parametrize("name", library_names())

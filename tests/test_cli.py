@@ -123,6 +123,32 @@ def test_a_failing_sibling_base_is_named(capsys, schema, tmp_path):
         "UnknownSymbol at item 2 (result): unknown sort symbol 'nope'\n")
 
 
+def test_a_sibling_base_that_does_not_parse_is_named(capsys, schema,
+                                                     tmp_path):
+    # the position is in pbase.gat, one or two files down from the one
+    # named on the command line, and only the base's name says so
+    (tmp_path / "pbase.gat").write_text("SORT ob(\n")
+    (tmp_path / "ptop.gat").write_text('EXTENDS "pbase"\nOP q() : ob{}\n')
+    (tmp_path / "pupper.gat").write_text('EXTENDS "ptop"\nOP r() : ob{}\n')
+    message = ("parse error: in pbase.gat: 2:1: expected ')', "
+               "found 'end of file'\n")
+    for name in ("ptop.gat", "pupper.gat"):
+        path = str(tmp_path / name)
+        for command in (("check",), ("sort-of", "--term", "q{}"),
+                        ("eq", "--sorts", "ob{}", "ob{}"),
+                        ("norm", "--term", "q{}")):
+            assert run(capsys, command[0], path, *command[1:]) == (
+                1, "", message)
+        code, out, _ = run(capsys, "check", "--json", path)
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        assert code == 1 and report["stats"]["items"] == 0
+        assert [e["kind"] for e in report["errors"]] == ["ParseError"]
+    # in pbase.gat itself, the error names no file
+    assert run(capsys, "check", str(tmp_path / "pbase.gat"))[2] == (
+        "parse error: 2:1: expected ')', found 'end of file'\n")
+
+
 @pytest.mark.parametrize("command", [
     ("check",), ("check", "--json"), ("sort-of", "--term", "x"),
     ("eq", "--sorts", "ob{}", "ob{}"), ("norm", "--term", "x")])

@@ -1,7 +1,9 @@
 """Bounded equality engine: verdicts, traces, replay."""
 
 import dataclasses
+import gc
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from gat.canonicity import (
     evaluate_closed,
     generate_closed_obs_terms,
 )
+from gat.canonicity import _el_obs
 from gat.checker import (
     CheckError,
     ErrorKind,
@@ -534,6 +537,152 @@ def test_warm_and_cold_queries_agree_under_any_bounds(bounded_cases, data,
             == _metered(th.copy(), query, args, cfg))
 
 
+# -- kept answers -------------------------------------------------------------
+
+
+def _normalize(th, m, tele, cfg):
+    """`normalize_term`, which takes no bounds: it runs under the default
+    ones whatever `cfg` is."""
+    return normalize_term(th, m, tele)
+
+
+def _answered(th, query, args, cfg):
+    """`query`'s answer on `th`, the fuel `record_fuel` counted and the
+    traces `record_verdicts` logged, each logged for `th`."""
+    with record_verdicts() as log, record_fuel() as meter:
+        answer = query(th, *args, cfg)
+    assert all(t is th for t, _ in log)
+    return answer, meter[0], [trace for _, trace in log]
+
+
+@pytest.fixture(scope="module")
+def kept_cases(monoid, mltt):
+    """(theory, a warm copy of it, query, arguments) for the queries whose
+    answers a theory keeps: mltt's bridge both ways; for sweep terms at
+    depths 2-5, canonicity's sort check and the normalization; the open
+    terms above, normalized; a sort past the pending cap and one short of
+    it; and a sort and a term on a rewrite cycle."""
+    empty = Telescope()
+    cases = [(mltt, eq_sort, (PI_TELE, PI_HIGH, PI_LOW)),
+             (mltt, eq_sort, (PI_TELE, PI_LOW, PI_HIGH))]
+    for depth in range(2, 6):
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0))[:3]:
+            sort = infer_term(mltt, empty, t)
+            cases += [(mltt, eq_sort, (empty, sort, _el_obs(
+                          mltt, sort.args.lookup("l")))),
+                      (mltt, _normalize, (t, empty))]
+    for th, tele, m, n, _ in _open_queries(monoid):
+        cases += [(th, _normalize, (m, tele)), (th, _normalize, (n, tele))]
+    nested = check_theory(parse_source(NESTED).theory)
+    for k in (3, 21):
+        a, b = (Cut("T", Subst((("n", n),))) for n in (_nested(k),
+                                                        _numeral(k + 1)))
+        cases.append((nested, eq_sort, (empty, a, b)))
+    cases.append((nested, _normalize, (_nested(21), empty)))
+    cycle = check_theory(parse_source(COMM + "\nSORT T(o: ob{})").theory)
+    tele = parse_telescope("x: ob{}, y: ob{}")
+    m, n = parse_term("cmp{x/a, y/b}"), parse_term("cmp{y/a, x/b}")
+    cases += [(cycle, eq_sort, (tele, Cut("T", Subst((("o", m),))),
+                                Cut("T", Subst((("o", n),))))),
+              (cycle, _normalize, (m, tele))]
+    warm = {}
+    for th, query, args in cases:
+        query(warm.setdefault(id(th), th.copy()), *args, None)
+    return [(th, warm[id(th)], query, args) for th, query, args in cases]
+
+
+# the sort queries above spend 1 to 9 fuel, or all of it on the cycle
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fuel=st.integers(1, 12) | st.integers(1, 400),
+       size=st.integers(1, 80))
+def test_a_repeated_warm_query_agrees_with_a_cold_one_under_any_bounds(
+        kept_cases, data, fuel, size):
+    th, warm, query, args = data.draw(st.sampled_from(kept_cases))
+    cfg = EqEngineConfig(fuel, size)
+    cold = _answered(th.copy(), query, args, cfg)
+    first = _answered(warm, query, args, cfg)
+    again = _answered(warm, query, args, cfg)
+    assert first == cold and again == cold
+    # the second answer is the one the theory kept
+    assert again[0] is first[0]
+
+
+def test_an_item_drops_the_kept_answers(monoid):
+    th = monoid.copy()
+    _extend_checked(th, parse_source("SORT T(o: ob{})").theory.items)
+    tele = parse_telescope("x: ob{}, y: ob{}")
+    m, x = parse_term("cmp{x/a, y/b}"), Var("x")
+    a, b = (Cut("T", Subst((("o", t),))) for t in (m, x))
+    assert normalize_term(th, m, tele)[0] == m
+    assert isinstance(eq_sort(th, tele, a, b), NotProven)
+    assert len(th.answers) == 2
+    # a declaration changes no verdict, and still empties the table
+    th._add_item(SortDecl("mark", Telescope()))
+    assert th.answers == {}
+    assert normalize_term(th, m, tele)[0] == m
+    _extend_checked(th, parse_source(
+        'TERMAX "left projection" (x: ob{}, y: ob{}) '
+        'cmp{x/a, y/b} = x : ob{}').theory.items)
+    assert th.answers == {}
+    assert normalize_term(th, m, tele)[0] == x
+    assert isinstance(eq_sort(th, tele, a, b), Equal)
+
+
+def test_kept_answers_do_not_keep_their_theory_alive(monoid, monkeypatch):
+    # a theory that held itself would wait for the cyclic collector, and a
+    # loop that builds one theory after another would hold several at once
+    monkeypatch.setattr(equality.tally, "verdicts", None)
+    th = monoid.copy()
+    assert isinstance(normalize_term(th, parse_term("cmp{id{}/a, id{}/b}")),
+                      tuple)
+    assert isinstance(eq_sort(th, Telescope(), OB, OB), Equal)
+    assert len(th.answers) == 2
+    ref = weakref.ref(th)
+    gc.disable()
+    try:
+        del th
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_an_answer_the_stack_ended_is_not_kept(mltt):
+    th = mltt.copy()
+    m = _numerals(100)
+
+    def near_the_limit(frames):
+        return (near_the_limit(frames - 1) if frames
+                else normalize_term(th, m))
+
+    # 60 frames reach the engine, and ls^100 needs far more
+    out = near_the_limit(sys.getrecursionlimit() - _stack_depth() - 60)
+    assert isinstance(out, NotProven) and out.fuel_exhausted
+    assert "recursion limit" in out.reason
+    warm = _answered(th, _normalize, (m, Telescope()), None)
+    assert isinstance(warm[0], tuple)
+    assert warm == _answered(mltt.copy(), _normalize, (m, Telescope()), None)
+
+
+def test_nested_verdict_recorders_both_see_a_kept_answer(monoid):
+    th = monoid.copy()
+    m = parse_term("cmp{id{}/a, id{}/b}")
+    nf, trace = normalize_term(th, m)
+    equal = eq_sort(th, Telescope(), OB, OB)
+    with record_verdicts() as outer:
+        with record_verdicts() as inner:
+            assert normalize_term(th, m)[1] is trace
+            assert eq_sort(th, Telescope(), OB, OB) is equal
+    assert outer == inner == [(th, trace), (th, equal.trace)]
+
+
 def _check_sort(th, psi, a, cfg):
     return check_sort(th, psi, a)
 
@@ -885,15 +1034,18 @@ def test_a_trace_read_after_an_axiom_keeps_its_steps(monoid):
 
 
 def test_evaluating_a_closed_term_emits_no_step(mltt, monkeypatch):
+    # a fresh copy: a kept normalization of terms[0] that another test has
+    # read would hold its steps already
+    th = mltt.copy()
     calls = []
-    real = equality._emit
-    monkeypatch.setattr(equality, "_emit",
-                        lambda *args: calls.append(args) or real(*args))
-    terms = generate_closed_obs_terms(mltt, GenBudget(max_depth=5, seed=0))
+    real = _Unemitted.emit
+    monkeypatch.setattr(_Unemitted, "emit",
+                        lambda self: calls.append(self) or real(self))
+    terms = generate_closed_obs_terms(th, GenBudget(max_depth=5, seed=0))
     for t in terms:
-        evaluate_closed(mltt, t)
+        evaluate_closed(th, t)
     assert calls == []
-    assert normalize_term(mltt, terms[0])[1].steps and calls
+    assert normalize_term(th, terms[0])[1].steps and calls
 
 
 def _emit_by_recursion(e, path, out):
