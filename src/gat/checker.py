@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .equality import Equal, eq_sort, oriented, tally
+from .equality import Equal, answered, eq_sort, oriented, tally
 from .kernel import SORT_AXIOM, TERM_AXIOM
 from .syntax import (
     Cut,
@@ -79,12 +79,12 @@ class CheckedTheory:
     They hold per-symbol telescopes and result sorts, the axiom lists with
     their item indices, the proof-irrelevant sort symbols, the rewrite
     rules that can fire by the head of their source (see `_add_rule`), and
-    per-symbol match plans (see `_plan`).  Its judgment table (see
-    `_judge`), its two engine caches (see `_reset_engine_tables`) and its
-    table of kept `eq_sort` and `normalize_term` answers (see
-    `gat.equality._bounded`), which every item drops, are never copied.
-    Like terms (see `gat.syntax`), a theory is used from one thread at a
-    time.
+    per-symbol match plans (see `_plan`).  What it keeps of its own work
+    is never copied and lives by one rule: a judgment derived with no
+    equation holds in every extension (Cartmell), so `_judged` keeps those
+    for good (see `_judge`), and all else used an equation, so every item
+    drops it (`_drop_caches`).  Like terms (see `gat.syntax`), a theory is
+    used from one thread at a time.
     """
 
     def __init__(self) -> None:
@@ -101,24 +101,14 @@ class CheckedTheory:
         # those of them that can fire (see `_add_rule`), a tuple per head
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
-        # the checker's judgments, which no axiom drops (see `_judge`)
+        # the sorts of conversion-free judgments, which no item drops
         self._judged: dict = {}
-        self.answers: dict = {}
-        self._reset_engine_tables()
+        self._drop_caches()
 
-    def _reset_engine_tables(self) -> None:
-        # The normal-form memo every equality query shares, and the axiom
-        # instances replay has validated.  A memo hit meters the fuel of
-        # what it skips; replay meters none, and an `instances` hit skips
-        # only the sort checks of closed values.  An axiom's rule may change
-        # what a query spends, or its verdict, so an axiom drops them both.
-        # A declaration changes no rule, no proof-irrelevant sort and no
-        # plan of a symbol already declared, and so keeps them: they hold
-        # only terms over those symbols.  The kept answers are dropped by
-        # every item, in `_add_item`, declarations included, so no argument
-        # about which items matter is needed.
-        self.nf_memo: dict = {}
-        self.instances: dict = {}
+    def _drop_caches(self) -> None:
+        """The normal-form memo, the axiom instances replay validated and
+        the kept answers, converted judgments among them, start empty."""
+        self.nf_memo, self.instances, self.answers = {}, {}, {}
 
     def copy(self) -> "CheckedTheory":
         """A fresh theory with the same items, each registered again in
@@ -154,7 +144,6 @@ class CheckedTheory:
         return order, loose, irr
 
     def _add_axiom(self, kind: str, index: int, ax) -> None:
-        self._reset_engine_tables()
         if ax.label:
             self.axiom_labels[ax.label] = index
         rule = oriented(ax)
@@ -175,7 +164,7 @@ class CheckedTheory:
             self.rules[src.head] = self.rules.get(src.head, ()) + (rule,)
 
     def _add_item(self, item) -> None:
-        self.answers = {}
+        self._drop_caches()
         index = len(self.theory.items)
         self.theory = self.theory.extended((item,))
         if isinstance(item, SortDecl):
@@ -307,39 +296,40 @@ def infer_term(th: CheckedTheory, psi: Telescope, m: Term) -> Sort | CheckError:
                       message=f"not a term expression: {m!r}")
 
 
+_UNJUDGED = object()
+
+
 def _judge(th: CheckedTheory, psi: Telescope, t: Cut, params: Telescope,
            result: Sort | None) -> Sort | CheckError | None:
     """`result` (None for a sort) under `t`'s arguments once they check
-    against `params` over `psi`.  Successes only (a later item may mend a
-    failure) are kept in `th._judged` as (sort, fuel, axioms).  Axioms
-    enter only through conversion, which `tally.conversions` counts: each
-    checker `eq_sort` call, even one an irrelevance axiom proves for no
-    fuel, and each hit standing for a derivation that converted.  A
-    derivation that ran none holds for good and metered no fuel: `axioms`
-    is None.  One that converted holds while the theory's axiom count is
-    `axioms`, and a hit meters its fuel again.  The key holds
-    `psi.bindings`, not `psi`: a tuple hashes in C, where the frozen
-    dataclass hashes in Python, and equal telescopes have equal bindings."""
+    against `params` over `psi`.  Successes only are kept (a later item may
+    mend a failure), by what their derivation used.  Axioms enter only
+    through conversion, which `tally.conversions` counts: each checker
+    `eq_sort` call, even one an irrelevance axiom proves for no fuel, and
+    each kept judgment that converted.  A derivation that ran none holds in
+    every extension and metered no fuel: its sort goes to `th._judged`.
+    One that converted is a kept answer, `(sort, fuel, None)` in
+    `th.answers`, which the next item drops; a hit meters its fuel again.
+    The key holds `psi.bindings`, not `psi`: a tuple hashes in C, where the
+    frozen dataclass hashes in Python, and equal telescopes have equal
+    bindings."""
     key = (psi.bindings, t)
-    hit = th._judged.get(key)
-    if hit is not None:
-        sort, fuel, axioms = hit
-        if axioms is None:
-            return sort
-        if axioms == len(th.sort_axioms) + len(th.term_axioms):
-            tally.conversions += 1
-            tally.fuel += fuel
-            return sort
+    sort = th._judged.get(key, _UNJUDGED)
+    if sort is not _UNJUDGED:
+        return sort
+    kept = th.answers.get(key)
+    if kept is not None:
+        tally.conversions += 1
+        return answered(th, kept)
     conversions, start = tally.conversions, tally.fuel
     err = check_subst(th, psi, t.args, params)
     if err is not None:
         return err
     sort = None if result is None else subst_apply_sort(t.args, result)
     if tally.conversions == conversions:
-        th._judged[key] = sort, 0, None
+        th._judged[key] = sort
     else:
-        th._judged[key] = (sort, tally.fuel - start,
-                           len(th.sort_axioms) + len(th.term_axioms))
+        th.answers[key] = sort, tally.fuel - start, None
     return sort
 
 

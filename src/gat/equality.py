@@ -34,26 +34,29 @@ normalized.  All of them read the rewrite rules and match plans the
 `CheckedTheory` extends as items are added: each axiom appends its rule
 (see `oriented`) unless no match can complete it, each declaration adds its
 symbol's plan.  They also share one normal-form memo held by the theory.
-Adding an axiom drops only that memo and replay's instance cache; a sort or
-operation declaration, which changes no rule, keeps them.  A memo entry
-records how its term normalized: the entries of its arguments, the terms
-its deferred positions made it normalize, and its root rewrite.  Computed
-or taken from the memo, a term the query has not normalized yet is charged
-in one order: its arguments; then, one nesting level deeper, each deferred
-position's instance and subject; then its root rewrite, through the one
-helper `_charge`, which spends 1 fuel, checks the size of the result and
-then normalizes the result.  A term already in the query's own table costs
-nothing.  So a verdict, its trace and the fuel it used never depend on what
-the memo holds.
+A memo entry records how its term normalized: the entries of its
+arguments, the terms its deferred positions made it normalize, and its root
+rewrite.  Computed or taken from the memo, a term the query has not
+normalized yet is charged in one order: its arguments; then, one nesting
+level deeper, each deferred position's instance and subject; then its root
+rewrite, through the one helper `_charge`, which spends 1 fuel, checks the
+size of the result and then normalizes the result.  A term already in the
+query's own table costs nothing.  So a verdict, its trace and the fuel it
+used never depend on what the memo holds.
 
 That makes the whole answer of a query a function of the theory, the query
 and its bounds, and the theory keeps those of `eq_sort` and
-`normalize_term` in `answers` (see `_bounded`): asked again, such a query
-costs one lookup and meters the fuel it spent the first time.  Every item
-the theory gains drops them.  An answer the recursion limit decided is not
-kept, since it depends on the caller's stack.  `eq_term` and `eq_subst` run
-afresh every time: few of their queries repeat, and a kept `eq_term` trace,
-the kind replay reads, would hold its emitted steps as long as the theory.
+`normalize_term` in `answers` (see `_bounded`), beside the checker's
+judgments that converted (see `gat.checker._judge`): `answered` gives one
+again for one lookup and the fuel it first spent.  An answer the recursion
+limit decided is not kept, since it depends on the caller's stack.
+`eq_term` and `eq_subst` run afresh every time: few of their queries
+repeat, and a kept `eq_term` trace, the kind replay reads, would hold its
+emitted steps as long as the theory.  One rule sets what lasts: anything
+that used an equation is a function of the theory's items, so every item,
+declaration or axiom, drops the memo, `answers` and replay's validated
+instances, and only conversion-free judgments outlive it (see
+`CheckedTheory`).
 
 Traces.  An `EqTrace` lists `EqStep`s, whose format `gat.kernel` sets
 out.  A rewrite's `pre` covers the positions `match` deferred, each as
@@ -168,9 +171,9 @@ class _Bound(Exception):
 
 class _Tally:
     """The process-wide accounting: the fuel metered by bounded queries and
-    checker cache hits, the checker's conversions (see `gat.checker._judge`)
-    and the innermost active `record_verdicts` log, or None.  Slotted, as
-    the checker updates it at every hit."""
+    kept answers, the checker's conversions (see `gat.checker._judge`) and
+    the innermost active `record_verdicts` log, or None.  Slotted, as the
+    checker updates it at every hit."""
 
     __slots__ = ("fuel", "conversions", "verdicts")
 
@@ -199,7 +202,7 @@ def record_verdicts():
 @contextmanager
 def record_fuel():
     """Yield a one-element list holding, on exit, the fuel metered meanwhile
-    into `tally` by every query and checker cache hit.  Recorders nest."""
+    into `tally` by every query and kept answer.  Recorders nest."""
     out, start = [0], tally.fuel
     try:
         yield out
@@ -605,6 +608,16 @@ class _Engine:
         return None
 
 
+def answered(th: CheckedTheory, kept: tuple):
+    """The result of a kept `(result, fuel, trace or None)`, its fuel
+    metered and its trace, if any, logged."""
+    result, spent, trace = kept
+    tally.fuel += spent
+    if trace is not None:
+        _logged(th, trace)
+    return result
+
+
 def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
              key: tuple | None = None):
     """Run `body` on a fresh engine; a bound it hits becomes `NotProven`.
@@ -612,22 +625,17 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
     `Equal` or of a normal form is logged (see `record_verdicts`).
 
     A query that passes its `key` keeps its answer in `th.answers`, under
-    the key and the effective `cfg`: the result, the fuel spent and the
-    trace logged, or None.  Asked again, it meters that fuel, logs that
-    trace and returns that result, with no engine.  The answer of a cold
-    engine is a function of the theory, the query and its bounds, so a
-    kept one is too.  What the stack depth decided is not: a query the
-    recursion limit ended is not kept, nor is one that raised."""
+    the key and the effective `cfg`, and is answered from there, with no
+    engine, when asked again.  The answer of a cold engine is a function of
+    the theory, the query and its bounds, so a kept one is too.  What the
+    stack depth decided is not: a query the recursion limit ended is not
+    kept, nor is one that raised."""
     cfg = cfg or DEFAULT_CFG
     if key is not None:
         key += (cfg,)
         kept = th.answers.get(key)
         if kept is not None:
-            result, spent, trace = kept
-            tally.fuel += spent
-            if trace is not None:
-                _logged(th, trace)
-            return result
+            return answered(th, kept)
     engine = _Engine(th, cfg)
     try:
         result = body(engine)

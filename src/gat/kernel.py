@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (LR, RL, Cut, SortAxiom, Subst, Term, TermAxiom, Var,
-                     subst_apply_term)
+from .syntax import (LR, RL, Cut, SortAxiom, Subst, Telescope, Term,
+                     TermAxiom, Var, subst_apply_term)
 
 TERM_AXIOM = "term-axiom"
 SORT_AXIOM = "sort-axiom"
@@ -116,15 +116,17 @@ def equal_mod_irr(th, x, y) -> bool:
 def replay(th, start, trace):
     """`trace.end` (with no end recorded, what the steps reach) when the
     trace joins `start` to it, else a `ReplayError` naming the first
-    top-level step that fails from `start` (-1: the start or the telescope,
-    len(steps): the end).  From the first step that fails on, the steps are
-    inverted and walked from the end, and must reach the term the walk from
-    `start` stopped at."""
+    top-level step that fails from `start` (-1: the start, the telescope or
+    the types of the trace's fields, len(steps): the end).  From the first
+    step that fails on, the steps are inverted and walked from the end, and
+    must reach the term the walk from `start` stopped at."""
     tele, end, steps = trace.tele, trace.end, trace.steps
     if trace.start != start:
         return ReplayError(-1, "trace start differs from the given object")
-    if tele is None:
+    if not isinstance(tele, Telescope):
         return ReplayError(-1, "no telescope")
+    if not _shaped(steps):
+        return ReplayError(-1, "steps are not shaped as the format sets out")
     names = frozenset(tele.names())
     if not _over(names, start):
         return ReplayError(-1, "start is not over the trace's telescope")
@@ -146,10 +148,29 @@ def replay(th, start, trace):
     return reached
 
 
+def _shaped(steps) -> bool:
+    """Whether `steps` and the sub-traces within, which wait on a stack,
+    are tuples of `EqStep`s with tuple paths.  A step with a side that is
+    no node fails in `_walk`, so sides need no check here."""
+    todo = [steps]
+    while todo:
+        steps = todo.pop()
+        if type(steps) is not tuple:
+            return False
+        for s in steps:
+            if not (type(s) is EqStep and type(s.path) is tuple
+                    and type(s.pre) is tuple and type(s.post) is tuple):
+                return False
+            if s.pre or s.post:
+                todo += (s.pre, s.post)
+    return True
+
+
 def _over(names, x) -> bool:
-    """Whether `names` binds every free variable of `x` bar the engine's `?`
-    placeholders, which stand at proof-irrelevant positions."""
-    return x.fv <= names or all(v in names or v[0] == "?" for v in x.fv)
+    """Whether `x` is a node whose free variables `names` binds, bar the
+    engine's `?` placeholders, which stand at proof-irrelevant positions."""
+    return isinstance(x, (Var, Cut, Subst)) and (
+        x.fv <= names or all(v in names or v[0] == "?" for v in x.fv))
 
 
 def _children(node):

@@ -25,10 +25,12 @@ def criterion_report(request):
     return report
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="module", autouse=True)
 def _replay_every_recorded_verdict():
-    # safety net: every Equal verdict produced anywhere in the run must
-    # survive independent replay
+    # safety net: every Equal verdict and normal form produced anywhere in
+    # the run must survive independent replay.  Each module's net replays
+    # its verdicts at the module's teardown and then lets go of them and of
+    # their theories, so none outlives its module.
     with record_verdicts() as log:
         yield
     seen = set()

@@ -363,9 +363,11 @@ CACHES = {"_judged", "nf_memo", "instances", "answers"}
 @pytest.mark.parametrize("name", library_names())
 def test_a_copy_has_the_tables_of_its_theory_and_empty_caches(name):
     th = load(name)
-    # the judgments the build derived with no conversion hold after its
-    # last axiom
-    assert any(axioms is None for _, _, axioms in th._judged.values())
+    # the sorts of the judgments the build derived with no conversion hold
+    # after its last item; the judgment of a sort keeps None
+    assert None in th._judged.values()
+    assert all(sort is None or isinstance(sort, Cut)
+               for sort in th._judged.values())
     fields, copied = vars(th), vars(th.copy())
     assert fields.keys() == copied.keys() and CACHES < fields.keys()
     assert ({k: v for k, v in copied.items() if k not in CACHES}
@@ -404,14 +406,14 @@ def _judgments_and_fuel():
 
 def test_the_judgment_cache_changes_no_result_and_no_fuel(monkeypatch):
     cached = _judgments_and_fuel()
-    reset = CheckedTheory._reset_engine_tables
+    drop = CheckedTheory._drop_caches
 
-    def reset_forgetful(th):
-        reset(th)
-        th._judged = _Forgetful()
+    def drop_forgetful(th):
+        # the kept judgments: conversion-free ones and converted answers
+        drop(th)
+        th._judged, th.answers = _Forgetful(), _Forgetful()
 
-    monkeypatch.setattr(CheckedTheory, "_reset_engine_tables",
-                        reset_forgetful)
+    monkeypatch.setattr(CheckedTheory, "_drop_caches", drop_forgetful)
     assert _judgments_and_fuel() == cached
     results, fuel = cached
     assert fuel == [0, 0, 5, 65, 2042]
@@ -456,6 +458,25 @@ def test_a_judgment_holds_across_an_axiom_only_if_it_did_not_convert(
         'TERMAX "a to d" () a{} = d{} : N{}').items) is None
     assert [infer(plain), infer(converted), infer(converted)] == [
         (0, 0), (1, 2), (0, 2)]
+
+
+def test_a_judgment_that_meets_a_kept_conversion_converted_too():
+    th = check_theory(parse_theory(JUDGED_ACROSS_AN_AXIOM))
+    empty, n = Telescope(), parse_sort("N{}")
+    inner, outer = parse_term("f{c{}/x}"), parse_term("g{f{c{}/x}/x}")
+
+    def infer(m):
+        with record_fuel() as fuel:
+            assert infer_term(th, empty, m) == n
+        return fuel[0]
+
+    # g's judgment finds f's among the kept answers, and is kept there too
+    assert [infer(inner), infer(outer), infer(outer)] == [1, 1, 1]
+    assert (empty.bindings, outer) in th.answers
+    assert (empty.bindings, outer) not in th._judged
+    assert _extend_checked(th, parse_theory(
+        'TERMAX "a to d" () a{} = d{} : N{}').items) is None
+    assert th.answers == {} and infer(outer) == 2
 
 
 # "f c" checks f{c{}/x} by converting T{b{}} to T{a{}}; after "b to a" the

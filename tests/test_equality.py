@@ -36,6 +36,7 @@ from gat.canonicity import (
 )
 from gat.canonicity import _el_obs
 from gat.checker import (
+    CheckedTheory,
     CheckError,
     ErrorKind,
     check_sort,
@@ -629,6 +630,109 @@ def test_an_item_drops_the_kept_answers(monoid):
     assert isinstance(eq_sort(th, tele, a, b), Equal)
 
 
+# Per theory: declarations the queries need, the queries as (kind,
+# telescope, subject, other sort or None), and axioms an item may add.  Some
+# inferences convert, some only once an axiom is added, some never.
+ACROSS_ITEMS = {
+    "monoid": (
+        "SORT T(o: ob{})\nOP e() : ob{}\nOP c(o: ob{}) : T{o/o}\n"
+        "OP f(t: T{id{}/o}) : ob{}",
+        [("infer", "", "f{c{cmp{id{}/a, id{}/b}/o}/t}", None),
+         ("infer", "", "f{c{e{}/o}/t}", None),
+         ("infer", "", "f{c{cmp{e{}/a, e{}/b}/o}/t}", None),
+         ("infer", "x: ob{}", "cmp{f{c{id{}/o}/t}/a, x/b}", None),
+         ("infer", "", "cmp{f{c{cmp{id{}/a, id{}/b}/o}/t}/a, id{}/b}",
+          None),
+         ("infer", "x: ob{}", "c{cmp{x/a, e{}/b}/o}", None),
+         ("norm", "x: ob{}", "cmp{cmp{x/a, e{}/b}/a, id{}/b}", None),
+         ("norm", "x: ob{}", "cmp{e{}/a, cmp{e{}/a, x/b}/b}", None),
+         ("sort", "x: ob{}", "T{cmp{x/a, e{}/b}/o}", "T{x/o}"),
+         ("sort", "", "T{e{}/o}", "T{id{}/o}")],
+        ['TERMAX "e is id" () e{} = id{} : ob{}',
+         'TERMAX "e square" () cmp{e{}/a, e{}/b} = e{} : ob{}',
+         'TERMAX "left projection" (x: ob{}, y: ob{}) '
+         'cmp{x/a, y/b} = x : ob{}',
+         'SORTAX "T e" () T{e{}/o} = T{id{}/o}',
+         'TERMAX "T irrelevance" (o: ob{}, p: T{o/o}, q: T{o/o}) '
+         'p = q : T{o/o}']),
+    "cat": (
+        "OP o() : ob{}\nOP t(x: ob{}) : ob{}\n"
+        "OP k(x: ob{}) : hom{x/d, t{x/x}/c}\nOP j() : hom{o{}/d, o{}/c}",
+        [("infer", "", "homcmp{o{}/e, o{}/d, o{}/c, j{}/f, k{o{}/x}/g}",
+          None),
+         ("infer", "", "homcmp{o{}/e, o{}/d, o{}/c, j{}/f, "
+          "homid{o{}/g}/g}", None),
+         ("infer", "x: ob{}", "homcmp{x/e, t{x/x}/d, t{x/x}/c, "
+          "homid{t{x/x}/g}/f, k{x/x}/g}", None),
+         ("infer", "x: ob{}", "homcmp{x/e, t{x/x}/d, t{x/x}/c, "
+          "k{t{x/x}/x}/f, k{x/x}/g}", None),
+         ("norm", "", "homcmp{o{}/e, o{}/d, o{}/c, j{}/f, "
+          "homid{o{}/g}/g}", None),
+         ("norm", "", "t{t{o{}/x}/x}", None),
+         ("sort", "", "hom{o{}/d, t{o{}/x}/c}", "hom{o{}/d, o{}/c}"),
+         ("sort", "x: ob{}", "hom{x/d, t{t{x/x}/x}/c}",
+          "hom{x/d, t{x/x}/c}")],
+        ['TERMAX "t o" () t{o{}/x} = o{} : ob{}',
+         'TERMAX "t idem" (x: ob{}) t{t{x/x}/x} = t{x/x} : ob{}',
+         'SORTAX "k square" (x: ob{}) hom{x/d, t{x/x}/c} = hom{x/d, x/c}',
+         'TERMAX "j unit" () j{} = homid{o{}/g} : hom{o{}/d, o{}/c}']),
+}
+
+
+@pytest.fixture(scope="module")
+def across_items():
+    """Per theory: the library theory with its declarations, its queries
+    parsed, and its axioms as items."""
+    out = {}
+    for name, (decls, queries, axioms) in ACROSS_ITEMS.items():
+        base = theory_extends(load(name), parse_source(decls).theory)
+        assert isinstance(base, CheckedTheory)
+        parsed = [(kind, parse_telescope(tele), parse_term(m) if kind
+                   == "infer" else parse_sort(m) if kind == "sort"
+                   else parse_term(m), other and parse_sort(other))
+                  for kind, tele, m, other in queries]
+        out[name] = base, parsed, [parse_source(ax).theory.items[0]
+                                   for ax in axioms]
+    return out
+
+
+def _asked(th, query):
+    """A query's answer, the fuel `record_fuel` counted and, but for an
+    inference, whose kept answer logs no conversion, the traces logged."""
+    kind, tele, m, other = query
+    with record_verdicts() as log, record_fuel() as meter:
+        answer = (infer_term(th, tele, m) if kind == "infer"
+                  else normalize_term(th, m, tele) if kind == "norm"
+                  else eq_sort(th, tele, m, other))
+    return answer, meter[0], [] if kind == "infer" else [t for _, t in log]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(ACROSS_ITEMS)))
+def test_queries_between_items_answer_as_a_cold_copy_does(
+        across_items, data, name):
+    base, queries, axioms = across_items[name]
+    th, fresh = base.copy(), 0
+    for kind, what in data.draw(st.lists(st.one_of(
+            st.tuples(st.just("ask"), st.sampled_from(queries)),
+            st.tuples(st.just("axiom"), st.sampled_from(axioms)),
+            st.tuples(st.sampled_from((SortDecl, OpDecl)), st.none())),
+            max_size=16)):
+        if kind == "ask":
+            # asked twice, so the second answer is the one the theory kept
+            cold = _asked(th.copy(), what)
+            assert _asked(th, what) == cold and _asked(th, what) == cold
+            continue
+        if kind == "axiom":
+            item = what
+        else:
+            fresh += 1
+            item = (SortDecl(f"fresh{fresh}", Telescope()) if kind is SortDecl
+                    else OpDecl(f"fresh{fresh}", Telescope(),
+                                parse_sort("ob{}")))
+        assert _extend_checked(th, (item,)) is None
+
+
 def test_kept_answers_do_not_keep_their_theory_alive(monoid, monkeypatch):
     # a theory that held itself would wait for the cyclic collector, and a
     # loop that builds one theory after another would hold several at once
@@ -760,7 +864,7 @@ def test_extension_rewrites_with_its_axiom_and_the_base_does_not(monoid):
 
 
 
-def test_a_declaration_keeps_the_engine_tables(mltt):
+def test_every_item_drops_the_caches_and_keeps_the_plain_judgments(mltt):
     th = mltt.copy()
     tele = parse_telescope(
         "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}")
@@ -773,16 +877,17 @@ def test_a_declaration_keeps_the_engine_tables(mltt):
         nf = normalize_term(th, t)[0]
         assert replay_ok(th, eq_term(th, empty, t, nf,
                                      infer_term(th, empty, t)).trace)
-    memo, instances = th.nf_memo, th.instances
-    rules, plans = dict(th.rules), dict(th.plans)
-    filled = dict(memo), dict(instances)
-    assert all(filled) and rules and plans
-    th._add_item(SortDecl("mark", Telescope()))
-    th._add_item(OpDecl("top", Telescope(), parse_sort("lvl{}")))
-    assert th.nf_memo is memo and th.rules == rules
+    assert th.nf_memo and th.instances and th.answers
+    judged, rules, plans = dict(th._judged), dict(th.rules), dict(th.plans)
+    assert judged and rules and plans
+    # a declaration changes no verdict, and still empties every cache
+    for item in (SortDecl("mark", Telescope()),
+                 OpDecl("top", Telescope(), parse_sort("lvl{}"))):
+        th._add_item(item)
+        assert th.nf_memo == th.instances == th.answers == {}
+        assert th._judged == judged
+    assert th.rules == rules
     assert th.plans == {**plans, "mark": ((), (), ()), "top": ((), (), ())}
-    assert th.instances is instances
-    assert (dict(memo), dict(instances)) == filled
 
     def query(t):
         with record_fuel() as meter:
@@ -792,6 +897,7 @@ def test_a_declaration_keeps_the_engine_tables(mltt):
     verdict, used = query(th)
     assert isinstance(verdict, Equal) and used > 0
     assert (verdict, used) == query(th.copy())
+
 
 # h{n, c{n}} normalizes only through k nested discharges of its deferred
 # first argument when n is the k-th numeral.

@@ -172,6 +172,45 @@ def test_wrong_after_is_rejected(monoid_trace, pre_step, mltt, monoid):
     assert _rejected(mltt, _with_step(trace, i, after=trace.steps[i].before))
 
 
+def _ill_typed(trace: EqTrace, i: int) -> list:
+    """`trace` with one field, of the trace, of its step i or of that
+    step's first sub-step, given a value of the wrong type, and the step
+    replay must name: -1 for the types it checks before it walks, the end
+    for the end, and None for the sides of a step, which no step passes."""
+    step, n = trace.steps[i], len(trace.steps)
+    out = [(_with_step(trace, i, **{field: value}), at)
+           for field, value, at in (
+               ("path", None, -1), ("path", list(step.path), -1),
+               ("pre", (None,), -1), ("pre", None, -1),
+               ("pre", list(step.pre), -1), ("post", 5, -1),
+               ("before", 5, None), ("after", None, None))]
+    out += [(dataclasses.replace(trace, **{field: value}), at)
+            for field, value, at in (
+                ("steps", (None,), -1), ("steps", None, -1),
+                ("steps", list(trace.steps), -1), ("tele", "x", -1),
+                ("end", 5, n), ("start", 5, -1))]
+    if step.pre:
+        sub = step.pre[0]
+        for field, value, at in (("path", None, -1), ("post", 5, -1),
+                                 ("after", 5, None)):
+            pre = (dataclasses.replace(sub, **{field: value}),) + step.pre[1:]
+            out.append((_with_step(trace, i, pre=pre), at))
+    return out
+
+
+def test_an_ill_typed_trace_is_a_replay_error(monoid_trace, monoid, mltt,
+                                              pre_step):
+    cases = [(monoid, t, at) for i in range(len(monoid_trace.steps))
+             for t, at in _ill_typed(monoid_trace, i)]
+    cases += [(mltt, t, at) for t, at in _ill_typed(*pre_step)]
+    assert len(cases) > 40
+    for th, trace, at in cases:
+        for t in (th, th.copy()):  # a warm and a cold instance cache
+            out = replay_trace(t, trace.start, trace)
+            assert isinstance(out, ReplayError), trace
+            assert at is None or out.step == at, trace
+
+
 def test_wrong_axiom_index_is_rejected(monoid_trace, monoid, mltt, pre_step):
     for th, trace in ((monoid, monoid_trace), (mltt, pre_step[0])):
         items = range(len(th.theory.items) + 2)
