@@ -77,14 +77,15 @@ class CheckedTheory:
     Its tables, all derived from `theory.items`, are built on one path:
     `__init__` starts them empty and `_add_item` extends them per item.
     They hold per-symbol telescopes and result sorts, the axiom lists with
-    their item indices, the proof-irrelevant sort symbols, the rewrite
-    rules that can fire by the head of their source (see `_add_rule`), and
-    per-symbol match plans (see `_plan`).  What it keeps of its own work
-    is never copied and lives by one rule: a judgment derived with no
-    equation holds in every extension (Cartmell), so `_judged` keeps those
-    for good (see `_judge`), and all else used an equation, so every item
-    drops it (`_drop_caches`).  Like terms (see `gat.syntax`), a theory is
-    used from one thread at a time.
+    their item indices, the proof-irrelevant sort symbols, a rewrite rule
+    per oriented axiom by the head of its source (the engine's `_complete`
+    decides at each match whether it fires), and per-symbol match plans
+    (see `_plan`).  What it keeps of its own work is never copied and lives
+    by one rule: a judgment derived with no equation holds in every
+    extension (Cartmell), so `_judged` keeps those for good (see `_judge`),
+    and all else used an equation, so every item drops it (`_drop_caches`).
+    Like terms (see `gat.syntax`), a theory is used from one thread at a
+    time.
     """
 
     def __init__(self) -> None:
@@ -96,9 +97,8 @@ class CheckedTheory:
         self.axiom_labels: dict[str, int] = {}
         self.irrelevant_heads: frozenset[str] = frozenset()
         # (kind, item index, source, target, direction, axiom) per oriented
-        # axiom, in item order
-        self._oriented: list[tuple] = []
-        # those of them that can fire (see `_add_rule`), a tuple per head
+        # axiom (see `gat.equality.oriented`), in item order, a tuple per
+        # head of the source
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
         # the sorts of conversion-free judgments, which no item drops
@@ -148,20 +148,9 @@ class CheckedTheory:
             self.axiom_labels[ax.label] = index
         rule = oriented(ax)
         if rule is not None:
-            rule = (kind, index, *rule, ax.orientation, ax)
-            self._oriented.append(rule)
-            self._add_rule(rule)
-
-    def _add_rule(self, rule: tuple) -> None:
-        """Append `rule` to the rules of its source's head, unless no match
-        can complete its instantiation: a target variable the source lacks
-        is bound by no match, and `_complete` fills it only at a
-        proof-irrelevant sort.  A sort axiom left out still serves the
-        bridge."""
-        _, _, src, dst, _, ax = rule
-        if all(ax.params.lookup(v).head in self.irrelevant_heads
-               for v in dst.fv - src.fv):
-            self.rules[src.head] = self.rules.get(src.head, ()) + (rule,)
+            head = rule[0].head
+            self.rules[head] = self.rules.get(head, ()) + (
+                (kind, index, *rule, ax.orientation, ax),)
 
     def _add_item(self, item) -> None:
         self._drop_caches()
@@ -190,10 +179,6 @@ class CheckedTheory:
                 self.plans = {name: self._plan(params) for name, params in (
                     *self.sort_decls.items(),
                     *((n, p) for n, (p, _) in self.op_decls.items()))}
-                # a rule left out for a variable of this sort may now fire
-                self.rules = {}
-                for rule in self._oriented:
-                    self._add_rule(rule)
 
 
 def check_theory(raw: Theory) -> CheckedTheory | CheckError:

@@ -31,9 +31,10 @@ always match strictly, which is what keeps distinct axioms apart.
 Every query (`eq_sort`, `eq_term`, `normalize_term`) that is asked afresh
 runs its own engine with its own fuel and its own table of the terms it has
 normalized.  All of them read the rewrite rules and match plans the
-`CheckedTheory` extends as items are added: each axiom appends its rule
-(see `oriented`) unless no match can complete it, each declaration adds its
-symbol's plan.  They also share one normal-form memo held by the theory.
+`CheckedTheory` extends as items are added: each oriented axiom appends
+its rule (see `oriented`), which fires on a match only if `_complete` gives
+each variable of its target a value, and each declaration adds its symbol's
+plan.  They also share one normal-form memo held by the theory.
 A memo entry records how its term normalized: the entries of its
 arguments, the terms its deferred positions made it normalize, and its root
 rewrite.  Computed or taken from the memo, a term the query has not
@@ -619,10 +620,10 @@ def answered(th: CheckedTheory, kept: tuple):
 
 
 def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
-             key: tuple | None = None):
+             key: tuple | None = None, log: bool = True):
     """Run `body` on a fresh engine; a bound it hits becomes `NotProven`.
     The fuel it spent is metered, whatever the verdict, and the trace of an
-    `Equal` or of a normal form is logged (see `record_verdicts`).
+    `Equal` or of a normal form is logged if `log` (see `record_verdicts`).
 
     A query that passes its `key` keeps its answer in `th.answers`, under
     the key and the effective `cfg`, and is answered from there, with no
@@ -652,7 +653,7 @@ def _bounded(th: CheckedTheory, cfg: EqEngineConfig | None, body,
         tally.fuel += spent
     trace = (result.trace if type(result) is Equal
              else result[1] if type(result) is tuple else None)
-    if trace is not None:
+    if trace is not None and log:
         _logged(th, trace)
     if key is not None:
         th.answers[key] = result, spent, trace
@@ -689,7 +690,8 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
     is compared at target sort i, which mentions only names `p0` binds
     before entry i, instantiated by `p0`.  The trace holds each entry's
     steps, their paths led by the entry's index: all steps from `p0` to
-    normal forms first, then those between them, then those to `p1`."""
+    normal forms first, then those between them, then those to `p1`.  Only
+    it is logged, not each entry's trace; each entry's fuel is metered."""
     if len(p0) != len(p1) or len(p0) != len(target):
         return NotProven(False, "substitution lengths differ")
     parts: tuple[list[EqStep], ...] = ([], [], [])
@@ -698,7 +700,7 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
         if t0 != name or t1 != name:
             return NotProven(False, f"target names do not match {name!r}")
         verdict = _bounded(th, None, _term_query(
-            th, phi, v0, v1, subst_apply_sort(p0, sort)))
+            th, phi, v0, v1, subst_apply_sort(p0, sort)), log=False)
         if not isinstance(verdict, Equal):
             return verdict
         # no one has read the steps yet, so they are still unemitted

@@ -18,24 +18,26 @@ two sub-traces at paths relative to the step: `pre` from `before` to the
 source side's instance, and `post` from the target side's instance to
 `after`.  An `IRRELEVANCE` step changes only arguments at positions of
 proof-irrelevant sort; an `IRRELEVANT_SORT` step relates two terms of the
-proof-irrelevant sort in `note`.  Sub-traces stay nested in their step.
+proof-irrelevant sort in `note`.  Sub-traces stay nested in their step,
+at most `NESTING_CAP` levels deep, since replay recurses once per level.
 `invert` turns steps from x to y into steps from y to x: it reverses them,
 flips each direction and swaps and inverts each step's `pre` and `post`.
 
 A trace from x to y proves x = y over its telescope and presupposes, as
 that judgment does, that x and y are well formed there; replay checks only
-that their free variables are bound.  It takes the steps from x until one
-fails, then walks the rest, inverted, from y: a step taken backward is its
-inversion taken forward.  Either way, a step checks what its source side
-leaves open (`sigma`'s other values, an IRRELEVANT_SORT step's terms) with
-`_sort_of`, with no conversion: sound but incomplete.  A join's second half
-inverts the other side's normalization, whose values may check only up to
-conversion, so it replays from that side, where the rewrites' sources bind
-them.  Sub-traces are replayed in their step's direction only; none of the
-seed 0-9 sweep queries, asked either way round, needs more.  Axiom
-instances are validated once per theory and direction (see `_instance`);
-their open checks run at every use.  Replay rewrites nothing and meters no
-fuel, so it gives the same verdict warm or cold.
+that each is a node whose free variables are bound: a trace with no end
+fails.  It takes the steps from x until one fails, then walks the rest,
+inverted, from y: a step taken backward is its inversion taken forward.
+Either way, a step checks what its source side leaves open (`sigma`'s other
+values, an IRRELEVANT_SORT step's terms) with `_sort_of`, with no
+conversion: sound but incomplete.  A join's second half inverts the other
+side's normalization, whose values may check only up to conversion, so it
+replays from that side, where the rewrites' sources bind them.  Sub-traces
+are replayed in their step's direction only; none of the seed 0-9 sweep
+queries, asked either way round, needs more.  Axiom instances are validated
+once per theory and direction (see `_instance`); their open checks run at
+every use.  Replay rewrites nothing and meters no fuel, so it gives the
+same verdict warm or cold.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ SORT_AXIOM = "sort-axiom"
 IRRELEVANCE = "irrelevance"
 IRRELEVANT_SORT = "irrelevant-sort"
 _FLIP = {LR: RL, RL: LR}
+# How deep sub-traces may nest; the engine's nest one level per nested
+# discharge (`gat.equality._PENDING_CAP`) and one for a bridge step.
+NESTING_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -114,56 +119,59 @@ def equal_mod_irr(th, x, y) -> bool:
 
 
 def replay(th, start, trace):
-    """`trace.end` (with no end recorded, what the steps reach) when the
-    trace joins `start` to it, else a `ReplayError` naming the first
-    top-level step that fails from `start` (-1: the start, the telescope or
-    the types of the trace's fields, len(steps): the end).  From the first
-    step that fails on, the steps are inverted and walked from the end, and
-    must reach the term the walk from `start` stopped at."""
+    """`trace.end` when the trace joins `start` to it, else a `ReplayError`
+    naming the first top-level step that fails from `start` (-1: the start,
+    the telescope, the types of the trace's fields or their nesting,
+    len(steps): the end).  From the first step that fails on, the steps are
+    inverted and walked from the end, and must reach the term the walk from
+    `start` stopped at."""
     tele, end, steps = trace.tele, trace.end, trace.steps
     if trace.start != start:
         return ReplayError(-1, "trace start differs from the given object")
     if not isinstance(tele, Telescope):
         return ReplayError(-1, "no telescope")
-    if not _shaped(steps):
-        return ReplayError(-1, "steps are not shaped as the format sets out")
+    misshapen = _misshapen(steps)
+    if misshapen:
+        return ReplayError(-1, misshapen)
     names = frozenset(tele.names())
     if not _over(names, start):
         return ReplayError(-1, "start is not over the trace's telescope")
-    if end is not None and not _over(names, end):
+    if not _over(names, end):
         return ReplayError(len(steps), "end is not over the trace's telescope")
     try:
         reached = _walk(th, start, steps, tele)
     except _Reject as r:
         n, reason, met = r.args
         try:
-            if end is not None and _walk(th, end, invert(steps[n:]),
-                                         tele) is met:
+            if _walk(th, end, invert(steps[n:]), tele) is met:
                 return end
         except _Reject:
             pass
         return ReplayError(n, reason)
-    if end is not None and reached != end:
+    if reached != end:
         return ReplayError(len(steps), "trace end differs from the result")
     return reached
 
 
-def _shaped(steps) -> bool:
-    """Whether `steps` and the sub-traces within, which wait on a stack,
-    are tuples of `EqStep`s with tuple paths.  A step with a side that is
-    no node fails in `_walk`, so sides need no check here."""
-    todo = [steps]
+def _misshapen(steps) -> str | None:
+    """Why `steps` and the sub-traces within, which wait on a stack, are
+    not tuples of `EqStep`s with tuple paths nested at most `NESTING_CAP`
+    deep; None when they are.  A step with a side that is no node fails in
+    `_walk`, so sides need no check here."""
+    todo = [(steps, 0)]
     while todo:
-        steps = todo.pop()
+        steps, depth = todo.pop()
         if type(steps) is not tuple:
-            return False
+            return "steps are not shaped as the format sets out"
         for s in steps:
             if not (type(s) is EqStep and type(s.path) is tuple
                     and type(s.pre) is tuple and type(s.post) is tuple):
-                return False
+                return "steps are not shaped as the format sets out"
             if s.pre or s.post:
-                todo += (s.pre, s.post)
-    return True
+                if depth == NESTING_CAP:
+                    return f"sub-traces nest deeper than {NESTING_CAP}"
+                todo += ((s.pre, depth + 1), (s.post, depth + 1))
+    return None
 
 
 def _over(names, x) -> bool:

@@ -287,29 +287,13 @@ def test_infer_and_check_agree_on_axiom_sides(monoid, cat):
 # -- rewrite rules and match plans -------------------------------------------
 
 
-def _occurs(name, t):
-    """Whether the variable `name` occurs in the term `t`, found by a walk
-    rather than read off `fv`."""
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            if t.name == name:
-                return True
-        else:
-            todo += [v for _, v in t.args.entries]
-    return False
-
-
 def _reference_tables(th):
     """The rules and match plans as the seed engine rebuilt them from the
-    whole theory after each axiom: every oriented axiom that can fire,
-    grouped by the head of its source, then a plan per declared symbol from
-    its flex positions and its argument sorts.  An axiom cannot fire when
-    its target has a variable that its source lacks and that is not of
-    proof-irrelevant sort.  A plan's third part is the mask of arguments of
-    proof-irrelevant sort, which the seed kernel derived from the argument
-    sorts on every comparison."""
+    whole theory after each axiom: every oriented axiom whose source is not
+    a variable, grouped by the head of its source, then a plan per declared
+    symbol from its flex positions and its argument sorts.  A plan's third
+    part is the mask of arguments of proof-irrelevant sort, which the seed
+    kernel derived from the argument sorts on every comparison."""
     def orient(kind, axioms):
         rules = []
         for idx, ax in axioms:
@@ -317,11 +301,7 @@ def _reference_tables(th):
                 continue
             src, dst = ((ax.lhs, ax.rhs) if ax.orientation == LR
                         else (ax.rhs, ax.lhs))
-            unbound = {n for n, _ in ax.params.bindings
-                       if _occurs(n, dst) and not _occurs(n, src)}
-            if not isinstance(src, Var) and all(
-                    ax.params.lookup(n).head in th.irrelevant_heads
-                    for n in unbound):
+            if not isinstance(src, Var):
                 rules.append((kind, idx, src, dst, ax.orientation, ax))
         return rules
 
@@ -594,8 +574,8 @@ def test_an_irrelevance_axiom_replans_the_symbols_declared_before_it():
     assert replay_trace(th, m, verdict.trace) == n
 
 
-# "witness" binds a p its source lacks, so its rule can fire only once P is
-# proof-irrelevant; it then comes before "s of z", as the items do.
+# "witness" binds a p its source lacks, so its rule, which comes before
+# "s of z" as the items do, can fire only once P is proof-irrelevant.
 RULE_AFTER_IRRELEVANCE = """
 SORT N()
 SORT P(n: N{})
@@ -612,8 +592,9 @@ def test_an_irrelevance_axiom_lets_a_rule_left_out_fire_in_item_order():
     full = parse_theory(RULE_AFTER_IRRELEVANCE)
     before = check_theory(Theory(full.items[:-1]))
     after = check_theory(full)
-    for th, labels in ((before, ["s of z"]), (after, ["witness", "s of z"])):
-        assert [rule[5].label for rule in th.rules["s"]] == labels
+    for th in (before, after):
+        assert [rule[5].label for rule in th.rules["s"]] == ["witness",
+                                                             "s of z"]
         _assert_tables_match_reference(th)
     m = parse_term("s{z{}/n}")
     assert normalize_term(before, m)[0] == parse_term("z{}")

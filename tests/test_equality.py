@@ -57,6 +57,7 @@ from gat.syntax import (
     SortDecl,
     Subst,
     Telescope,
+    TermAxiom,
     Var,
     subst_apply_term,
 )
@@ -156,20 +157,114 @@ def test_an_axiom_whose_rule_cannot_fire_serves_only_the_bridge(mltt):
     # "element lifting"'s target binds b, which its source lacks, and b is
     # of the relevant sort lvl: so no match completes its rule
     idx = mltt.axiom_labels["element lifting"]
-    assert idx not in (rule[1] for rules in mltt.rules.values()
-                       for rule in rules)
-    # with the rule put back in item order, every bridge query through the
-    # axiom gives the same verdict, trace and fuel
-    restored = mltt.copy()
-    (rule,) = (r for r in restored._oriented if r[1] == idx)
-    restored.rules["el"] = tuple(sorted(restored.rules["el"] + (rule,),
-                                        key=lambda r: r[1]))
+    assert idx in (rule[1] for rule in mltt.rules["el"])
+    # with the rule taken out, every bridge query through the axiom gives
+    # the same verdict, trace and fuel
+    removed = mltt.copy()
+    removed.rules["el"] = tuple(r for r in removed.rules["el"] if r[1] != idx)
     for x, y in ((PI_HIGH, PI_LOW), (PI_LOW, PI_HIGH)):
         verdict, fuel = _metered(mltt.copy(), eq_sort, (PI_TELE, x, y), None)
         assert isinstance(verdict, Equal)
         assert idx in (s.axiom for s in verdict.trace.steps)
-        assert _metered(restored, eq_sort, (PI_TELE, x, y), None) == (
+        assert _metered(removed, eq_sort, (PI_TELE, x, y), None) == (
             verdict, fuel)
+
+
+# Per theory: a sort over its terms, so that `eq_sort` has work to do, and
+# the telescope of the queries.  Cat's paths run along o0 -f0-> o1 -f1-> o2.
+NEVER_FIRES = {
+    "monoid": ("SORT T(o: ob{})", "x: ob{}, y: ob{}"),
+    "cat": ("SORT H(d: ob{}, c: ob{}, f: hom{d/d, c/c})",
+            "o0: ob{}, o1: ob{}, o2: ob{}, f0: hom{o0/d, o1/c}, "
+            "f1: hom{o1/d, o2/c}"),
+}
+
+
+@pytest.fixture(scope="module")
+def never_fires():
+    out = {}
+    for name, (decl, tele) in NEVER_FIRES.items():
+        base = theory_extends(load(name), parse_source(decl).theory)
+        assert isinstance(base, CheckedTheory)
+        out[name] = base, parse_telescope(tele)
+    return out
+
+
+def _word(draw, depth):
+    """A monoid term in x, y and id{}."""
+    if not depth or draw(st.booleans()):
+        return draw(st.sampled_from((Var("x"), Var("y"), parse_term("id{}"))))
+    return Cut("cmp", Subst((("a", _word(draw, depth - 1)),
+                             ("b", _word(draw, depth - 1)))))
+
+
+def _path(draw, i, j, depth):
+    """A cat arrow from o{i} to o{j}, i <= j, bracketed and padded with
+    units as drawn."""
+    o = [Var(f"o{k}") for k in range(3)]
+    if depth and draw(st.booleans()):
+        k = draw(st.integers(i, j))
+        f, g = _path(draw, k, j, depth - 1), _path(draw, i, k, depth - 1)
+    elif i == j:
+        return Cut("homid", Subst((("g", o[i]),)))
+    elif j == i + 1:
+        return Var(f"f{i}")
+    else:
+        k, f, g = i + 1, _path(draw, i + 1, j, 0), Var(f"f{i}")
+    return Cut("homcmp", Subst((("e", o[i]), ("d", o[k]), ("c", o[j]),
+                                ("f", f), ("g", g))))
+
+
+def _never_firing_query(draw, name, tele):
+    """An `eq_term`, `eq_sort` or `normalize_term` query on two drawn
+    terms of one sort, as (query, arguments) for `_answered`."""
+    if name == "monoid":
+        m, n = _word(draw, 3), _word(draw, 3)
+        sort, head, ends, var = OB, "T", (), "o"
+    else:
+        i = draw(st.integers(0, 2))
+        j = draw(st.integers(i, 2))
+        m, n = _path(draw, i, j, 3), _path(draw, i, j, 3)
+        ends = (("d", Var(f"o{i}")), ("c", Var(f"o{j}")))
+        sort, head, var = Cut("hom", Subst(ends)), "H", "f"
+    a, b = (Cut(head, Subst(ends + ((var, t),))) for t in (m, n))
+    return draw(st.sampled_from(((eq_term, (tele, m, n, sort)),
+                                 (eq_sort, (tele, a, b)),
+                                 (_normalize, (m, tele)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(NEVER_FIRES)),
+       orientation=st.sampled_from((LR, RL)))
+def test_a_rule_whose_instance_cannot_complete_changes_nothing(
+        never_fires, data, name, orientation):
+    base, tele = never_fires[name]
+    # a source some rule has, or the most general one of a rule's head,
+    # which a term no rule before it rewrites matches, so that the new rule
+    # is tried; and a target with a variable of relevant sort that the
+    # source lacks
+    sources = [(ax.params, src, ax.sort) for rules in base.rules.values()
+               for _, _, src, _, _, ax in rules]
+    general = [(params, Cut(head, Subst(tuple(
+        (v, Var(v)) for v in params.names()))), result)
+        for head, (params, result) in base.op_decls.items()
+        if head in base.rules]
+    params, src, sort = data.draw(st.sampled_from(sources)
+                                  | st.sampled_from(general))
+    fresh = Var("fresh")
+    dst = data.draw(st.sampled_from([fresh] + [
+        subst_apply_term(Subst(((v, fresh),)), src)
+        for v, s in params.bindings if s == sort]))
+    lhs, rhs = (src, dst) if orientation == LR else (dst, src)
+    item = TermAxiom(Telescope(params.bindings + (("fresh", sort),)),
+                     lhs, rhs, sort, "never fires", orientation)
+    th, without = base.copy(), base.copy()
+    assert _extend_checked(th, (item,)) is None
+    assert th.rules[src.head][-1][5] is item
+    for _ in range(data.draw(st.integers(1, 4))):
+        query, args = _never_firing_query(data.draw, name, tele)
+        assert (_answered(th, query, args, None)
+                == _answered(without, query, args, None))
 
 
 def test_sort_step_must_name_the_axiom_it_uses(mltt):
@@ -279,6 +374,18 @@ def test_a_substitution_verdict_is_recorded_and_replayed_by_entry(monoid,
                    note=parse_sort("lt{u/u, v/v}"))
     assert isinstance(replay_trace(mltt, s0, EqTrace(s0, s1, (whole,), tele)),
                       ReplayError)
+
+
+def test_a_substitution_verdict_logs_only_its_own_trace(monoid):
+    tele, target = parse_telescope("x: ob{}"), parse_telescope("a: ob{}")
+    p0 = Subst((("a", parse_term("cmp{x/a, id{}/b}")),))
+    p1 = Subst((("a", Var("x")),))
+    with record_verdicts() as log, record_fuel() as meter:
+        verdict = eq_subst(monoid, tele, p0, p1, target)
+    assert isinstance(verdict, Equal)
+    assert log == [(monoid, verdict.trace)]
+    # the entry's fuel is metered all the same
+    assert meter[0] == 1
 
 
 def test_unequal_substitutions_fail_on_the_bad_entry(monoid):

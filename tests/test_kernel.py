@@ -211,6 +211,37 @@ def test_an_ill_typed_trace_is_a_replay_error(monoid_trace, monoid, mltt,
             assert at is None or out.step == at, trace
 
 
+def _nested(trace: EqTrace, depth: int) -> EqTrace:
+    """`trace` with its first step held in its own `pre`, `depth` levels
+    deep."""
+    step = trace.steps[0]
+    for _ in range(depth):
+        step = dataclasses.replace(step, pre=(step,))
+    return _with_step(trace, 0, pre=step.pre)
+
+
+def test_sub_traces_nested_past_the_cap_are_a_replay_error(monoid_trace,
+                                                           monoid):
+    # the engine nests sub-traces one level per nested discharge and one
+    # for a bridge step; the kernel cannot import it to read its cap
+    assert kernel.NESTING_CAP > equality._PENDING_CAP + 1
+    deepest = f"sub-traces nest deeper than {kernel.NESTING_CAP}"
+    for depth, at in ((5000, -1), (kernel.NESTING_CAP + 1, -1),
+                      (kernel.NESTING_CAP, 0)):
+        trace = _nested(monoid_trace, depth)
+        for th in (monoid, monoid.copy()):  # a warm and a cold instance cache
+            out = replay_trace(th, trace.start, trace)
+            assert isinstance(out, ReplayError) and out.step == at
+            assert (out.reason == deepest) == (at == -1)
+
+
+def test_a_trace_with_no_end_is_a_replay_error(monoid_trace, monoid):
+    trace = dataclasses.replace(monoid_trace, end=None)
+    for th in (monoid, monoid.copy()):
+        assert replay_trace(th, trace.start, trace) == ReplayError(
+            len(trace.steps), "end is not over the trace's telescope")
+
+
 def test_wrong_axiom_index_is_rejected(monoid_trace, monoid, mltt, pre_step):
     for th, trace in ((monoid, monoid_trace), (mltt, pre_step[0])):
         items = range(len(th.theory.items) + 2)
