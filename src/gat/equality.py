@@ -340,7 +340,8 @@ class _Engine:
         pattern, subject) triple to `pending` instead of failing the whole
         match.  Deferred pairs must later be discharged by `_discharge`,
         which keeps skipping sound: the instantiated pattern has to
-        normalize to the subject, it is not simply ignored."""
+        normalize to the subject, it is not simply ignored.  A variable
+        not yet bound is bound at once, loose or not: that cannot fail."""
         if isinstance(pattern, Var):
             bound = sigma.get(pattern.name)
             if bound is None:
@@ -360,7 +361,7 @@ class _Engine:
         order, loose, _ = self._plans[pattern.head]
         for i in order:
             p, s = pe[i][1], se[i][1]
-            if loose[i]:
+            if loose[i] and (isinstance(p, Cut) or p.name in sigma):
                 trial_sigma = dict(sigma)
                 trial_pending = list(pending)
                 if self.match(p, s, trial_sigma, trial_pending, path + (i,)):

@@ -12,12 +12,20 @@ binding structure.
 `Var`, `Cut` and `Subst` are hash-consed: a constructor returns the live
 node of that structure when there is one, so equal structures are one
 object, and `==` and `hash` are object identity.  The table of live nodes
-holds them weakly and forgets a node when it dies.  Each node carries its
+holds them weakly, and none of its keys holds a node, so it keeps no node
+alive and forgets a node when it dies.  Each node carries its
 node count in `size` and the frozenset of its free variables in `fv`, both
 set when it is interned; closed nodes share one empty `fv`.  Nodes are
 immutable, and copying or unpickling one returns the interned node.  Terms
 are built from one thread at a time, as interning is not atomic; so is a
 `CheckedTheory` used (see `gat.checker`).
+
+Each `Subst` carries, in `applied`, a memo of the open cuts it has been
+applied to and their results, so a subterm shared in a DAG is rewritten
+once per substitution, not once per path to it.  The memo lives and dies
+with its substitution: a result that holds the substitution itself makes
+a cycle with it, which the collector frees.  Its keys are nodes, which
+compare by identity, so no key goes stale.
 """
 
 from __future__ import annotations
@@ -38,9 +46,17 @@ def is_valid_name(text: str) -> bool:
 # ---------------------------------------------------------------------------
 # Hash-consed terms
 
-# The live nodes by structure: a `Var` by its name, a `Cut` by (head, args)
-# and a `Subst` by its entries.  The three key shapes never compare equal.
+# The live nodes by structure, under keys that hold no node: a `Var` by its
+# name, a `Cut` by its head and the id of its args, and a `Subst` by the hash
+# of its entries.  A memo of applied terms can lead from a substitution to a
+# node holding it, and a key holding that node would keep both alive for
+# good.  An id names one node while its entry stands, as the node holds its
+# children.  A substitution whose hash a live one with other entries holds
+# is entered under its exact key, its (target, value id) pairs; `_spilled`
+# counts the live ones entered so, and while there are any, a lookup that
+# misses tries the exact key too.  The key shapes never compare equal.
 _table: dict = {}
+_spilled = 0
 
 
 class _Ref(weakref.ref):
@@ -53,13 +69,19 @@ def _drop(ref: _Ref, table: dict = _table) -> None:
         del table[ref.key]
 
 
+def _drop_spilled(ref: _Ref) -> None:
+    global _spilled
+    _spilled -= 1
+    _drop(ref)
+
+
 _init = object.__setattr__
 
 
-def _new(cls, key):
+def _new(cls, key, drop=_drop):
     """A new node of `cls`, entered in the table at `key`."""
     node = object.__new__(cls)
-    ref = _table[key] = _Ref(node, _drop)
+    ref = _table[key] = _Ref(node, drop)
     ref.key = key
     return node
 
@@ -111,7 +133,7 @@ class Cut(_Node):
     __match_args__ = ("head", "args")
 
     def __new__(cls, head: str, args: Subst):
-        key = (head, args)
+        key = (head, id(args))
         ref = _table.get(key)
         node = ref and ref()
         if node is None:
@@ -132,22 +154,35 @@ Sort = Cut
 class Subst(_Node):
     """Ordered assignment of terms to target variables; targets distinct."""
 
-    __slots__ = ("entries", "size", "fv")
+    __slots__ = ("entries", "size", "fv", "applied")
     __match_args__ = ("entries",)
 
     def __new__(cls, entries: tuple[tuple[str, Term], ...] = ()):
-        ref = _table.get(entries)
+        global _spilled
+        key = hash(entries)
+        ref = _table.get(key)
         node = ref and ref()
-        if node is None:
-            node = _new(cls, entries)
-            _init(node, "entries", entries)
-            _init(node, "size", sum(v.size for _, v in entries))
-            fv = _CLOSED
-            for _, v in entries:
-                # keep an entry's set when it covers the others so far
-                if not v.fv <= fv:
-                    fv = v.fv if fv <= v.fv else fv | v.fv
-            _init(node, "fv", fv)
+        if node is None or node.entries != entries:
+            taken = node is not None
+            if taken or _spilled:
+                exact = (tuple([(t, id(v)) for t, v in entries]),)
+                ref = _table.get(exact)
+                node = ref and ref()
+            if node is None:
+                if taken:
+                    key = exact
+                    _spilled += 1
+                node = _new(cls, key, _drop_spilled if taken else _drop)
+                _init(node, "entries", entries)
+                _init(node, "size", sum(v.size for _, v in entries))
+                fv = _CLOSED
+                for _, v in entries:
+                    # keep an entry's set when it covers the others so far
+                    if not v.fv <= fv:
+                        fv = v.fv if fv <= v.fv else fv | v.fv
+                _init(node, "fv", fv)
+                # open cut -> its rewrite by this substitution
+                _init(node, "applied", {})
         return node
 
     def targets(self) -> tuple[str, ...]:
@@ -245,14 +280,20 @@ def subst_apply_term(psi: Subst, m: Term) -> Term:
 
     Variables absent from psi's targets pass through unchanged; a matched
     variable is replaced by its assigned term; cuts compose their argument
-    substitution with psi.  A closed term is returned as it is.
+    substitution with psi.  A closed term is returned as it is.  An open
+    cut's result is kept in `psi.applied` and given again from there, so
+    the work is linear in the distinct subterms of `m`, and the memo goes
+    when `psi` does.
     """
     if not m.fv:
         return m
     if isinstance(m, Var):
         v = psi.lookup(m.name)
         return m if v is None else v
-    return Cut(m.head, subst_compose(m.args, psi))
+    out = psi.applied.get(m)
+    if out is None:
+        out = psi.applied[m] = Cut(m.head, subst_compose(m.args, psi))
+    return out
 
 
 # A sort is a cut, and is rewritten as one.

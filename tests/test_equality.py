@@ -46,7 +46,8 @@ from gat.checker import (
     theory_extends,
 )
 from gat.checker import _extend_checked
-from gat.kernel import IRRELEVANCE, IRRELEVANT_SORT, TERM_AXIOM, invert
+from gat.kernel import (IRRELEVANCE, IRRELEVANT_SORT, TERM_AXIOM,
+                        equal_mod_irr, invert)
 from gat.library import load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
 from gat.syntax import (
@@ -1307,3 +1308,70 @@ def test_emit_walks_an_entry_of_any_depth():
         sys.setrecursionlimit(limit)
     assert steps == expected
     assert trace.steps == tuple(top) + invert(top)
+
+
+def _reference_match(th, p, s, sigma: dict, pending: list, path=()):
+    """The match `_Engine.match` must find, written plainly: the extended
+    (sigma, pending), or None when it fails.  Each position is matched on
+    the bindings so far; where that fails at a loose position, the
+    position is deferred and the bindings stay as they were."""
+    if isinstance(p, Var):
+        if p.name not in sigma:
+            return {**sigma, p.name: s}, pending
+        if equal_mod_irr(th, sigma[p.name], s):
+            return sigma, pending
+        return None
+    if not (isinstance(s, Cut) and s.head == p.head
+            and len(s.args) == len(p.args)):
+        return None
+    order, loose, _ = th.plans[p.head]
+    for i in order:
+        pair = p.args.entries[i][1], s.args.entries[i][1]
+        found = _reference_match(th, *pair, sigma, pending, path + (i,))
+        if found is None:
+            if not loose[i]:
+                return None
+            found = sigma, pending + [(path + (i,), *pair)]
+        sigma, pending = found
+    return sigma, pending
+
+
+def _subterms_of(terms):
+    seen, todo = {}, list(terms)
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen[n] = None
+            if isinstance(n, Cut):
+                todo += n.args.values()
+    return list(seen)
+
+
+def test_match_binds_as_a_plain_reference_matcher_does(monoid, mltt):
+    # subjects: the seed-0 sweep terms, every subterm and its sort, and
+    # the sides of each theory's axioms with their subterms
+    terms = [t for seed in (0, 1) for depth in range(1, 7)
+             for t in generate_closed_obs_terms(
+                 mltt, GenBudget(max_depth=depth, seed=seed))]
+    sweep = _subterms_of(terms)
+    sweep += [infer_term(mltt, Telescope(), t) for t in sweep]
+    matched = deferred = 0
+    for th in (monoid, load("cat"), mltt):
+        engine = equality._Engine(th, DEFAULT_CFG)
+        sides = [x for ax in th.theory.items if hasattr(ax, "lhs")
+                 for x in (ax.lhs, ax.rhs)]
+        subjects = _subterms_of(sweep + sides)
+        for rules in th.rules.values():
+            for _, _, src, _, _, _ in rules:
+                for subject in subjects:
+                    sigma, pending = {}, []
+                    ok = engine.match(src, subject, sigma, pending)
+                    expected = _reference_match(th, src, subject, {}, [])
+                    assert ok == (expected is not None), (src, subject)
+                    if ok:
+                        assert list(sigma.items()) == list(
+                            expected[0].items())
+                        assert pending == expected[1]
+                        matched += 1
+                        deferred += bool(pending)
+    assert matched > 2000 and deferred > 1000

@@ -10,6 +10,7 @@ kernel's sort check with the checker's.
 import ast
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,134 @@ def test_sub_traces_nested_past_the_cap_are_a_replay_error(monoid_trace,
             out = replay_trace(th, trace.start, trace)
             assert isinstance(out, ReplayError) and out.step == at
             assert (out.reason == deepest) == (at == -1)
+
+
+def _unfolded(steps) -> int:
+    return sum(1 + _unfolded(s.pre) + _unfolded(s.post) for s in steps)
+
+
+def test_the_step_cap_leaves_room_for_the_engines_traces(mltt):
+    # Each axiom step costs the engine one fuel, and a query adds at most
+    # one fuel-free step per deferred position, per repeated pattern
+    # variable and per join; but a subterm that recurs in a term repeats
+    # its steps in the trace, charged once, so no ratio holds for every
+    # term.  Over the benchmark workloads at seeds 0-9 a trace unfolds to
+    # at most 5.3 steps per unit of fuel spent, plus one.  The kernel
+    # cannot import the engine to read its default fuel, so the relation
+    # is pinned here.
+    assert kernel.STEP_CAP >= 100 * equality.EqEngineConfig().fuel
+    proofs = 0
+    for depth in (2, 3, 4, 5):
+        for t in generate_closed_obs_terms(
+                mltt, GenBudget(max_depth=depth, seed=0)):
+            nf, sort = normalize_term(mltt, t)[0], infer_term(mltt, EMPTY, t)
+            with record_fuel() as spent:
+                trace = _proof(mltt, EMPTY, t, nf, sort)
+            assert _unfolded(trace.steps) <= 8 * spent[0] + 1
+            proofs += 1
+    assert proofs > 50
+
+
+def _self_shared(step: EqStep, depth: int) -> EqStep:
+    """`step` wrapped `depth` times, each wrapping holding the one below as
+    both its `pre` and its `post`: 2^(depth+1) - 1 steps unfolded."""
+    for _ in range(depth):
+        step = dataclasses.replace(step, pre=(step,), post=(step,))
+    return step
+
+
+def test_a_self_shared_trace_is_rejected_at_once(monoid_trace, monoid):
+    # walked path by path, checking this trace would take hours
+    step = _self_shared(dataclasses.replace(monoid_trace.steps[0], pre=(),
+                                            post=()), kernel.NESTING_CAP)
+    trace = dataclasses.replace(monoid_trace,
+                                steps=(step,) + monoid_trace.steps[1:])
+    expected = ReplayError(
+        -1, f"the trace unfolds to more than {kernel.STEP_CAP} steps")
+    for th in (monoid, monoid.copy()):  # a warm and a cold instance cache
+        start = time.perf_counter()
+        out = replay_trace(th, trace.start, trace)
+        assert time.perf_counter() - start < 0.01
+        assert out == expected
+
+
+def test_a_shared_sub_trace_nests_as_deep_as_its_deepest_path(monoid_trace):
+    # the check visits the shared tuple once, from whichever path it
+    # meets first, and must still count the deepest one
+    leaf = dataclasses.replace(monoid_trace.steps[0], pre=(), post=())
+
+    def chain(step, depth):
+        for _ in range(depth):
+            step = dataclasses.replace(step, pre=(step,))
+        return step
+
+    shared = (chain(leaf, 16),)
+    near = dataclasses.replace(leaf, pre=shared)
+    deepest = f"sub-traces nest deeper than {kernel.NESTING_CAP}"
+    for depth, expected in ((15, None), (16, deepest)):
+        far = chain(near, depth)  # `shared` at depth + 1, 16 deep below
+        assert kernel._misshapen((far, near)) == expected
+        assert kernel._misshapen((near, far)) == expected
+
+
+def test_a_trace_may_unfold_to_the_step_cap_and_no_further(monoid_trace):
+    leaf = dataclasses.replace(monoid_trace.steps[0], pre=(), post=())
+    shared = _self_shared(leaf, kernel.STEP_CAP.bit_length() - 2)
+    assert kernel._misshapen((shared, leaf)) is None
+    assert kernel._misshapen((shared, leaf, leaf)) == (
+        f"the trace unfolds to more than {kernel.STEP_CAP} steps")
+
+
+def _unfolded_by_identity(steps, seen) -> int:
+    if id(steps) not in seen:
+        seen[id(steps)] = sum(1 + _unfolded_by_identity(s.pre, seen)
+                              + _unfolded_by_identity(s.post, seen)
+                              for s in steps)
+    return seen[id(steps)]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_replay_steps_no_more_than_the_trace_unfolds_to(monoid_trace, monoid,
+                                                        data):
+    # random traces whose tuples share sub-traces, from genuine steps of
+    # monoid_trace, then wrapped in steps that hold them as both `pre` and
+    # `post`, often enough to pass the cap; each step `_walk` takes is one
+    # call of `_step`.  A trace just under the cap replays for seconds,
+    # since inverting it builds every step it unfolds to, so none is drawn.
+    pool = [()]
+    for _ in range(data.draw(st.integers(1, 8))):
+        pool.append(tuple(dataclasses.replace(
+            data.draw(st.sampled_from(monoid_trace.steps)),
+            pre=data.draw(st.sampled_from(pool)),
+            post=data.draw(st.sampled_from(pool)))
+            for _ in range(data.draw(st.integers(1, 2)))))
+    steps = pool[-1]
+    for _ in range(data.draw(st.sampled_from((0, 1, 3, 6, 21, 24)))):
+        steps = (dataclasses.replace(steps[0], pre=steps, post=steps),)
+    trace = dataclasses.replace(monoid_trace, steps=steps)
+    unfolded = _unfolded_by_identity(trace.steps, {})
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    step, kernel._step = kernel._step, counted
+    try:
+        out = replay_trace(monoid, trace.start, trace)
+    finally:
+        kernel._step = step
+    too_big = ReplayError(
+        -1, f"the trace unfolds to more than {kernel.STEP_CAP} steps")
+    if unfolded > kernel.STEP_CAP:
+        assert isinstance(out, ReplayError) and out.step == -1
+        assert calls == 0
+    else:
+        assert out != too_big
+        assert calls <= 2 * unfolded  # the walks from both ends
 
 
 def test_a_trace_with_no_end_is_a_replay_error(monoid_trace, monoid):

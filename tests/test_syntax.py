@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 import weakref
@@ -302,3 +303,79 @@ def test_dead_terms_leave_the_table():
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(syntax._table) <= before
+
+
+def test_substitutions_whose_entries_hash_alike_are_one_node_each(
+        monkeypatch):
+    # a hash that a live substitution with other entries holds sends the
+    # later ones to their exact keys, where every lookup finds them
+    start = syntax._spilled
+    entries = [(("a", Var(f"collide{i}")),) for i in range(3)]
+    monkeypatch.setattr(syntax, "hash", lambda entries: -7, raising=False)
+    nodes = [Subst(e) for e in entries]
+    assert syntax._spilled == start + 2
+    assert [Subst(e) for e in entries] == nodes and len(set(nodes)) == 3
+    refs = [weakref.ref(n) for n in nodes]
+    del nodes[0]  # the one that held the hash
+    assert refs[0]() is None
+    assert [Subst(e) for e in entries[1:]] == [r() for r in refs[1:]]
+    del nodes
+    gc.collect()
+    assert all(r() is None for r in refs) and syntax._spilled == start
+
+
+# -- the memo of applied terms on each substitution ------------------------
+
+def _tree_apply(psi, m):
+    """`subst_apply_term` as a tree walk: every path to a subterm rebuilds
+    it, and no memo is read or filled."""
+    if isinstance(m, Var):
+        v = psi.lookup(m.name)
+        return m if v is None else v
+    return Cut(m.head, Subst(tuple((t, _tree_apply(psi, v))
+                                   for t, v in m.args.entries)))
+
+
+_FRESH = itertools.count()
+
+
+@given(shared_terms(), st.lists(TERMS, min_size=3, max_size=3))
+def test_substitution_gives_the_node_a_tree_walk_builds(m, values):
+    # an entry for a variable no term has makes the substitution a new
+    # node, so its memo starts empty
+    psi = Subst(tuple(zip(VARS, values)) + ((f"w{next(_FRESH)}", RED),))
+    assert psi.applied == {}
+    expected = _tree_apply(psi, m)
+    assert subst_apply_term(psi, m) is expected  # cold
+    open_cuts = {n for n in _subterms(m) if isinstance(n, Cut) and n.fv}
+    assert psi.applied.keys() == open_cuts
+    assert subst_apply_term(psi, m) is expected  # warm
+    assert psi.applied.keys() == open_cuts
+
+
+def test_a_shared_subterm_is_substituted_once():
+    # t_k = f{t_(k-1)/a, t_(k-1)/b}: a tree of 2^41 - 1 nodes, 41 distinct
+    m = Var("x")
+    for _ in range(40):
+        m = cut("f", ("a", m), ("b", m))
+    psi = Subst((("x", RED), (f"w{next(_FRESH)}", RED)))
+    assert psi.applied == {}
+    out = subst_apply_term(psi, m)
+    assert len(psi.applied) == 40
+    assert not out.fv and out.size == m.size == 2 ** 41 - 1
+    assert subterm_at(out, (1,) * 40) is RED
+
+
+def test_a_result_held_only_by_the_memo_dies_with_its_substitution():
+    # the second result holds its substitution, as the args of its
+    # subterm f{memo-y/x}, so the two are a cycle, which the collector
+    # frees: no key of the table holds a node
+    for m in (cut("g", ("y", Var("x"))),
+              cut("g", ("a", cut("f", ("x", Var("x")))))):
+        psi = Subst((("x", Var("memo-y")),))
+        result = weakref.ref(subst_apply_term(psi, m))
+        gc.collect()
+        assert result() is not None  # the memo holds it
+        del psi
+        gc.collect()
+        assert result() is None
