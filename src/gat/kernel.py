@@ -23,7 +23,8 @@ at most `NESTING_CAP` levels deep, since replay recurses once per level,
 and a trace unfolds, a sub-trace counted once per path to it, to at most
 `STEP_CAP` steps, so replay's work is bounded by the size of its input.
 `invert` turns steps from x to y into steps from y to x: it reverses them,
-flips each direction and swaps and inverts each step's `pre` and `post`.
+flips each direction and swaps and inverts each step's `pre` and `post`,
+each distinct tuple once.
 
 A trace from x to y proves x = y over its telescope and presupposes, as
 that judgment does, that x and y are well formed there; replay checks only
@@ -82,13 +83,28 @@ class EqStep:
 
 def invert(steps) -> tuple[EqStep, ...]:
     """The steps backwards: each one flipped, its sub-traces swapped and
-    inverted.  A direction other than LR and RL is kept as it is."""
-    return tuple(
-        EqStep(s.kind, s.axiom,
-               _FLIP[s.direction] if s.direction in (LR, RL) else s.direction,
-               s.path, s.after, s.before, s.note, s.sigma, invert(s.post),
-               invert(s.pre))
-        for s in reversed(steps)) if steps else ()
+    inverted.  A direction other than LR and RL is kept as it is.  Each
+    distinct tuple of steps is inverted once, by identity, however many
+    paths lead to it, so the result shares as the input does."""
+    if not steps:
+        return ()
+    memo: dict = {}
+
+    def inv(t):
+        if not t:
+            return ()
+        hit = memo.get(id(t))
+        if hit is None:
+            hit = memo[id(t)] = tuple(
+                EqStep(s.kind, s.axiom,
+                       _FLIP[s.direction] if s.direction in (LR, RL)
+                       else s.direction,
+                       s.path, s.after, s.before, s.note, s.sigma,
+                       inv(s.post), inv(s.pre))
+                for s in reversed(t))
+        return hit
+
+    return inv(steps)
 
 
 @dataclass(frozen=True)

@@ -91,26 +91,43 @@ class SourceFile:
 # A token is punctuation, a name or a string.  The three start with
 # distinct characters, so their order decides nothing; the most common kind
 # is tried first.
-_TOKEN = r"""
-    [(){}\[\],:/=]
-  | [^\W\d][\w-]*
-  | "(?:[^"\\\n]|\\.)*"
-"""
+_NAME = r"[^\W\d][\w-]*"
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_TOKEN = r"[(){}\[\],:/=] | " + _NAME + " | " + _STRING
 _TOKEN_ONLY_RE = re.compile(_TOKEN, re.VERBOSE | re.UNICODE)
 # One match per token: the blanks before a token, each comment there with
-# the blanks after it, then the token itself, the only group.  Spelled so,
-# and with punctuation tried first, it lexes the bundled files in about an
-# eighth less time than a repeated choice of a blank run or a comment
-# before a string, a name or punctuation.  After the longest run of blanks
-# and comments the token group always matches, so the run is never given
-# back: at the end of the text it matches the empty string, which marks the
-# end; at a character no token can start with, a stray one, it takes that
-# character and the rest of the text.
+# the blanks after it, then the token itself, the only group.  After the
+# longest run of blanks and comments the token group always matches, so the
+# run is never given back: at the end of the text it matches the empty
+# string, which marks the end; at a character no token can start with, a
+# stray one, it takes that character and the rest of the text.  This regex
+# defines the tokens, and `_error` locates every error with it.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]* (?: --[^\n]* [ \t\r\n]* )* (" + _TOKEN + r"| .[\s\S]* | \Z )",
     re.VERBOSE | re.UNICODE,
 )
 _PUNCT = frozenset("(){}[],:/=")
+
+# A clean text is lexed with string methods instead, in under half the
+# regex's time on the bundled files, since the regex pays one match per
+# token.  One pass of `_LIFT_RE` takes out the strings and comments, leaving
+# a padded NUL, a hole, in place of each string and nothing for a comment;
+# padding each punctuation mark with spaces then lets `str.split` cut the
+# rest into tokens.  The split cannot vouch for three kinds of text, which
+# go to the regex instead, to get the same tokens or the error it locates:
+# - a text with NUL, or with a blank that `str.split` cuts at and the lexer
+#   does not (in ASCII these are `_ODD_ASCII`; `_ODD_RE` finds any);
+# - a text with `--` right after a name character, where the regex reads on
+#   in the name rather than start a comment;
+# - a text that leaves a piece that is neither a name nor punctuation: a
+#   stray character or an unclosed string.
+_ODD_ASCII = "\x00\x0b\x0c\x1c\x1d\x1e\x1f"
+_ODD_RE = re.compile(r"[^\S \t\r\n]|\x00")
+_LIFT_RE = re.compile(_STRING + r"|--[^\n]*")
+_NAME_CHAR_RE = re.compile(r"[\w-]")
+_NAME_RE = re.compile(_NAME)
+_PADDED = [(c, f" {c} ") for c in "(){}[],:/="]
+_PUNCT_AND_HOLE = _PUNCT | {"\x00"}
 
 
 def _error(text: str, index: int, message: str, expected=()) -> ParseError:
@@ -124,6 +141,10 @@ def _error(text: str, index: int, message: str, expected=()) -> ParseError:
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of `text` as they are written, ending with `""`."""
+    return _split(text) or _regex_tokens(text)
+
+
+def _regex_tokens(text: str) -> list[str]:
     tokens = _TOKEN_RE.findall(text)
     if tokens[-2:-1] == [""]:
         # blanks or comments end the text: both their match and the empty
@@ -134,6 +155,42 @@ def _tokenize(text: str) -> list[str]:
     i = len(tokens) - 2
     if i >= 0 and not _TOKEN_ONLY_RE.fullmatch(tokens[i]):
         raise _error(text, i, f"unexpected character {tokens[i][0]!r}")
+    return tokens
+
+
+def _split(text: str) -> list[str] | None:
+    """`_tokenize(text)` by string methods, or None when they cannot vouch
+    for `text`."""
+    if (any(c in text for c in _ODD_ASCII) if text.isascii()
+            else _ODD_RE.search(text)):
+        return None
+    strings = []
+    name_before_comment = False
+
+    def lift(m):
+        nonlocal name_before_comment
+        s = m.group()
+        if s[0] == '"':
+            strings.append(s)
+            return " \x00 "
+        start = m.start()
+        if start and _NAME_CHAR_RE.match(text, start - 1):
+            name_before_comment = True
+        return ""
+
+    rest = _LIFT_RE.sub(lift, text)
+    if name_before_comment:
+        return None
+    for c, padded in _PADDED:
+        rest = rest.replace(c, padded)
+    tokens = rest.split()
+    if not all(map(_NAME_RE.fullmatch, set(tokens) - _PUNCT_AND_HOLE)):
+        return None
+    i = -1
+    for s in strings:
+        i = tokens.index("\x00", i + 1)
+        tokens[i] = s
+    tokens.append("")
     return tokens
 
 
@@ -385,18 +442,32 @@ def print_term(m: Term, notations=()) -> str:
 
 
 def _print_term(m: Term, table: dict) -> str:
-    if isinstance(m, Var):
-        return m.name
-    decl = table.get(m.head)
-    if decl is not None and decl.slots() == len(m.args):
-        parts = decl.pattern.split("_")
-        args = [_print_term(v, table) for v in m.args.values()]
-        out = parts[0]
-        for arg, seg in zip(args, parts[1:]):
-            out += arg + seg
-        return out
-    inner = ", ".join(f"{_print_term(v, table)}/{t}" for t, v in m.args.entries)
-    return f"{m.head}{{{inner}}}"
+    """`m` as text.  What is left to print waits on a stack, nodes and text
+    mixed, so a term nested any depth prints without recursion."""
+    out = []
+    todo = [m]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+        elif isinstance(x, Var):
+            out.append(x.name)
+        else:
+            decl = table.get(x.head)
+            if decl is not None and decl.slots() == len(x.args):
+                parts = decl.pattern.split("_")
+                out.append(parts[0])
+                for v, seg in zip(reversed(x.args.values()),
+                                  reversed(parts[1:])):
+                    todo += (seg, v)
+                continue
+            out.append(x.head + "{")
+            todo.append("}")
+            sep = ""
+            for t, v in reversed(x.args.entries):
+                todo += (sep, "/" + t, v)
+                sep = ", "
+    return "".join(out)
 
 
 def print_sort(a: Sort, notations=()) -> str:

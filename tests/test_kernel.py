@@ -312,6 +312,50 @@ def test_a_trace_may_unfold_to_the_step_cap_and_no_further(monoid_trace):
         f"the trace unfolds to more than {kernel.STEP_CAP} steps")
 
 
+def test_a_self_shared_trace_under_the_cap_is_rejected_at_once(monoid_trace,
+                                                              monoid):
+    # 20 steps that unfold to 2^20 - 1; its first step fails, and the
+    # inversion of the steps from there is built before replay walks it
+    leaf = dataclasses.replace(monoid_trace.steps[0], pre=(), post=())
+    step = _self_shared(leaf, kernel.STEP_CAP.bit_length() - 2)
+    trace = dataclasses.replace(monoid_trace, steps=(step,))
+    for th in (monoid, monoid.copy()):  # a warm and a cold instance cache
+        start = time.perf_counter()
+        out = replay_trace(th, trace.start, trace)
+        assert time.perf_counter() - start < 0.5
+        assert isinstance(out, ReplayError) and out.step == 0
+
+
+def _tuples(steps, seen) -> dict:
+    """Each distinct tuple of steps within `steps`, by identity."""
+    if id(steps) not in seen:
+        seen[id(steps)] = steps
+        for s in steps:
+            _tuples(s.pre, seen)
+            _tuples(s.post, seen)
+    return seen
+
+
+def _invert_path_by_path(steps) -> tuple:
+    """The inversion of `steps` built afresh along every path to a tuple."""
+    return tuple(dataclasses.replace(
+        s, direction={LR: RL, RL: LR}[s.direction], before=s.after,
+        after=s.before, pre=_invert_path_by_path(s.post),
+        post=_invert_path_by_path(s.pre)) for s in reversed(steps))
+
+
+def test_invert_inverts_each_shared_sub_trace_once(monoid_trace):
+    leaf = dataclasses.replace(monoid_trace.steps[0], pre=(), post=())
+    shared = (_self_shared(leaf, 3),)
+    steps = (dataclasses.replace(leaf, pre=shared, post=shared),) + shared
+    plain = _invert_path_by_path(steps)
+    inverted = kernel.invert(steps)
+    assert inverted == plain
+    assert len(_tuples(inverted, {})) == len(_tuples(steps, {}))
+    assert len(_tuples(plain, {})) > len(_tuples(steps, {}))
+    assert kernel.invert(inverted) == steps
+
+
 def _unfolded_by_identity(steps, seen) -> int:
     if id(steps) not in seen:
         seen[id(steps)] = sum(1 + _unfolded_by_identity(s.pre, seen)
@@ -328,8 +372,8 @@ def test_replay_steps_no_more_than_the_trace_unfolds_to(monoid_trace, monoid,
     # random traces whose tuples share sub-traces, from genuine steps of
     # monoid_trace, then wrapped in steps that hold them as both `pre` and
     # `post`, often enough to pass the cap; each step `_walk` takes is one
-    # call of `_step`.  A trace just under the cap replays for seconds,
-    # since inverting it builds every step it unfolds to, so none is drawn.
+    # call of `_step`.  A trace just under the cap may replay for seconds,
+    # since `_walk` takes a shared sub-trace once per path, so none is drawn.
     pool = [()]
     for _ in range(data.draw(st.integers(1, 8))):
         pool.append(tuple(dataclasses.replace(

@@ -16,6 +16,8 @@ from gat.surface import (
     NotationDecl,
     ParseError,
     _error,
+    _regex_tokens,
+    _split,
     _tokenize,
     _value,
     parse_sort,
@@ -189,6 +191,14 @@ def test_deeply_nested_sort_parses_without_recursion():
     assert parse_sort(f"el{{{text}/l}}") is Cut("el", Subst((("l", node),)))
 
 
+def test_deeply_nested_term_prints_without_recursion():
+    text, node = _deep_numeral(5000)
+    assert print_term(node) == text
+    assert parse_term(print_term(node)) is node
+    shown = print_term(node, [NotationDecl("ls", "S_"), NotationDecl("lz", "0")])
+    assert shown == "S" * 5000 + "0"
+
+
 
 @pytest.mark.parametrize("text", ["f{x/u, }", "f{g{}/u, }", "f{g{x/v}/u, }"])
 def test_an_entry_is_due_after_a_comma(text):
@@ -256,13 +266,14 @@ _PIECES = [
     '""', '"a\\"b"', '"\\\\"', '"é -- x"', "\\", "\\n", "--", "-- c", "-",
     "\n", " ", "\t", "\r", "@", "$", "#", "\u00a0",
     "\x0c", "'",
+    # each one sends the text from the split to the regex
+    "\x00", "\x0b", "\x1c", "\u2028", "a--b", "é--", '"a\\"', '"\x0b"',
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
-       st.data())
-def test_lexer_matches_the_seed_lexer(text, data):
+def _lexes_as_the_seed_did(text: str) -> list[_RefToken]:
+    """Asserts that `_tokenize` gives the seed's tokens or its error, and
+    returns the seed's tokens, or [] after an error."""
     try:
         ref = _ref_tokenize(text)
     except ParseError as want:
@@ -270,15 +281,38 @@ def test_lexer_matches_the_seed_lexer(text, data):
             _tokenize(text)
         assert ((exc.value.message, exc.value.line, exc.value.col)
                 == (want.message, want.line, want.col))
-        return
+        return []
     tokens = _tokenize(text)
     assert ([(_kind(t), _value(t)) for t in tokens]
             == [(t.kind, t.value) for t in ref])
+    return ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+       st.data())
+def test_lexer_matches_the_seed_lexer(text, data):
+    ref = _lexes_as_the_seed_did(text)
+    if not ref:  # an error, located where the seed located it
+        return
     # a parse failure at a token is located where the seed put it
     for i in data.draw(st.lists(st.integers(0, len(ref) - 1), max_size=3)):
         got = _error(text, i, "stop")
         want = _ref_error(text, ref[i].offset, "stop")
         assert (got.line, got.col) == (want.line, want.col)
+
+
+@pytest.mark.parametrize("piece", _PIECES)
+def test_each_piece_lexes_as_the_seed_did_in_a_clean_text(piece):
+    # the property draws clean neighbours for a piece only by chance
+    for text in (piece, f"x {piece} y", f"f{{{piece}/u}}\n"):
+        _lexes_as_the_seed_did(text)
+
+
+@pytest.mark.parametrize("name", library_names())
+def test_a_bundled_theory_is_lexed_by_the_split(name):
+    text = entry(name).source
+    assert _split(text) == _regex_tokens(text)
 
 
 # -- the parser against the one it replaced -----------------------------------
