@@ -14,7 +14,7 @@ incrementally.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .equality import Equal, answered, eq_sort, oriented, tally
 from .kernel import SORT_AXIOM, TERM_AXIOM
@@ -58,12 +58,10 @@ class CheckError:
     found: object = None
 
     def at_item(self, index: int) -> "CheckError":
-        return CheckError(self.kind, index, self.path, self.message,
-                          self.expected, self.found)
+        return replace(self, item=index)
 
     def at(self, *prefix) -> "CheckError":
-        return CheckError(self.kind, self.item, tuple(prefix) + self.path,
-                          self.message, self.expected, self.found)
+        return replace(self, path=prefix + self.path)
 
     def __str__(self) -> str:
         where = "" if self.item is None else f" at item {self.item}"

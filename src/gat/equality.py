@@ -340,8 +340,9 @@ class _Engine:
         pattern, subject) triple to `pending` instead of failing the whole
         match.  Deferred pairs must later be discharged by `_discharge`,
         which keeps skipping sound: the instantiated pattern has to
-        normalize to the subject, it is not simply ignored.  A variable
-        not yet bound is bound at once, loose or not: that cannot fail."""
+        normalize to the subject, it is not simply ignored.  A trial runs
+        in place on `sigma` and `pending`; a failed one is cut back to
+        their lengths before it."""
         if isinstance(pattern, Var):
             bound = sigma.get(pattern.name)
             if bound is None:
@@ -361,14 +362,15 @@ class _Engine:
         order, loose, _ = self._plans[pattern.head]
         for i in order:
             p, s = pe[i][1], se[i][1]
-            if loose[i] and (isinstance(p, Cut) or p.name in sigma):
-                trial_sigma = dict(sigma)
-                trial_pending = list(pending)
-                if self.match(p, s, trial_sigma, trial_pending, path + (i,)):
-                    sigma.clear()
-                    sigma.update(trial_sigma)
-                    pending[:] = trial_pending
-                else:
+            if loose[i]:
+                # popping undoes exactly a failed trial: `match` only adds
+                # keys (it binds where sigma.get gives None, and no subject
+                # is None), and a dict pops the last key added first
+                keys, deferred = len(sigma), len(pending)
+                if not self.match(p, s, sigma, pending, path + (i,)):
+                    while len(sigma) > keys:
+                        sigma.popitem()
+                    del pending[deferred:]
                     pending.append((path + (i,), p, s))
             elif not self.match(p, s, sigma, pending, path + (i,)):
                 return False

@@ -108,23 +108,22 @@ _TOKEN_RE = re.compile(
 )
 _PUNCT = frozenset("(){}[],:/=")
 
-# A clean text is lexed with string methods instead, in under half the
+# A text that lexes is lexed with string methods instead, in under half the
 # regex's time on the bundled files, since the regex pays one match per
 # token.  One pass of `_LIFT_RE` takes out the strings and comments, leaving
 # a padded NUL, a hole, in place of each string and nothing for a comment;
 # padding each punctuation mark with spaces then lets `str.split` cut the
-# rest into tokens.  The split cannot vouch for three kinds of text, which
-# go to the regex instead, to get the same tokens or the error it locates:
-# - a text with NUL, or with a blank that `str.split` cuts at and the lexer
-#   does not (in ASCII these are `_ODD_ASCII`; `_ODD_RE` finds any);
-# - a text with `--` right after a name character, where the regex reads on
-#   in the name rather than start a comment;
-# - a text that leaves a piece that is neither a name nor punctuation: a
-#   stray character or an unclosed string.
-_ODD_ASCII = "\x00\x0b\x0c\x1c\x1d\x1e\x1f"
-_ODD_RE = re.compile(r"[^\S \t\r\n]|\x00")
-_LIFT_RE = re.compile(_STRING + r"|--[^\n]*")
-_NAME_CHAR_RE = re.compile(r"[\w-]")
+# rest into tokens.  A comment's dashes must not follow a name character or
+# a dash, where the regex reads on in the name; the lookbehind stands after
+# the dashes, so that it is tried only where two dashes are.  What is left
+# lexes unless it holds a NUL that is no hole, a blank that `str.split`
+# cuts at and the lexer does not (in ASCII these are `_ODD_ASCII`; `_ODD_RE`
+# finds any), or a piece that is neither a name nor punctuation: a stray
+# character or an unclosed string.  Only then does the text go to the regex,
+# to locate the error.
+_ODD_ASCII = "\x0b\x0c\x1c\x1d\x1e\x1f"
+_ODD_RE = re.compile(r"[^\S \t\r\n]")
+_LIFT_RE = re.compile(_STRING + r"|--(?<![\w-]--)[^\n]*")
 _NAME_RE = re.compile(_NAME)
 _PADDED = [(c, f" {c} ") for c in "(){}[],:/="]
 _PUNCT_AND_HOLE = _PUNCT | {"\x00"}
@@ -145,6 +144,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _regex_tokens(text: str) -> list[str]:
+    """`_tokenize(text)` by `_TOKEN_RE`.  `_tokenize` sends it only a text
+    that does not lex, for the ParseError at its first stray character."""
     tokens = _TOKEN_RE.findall(text)
     if tokens[-2:-1] == [""]:
         # blanks or comments end the text: both their match and the empty
@@ -159,27 +160,20 @@ def _regex_tokens(text: str) -> list[str]:
 
 
 def _split(text: str) -> list[str] | None:
-    """`_tokenize(text)` by string methods, or None when they cannot vouch
-    for `text`."""
-    if (any(c in text for c in _ODD_ASCII) if text.isascii()
-            else _ODD_RE.search(text)):
-        return None
+    """`_tokenize(text)` by string methods, or None when `text` does not
+    lex."""
     strings = []
-    name_before_comment = False
 
     def lift(m):
-        nonlocal name_before_comment
         s = m.group()
         if s[0] == '"':
             strings.append(s)
             return " \x00 "
-        start = m.start()
-        if start and _NAME_CHAR_RE.match(text, start - 1):
-            name_before_comment = True
         return ""
 
     rest = _LIFT_RE.sub(lift, text)
-    if name_before_comment:
+    if ((any(c in rest for c in _ODD_ASCII) if rest.isascii()
+            else _ODD_RE.search(rest)) or rest.count("\x00") != len(strings)):
         return None
     for c, padded in _PADDED:
         rest = rest.replace(c, padded)

@@ -1375,3 +1375,37 @@ def test_match_binds_as_a_plain_reference_matcher_does(monoid, mltt):
                         matched += 1
                         deferred += bool(pending)
     assert matched > 2000 and deferred > 1000
+
+
+# `f`'s position x is flex (x occurs in h's sort), so `match` takes it by
+# trial after the strict positions h and y.  `pair`'s positions are strict.
+LOOSE = """
+SORT ob()
+SORT hom(x: ob{})
+OP p() : ob{}
+OP q() : ob{}
+OP pair(a: ob{}, b: ob{}) : ob{}
+OP f(x: ob{}, h: hom{x/x}, y: ob{}) : ob{}
+"""
+
+
+@pytest.mark.parametrize("pattern, subject", [
+    # binds u at a, then fails at b: q is not u's p
+    ("f{pair{u/a, u/b}/x, k/h, z/y}", "f{pair{p{}/a, q{}/b}/x, hh/h, yy/y}"),
+    # the inner f's trial binds v, then the outer trial fails at b
+    ("f{pair{f{v/x, m/h, n/y}/a, p{}/b}/x, k/h, z/y}",
+     "f{pair{f{p{}/x, g/h, e/y}/a, q{}/b}/x, hh/h, yy/y}"),
+    # the inner f's trial binds w and fails, deferring its x; then the
+    # outer trial fails at b
+    ("f{pair{f{pair{w/a, w/b}/x, m/h, n/y}/a, p{}/b}/x, k/h, z/y}",
+     "f{pair{f{pair{p{}/a, q{}/b}/x, g/h, e/y}/a, q{}/b}/x, hh/h, yy/y}"),
+], ids=["cut", "nested-binding", "nested-deferral"])
+def test_a_failed_trial_leaves_no_binding_and_one_deferral(pattern, subject):
+    engine = equality._Engine(check_theory(parse_source(LOOSE).theory),
+                              DEFAULT_CFG)
+    pattern, subject = parse_term(pattern), parse_term(subject)
+    sigma, pending = {}, []
+    assert engine.match(pattern, subject, sigma, pending)
+    assert list(sigma.items()) == [("k", Var("hh")), ("z", Var("yy"))]
+    x = pattern.args.entries[0][1], subject.args.entries[0][1]
+    assert pending == [((0,), *x)]

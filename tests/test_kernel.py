@@ -1043,17 +1043,22 @@ def test_replay_asks_neither_the_checker_nor_the_engine(mltt, seed0,
 
 
 def test_kernel_imports_only_gat_syntax_and_the_standard_library():
-    tree = ast.parse(Path(kernel.__file__).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names = ["." * node.level + (node.module or "")]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        for name in names:
-            if name.startswith(".") or name.split(".")[0] == "gat":
-                assert name in (".syntax", "gat.syntax"), name
+    # and every module of the runtime imports from nothing but `gat` and
+    # the standard library
+    modules = sorted(Path(kernel.__file__).parent.glob("*.py"))
+    assert Path(kernel.__file__) in modules and len(modules) > 5
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
             else:
-                assert name.split(".")[0] in sys.stdlib_module_names, name
-
+                continue
+            for name in names:
+                if not (name.startswith(".") or name.split(".")[0] == "gat"):
+                    assert name.split(".")[0] in sys.stdlib_module_names, (
+                        module.name, name)
+                elif module.name == "kernel.py":
+                    assert name in (".syntax", "gat.syntax"), name

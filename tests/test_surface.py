@@ -266,22 +266,28 @@ _PIECES = [
     '""', '"a\\"b"', '"\\\\"', '"é -- x"', "\\", "\\n", "--", "-- c", "-",
     "\n", " ", "\t", "\r", "@", "$", "#", "\u00a0",
     "\x0c", "'",
-    # each one sends the text from the split to the regex
-    "\x00", "\x0b", "\x1c", "\u2028", "a--b", "é--", '"a\\"', '"\x0b"',
+    # the hard cases for the split: a NUL, blanks that `str.split` cuts at
+    # and the lexer rejects, dashes that go on in a name, an unclosed string
+    # and a string holding such a blank
+    "\x00", "\x0b", "\x1c", "\u2028", "a--b", "a---b", "é--", '"a\\"',
+    '"\x0b"',
 ]
 
 
 def _lexes_as_the_seed_did(text: str) -> list[_RefToken]:
     """Asserts that `_tokenize` gives the seed's tokens or its error, and
-    returns the seed's tokens, or [] after an error."""
+    that `_split` declines exactly the texts the seed rejects.  Returns the
+    seed's tokens, or [] after an error."""
     try:
         ref = _ref_tokenize(text)
     except ParseError as want:
+        assert _split(text) is None
         with pytest.raises(ParseError) as exc:
             _tokenize(text)
         assert ((exc.value.message, exc.value.line, exc.value.col)
                 == (want.message, want.line, want.col))
         return []
+    assert _split(text) is not None
     tokens = _tokenize(text)
     assert ([(_kind(t), _value(t)) for t in tokens]
             == [(t.kind, t.value) for t in ref])
@@ -305,7 +311,8 @@ def test_lexer_matches_the_seed_lexer(text, data):
 @pytest.mark.parametrize("piece", _PIECES)
 def test_each_piece_lexes_as_the_seed_did_in_a_clean_text(piece):
     # the property draws clean neighbours for a piece only by chance
-    for text in (piece, f"x {piece} y", f"f{{{piece}/u}}\n"):
+    for text in (piece, f"x {piece} y", f"f{{{piece}/u}}\n", f"x{piece}",
+                 f"{piece}x", f'"s"{piece}', f"-- c\n{piece}\n-- {piece}"):
         _lexes_as_the_seed_did(text)
 
 
