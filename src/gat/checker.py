@@ -227,9 +227,12 @@ def _extend_checked(th: CheckedTheory, items) -> CheckError | None:
 
 
 def check_telescope(th: CheckedTheory, psi: Telescope) -> CheckError | None:
-    """Each binding's sort checks over the preceding prefix; names distinct."""
+    """Names valid and distinct; each sort checks over the prefix before it."""
     seen: set[str] = set()
     for i, (name, sort) in enumerate(psi.bindings):
+        if not is_valid_name(name):
+            return CheckError(ErrorKind.UNKNOWN_VARIABLE, path=(i,),
+                              message=f"invalid variable name {name!r}")
         if name in seen:
             return CheckError(ErrorKind.DUPLICATE_VARIABLE, path=(i,),
                               message=f"variable {name!r} already bound")

@@ -68,7 +68,10 @@ def _read_file(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise _UsageError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _load_file(path: str, chain: tuple[Path, ...] = ()):

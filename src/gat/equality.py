@@ -67,11 +67,12 @@ where a repeated pattern variable matched only modulo irrelevance; its
 instance -> y in `post`.  Sub-traces stay nested in their step, so a
 trace's top-level steps are exactly the rewrites, irrelevance and bridge
 steps between its ends.  A join's second half is the other side's
-normalization, inverted by `gat.kernel.invert`.  The trace a query returns
-builds its top-level steps on first read, from the memo entries of both
-sides, once; `pre` and `post` are built with the entry that holds them.  So
-a trace no one reads costs nothing, and a trace read late is the one an
-eager engine would have returned.
+normalization, inverted by `gat.kernel.invert`.  `_Unemitted` builds every
+run x -> nf ~ nf <- y from the memo entries of its ends.  The trace a query
+returns builds its top-level steps with it on first read, once; `pre` and
+`post` are built with the entry that holds them.  So a trace no one reads
+costs nothing, and a trace read late is the one an eager engine would have
+returned.
 
 `replay_trace` is `gat.kernel.replay`, which imports nothing from this
 engine or from the checker.
@@ -284,21 +285,26 @@ def _moved(s: EqStep, path: tuple[int, ...]) -> EqStep:
 
 @dataclass(eq=False, slots=True)
 class _Unemitted:
-    """The steps of a top-level trace before anyone reads them: those of
-    entry `x`, then `mid`, then those of entry `y` inverted, which `emit`
-    gives as three tuples.  Entries never change once made, and emitting
-    spends no fuel, so emitting late gives what emitting at once would."""
+    """The steps x -> nf ~ nf <- y: those of entry `x`, then `mid`, then
+    those of entry `y` inverted, which `emit` gives as three tuples.  A
+    top-level trace holds one until it is read; a step's `pre` and `post`
+    must be tuples, so they are emitted at once.  Entries never change once
+    made, and emitting spends no fuel, so emitting late changes nothing."""
 
     x: _Entry | None
     mid: tuple[EqStep, ...] = ()
     y: _Entry | None = None
 
-    def emit(self) -> tuple[tuple[EqStep, ...], ...]:
+    def emit(self, path: tuple[int, ...] = ()) -> tuple[tuple, tuple, tuple]:
+        """The three parts, with `path` prefixed to each step's."""
         steps: list[EqStep] = []
         back: list[EqStep] = []
-        _emit(self.x, (), steps)
-        _emit(self.y, (), back)
-        return tuple(steps), self.mid, invert(back)
+        _emit(self.x, path, steps)
+        _emit(self.y, path, back)
+        mid = self.mid
+        if path:
+            mid = tuple(_moved(s, path + s.path) for s in mid)
+        return tuple(steps), mid, invert(back)
 
 
 class _Engine:
@@ -389,14 +395,14 @@ class _Engine:
         for path, pattern, subject in pending:
             inst = subst_apply_term(sub, pattern)
             log += (inst, subject)
-            ni, from_nf = self.normalize(inst, path)
-            ns, to_nf = self.normalize(subject, path)
-            mid = self._meet(ns, ni, path)
+            ni, ei = self.normal_entry(inst)
+            ns, es = self.normal_entry(subject)
+            mid = self._meet(ns, ni)
             if mid is None:
                 steps = None
                 break
-            steps += to_nf + mid
-            steps += invert(from_nf)
+            for part in _Unemitted(es, mid, ei).emit(path):
+                steps += part
             t = replace_at(t, path, inst)
         self._pending_depth -= 1
         return None if steps is None else (steps, t)
@@ -458,24 +464,17 @@ class _Engine:
                 return False
         return True
 
-    def _meet(self, x: Term, y: Term, path: tuple[int, ...]):
+    def _meet(self, x: Term, y: Term) -> tuple[EqStep, ...] | None:
         """The steps between two normal forms: none when they are one term,
         an irrelevance step when they differ only at irrelevant positions,
         else None."""
         if x is y:
-            return []
+            return ()
         if equal_mod_irr(self.th, x, y):
-            return [EqStep(IRRELEVANCE, None, None, path, x, y)]
+            return (EqStep(IRRELEVANCE, None, None, (), x, y),)
         return None
 
     # -- normalization of sorts and terms ---------------------------------
-
-    def normalize(self, t: Term, path: tuple[int, ...] = ()):
-        """The normal form of `t` and the steps there, at `path`."""
-        nf, e = self.normal_entry(t)
-        steps: list[EqStep] = []
-        _emit(e, path, steps)
-        return nf, steps
 
     def normal_entry(self, t: Term):
         """The normal form of `t` and its entry, None for a variable."""
@@ -560,13 +559,13 @@ class _Engine:
         with `reason`."""
         nx, ex = self.normal_entry(x)
         ny, ey = self.normal_entry(y)
-        mid = self._meet(nx, ny, ())
+        mid = self._meet(nx, ny)
         if mid is None:
             bridge = self._bridge(nx, ny)
             if bridge is None:
                 return NotProven(False, reason, nx, ny)
-            mid = [bridge]
-        return Equal(EqTrace(x, y, _Unemitted(ex, tuple(mid), ey), tele))
+            mid = (bridge,)
+        return Equal(EqTrace(x, y, _Unemitted(ex, mid, ey), tele))
 
     def _bridge(self, x, y) -> EqStep | None:
         """Exhibit sorts x and y as the two sides of one sort axiom under a
@@ -603,12 +602,13 @@ class _Engine:
             if not self._complete(sigma, needed, ax.params):
                 continue
             sub = Subst(tuple(sigma.items()))
-            lx, to_left = self.normalize(subst_apply_term(sub, left))
-            ry, from_right = self.normalize(subst_apply_term(sub, right))
-            pre = self._meet(x, lx, ())
-            post = self._meet(ry, y, ())
+            lx, el = self.normal_entry(subst_apply_term(sub, left))
+            ry, er = self.normal_entry(subst_apply_term(sub, right))
+            pre = self._meet(x, lx)
+            post = self._meet(ry, y)
             if pre is not None and post is not None:
-                return sub, tuple(pre) + invert(to_left), tuple(from_right + post)
+                return (sub, sum(_Unemitted(None, pre, el).emit(), ()),
+                        sum(_Unemitted(er, post).emit(), ()))
         return None
 
 
@@ -677,7 +677,7 @@ def _term_query(th: CheckedTheory, psi: Telescope, m: Term, n: Term, a: Sort):
         if isinstance(a, Cut) and a.head in th.irrelevant_heads:
             steps = () if m == n else (
                 EqStep(IRRELEVANT_SORT, None, None, (), m, n, note=a),)
-            return Equal(EqTrace(m, n, steps, psi))
+            return Equal(EqTrace(m, n, _Unemitted(None, steps), psi))
         return engine.join(m, n, psi, "normal forms differ")
     return body
 
@@ -708,9 +708,8 @@ def eq_subst(th: CheckedTheory, phi: Telescope, p0: Subst, p1: Subst,
             return verdict
         # no one has read the steps yet, so they are still unemitted
         steps = verdict.trace.__dict__["steps"]
-        for part, half in zip(parts, steps.emit() if type(steps) is _Unemitted
-                              else ((), steps, ())):
-            part += (_moved(s, (i,) + s.path) for s in half)
+        for part, half in zip(parts, steps.emit((i,))):
+            part += half
     return Equal(_logged(th, EqTrace(p0, p1, tuple(sum(parts, [])), phi)))
 
 

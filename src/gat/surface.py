@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
+    NAME_RE,
     Cut,
     OpDecl,
     Sort,
@@ -90,78 +91,70 @@ class SourceFile:
 
 # A token is punctuation, a name or a string.  The three start with
 # distinct characters, so their order decides nothing; the most common kind
-# is tried first.
-_NAME = r"[^\W\d][\w-]*"
+# is tried first.  A name is what `gat.syntax.NAME_RE` says it is.
+_NAME = NAME_RE.pattern
 _STRING = r'"(?:[^"\\\n]|\\.)*"'
 _TOKEN = r"[(){}\[\],:/=] | " + _NAME + " | " + _STRING
-_TOKEN_ONLY_RE = re.compile(_TOKEN, re.VERBOSE | re.UNICODE)
 # One match per token: the blanks before a token, each comment there with
-# the blanks after it, then the token itself, the only group.  After the
-# longest run of blanks and comments the token group always matches, so the
-# run is never given back: at the end of the text it matches the empty
+# the blanks after it, then the token itself, in group 1.  After the
+# longest run of blanks and comments group 1 or 2 always matches, so the
+# run is never given back: at the end of the text group 1 matches the empty
 # string, which marks the end; at a character no token can start with, a
-# stray one, it takes that character and the rest of the text.  This regex
-# defines the tokens, and `_error` locates every error with it.
+# stray one, group 2 takes that character and the rest of the text.  The
+# string methods below lex; this regex only locates errors: `_error` finds
+# a token's offset with it, and `_tokenize` the first stray character.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]* (?: --[^\n]* [ \t\r\n]* )* (" + _TOKEN + r"| .[\s\S]* | \Z )",
+    r"[ \t\r\n]* (?: --[^\n]* [ \t\r\n]* )* (?: (" + _TOKEN
+    + r"| \Z ) | (.[\s\S]*) )",
     re.VERBOSE | re.UNICODE,
 )
 _PUNCT = frozenset("(){}[],:/=")
 
-# A text that lexes is lexed with string methods instead, in under half the
-# regex's time on the bundled files, since the regex pays one match per
-# token.  One pass of `_LIFT_RE` takes out the strings and comments, leaving
-# a padded NUL, a hole, in place of each string and nothing for a comment;
-# padding each punctuation mark with spaces then lets `str.split` cut the
-# rest into tokens.  A comment's dashes must not follow a name character or
-# a dash, where the regex reads on in the name; the lookbehind stands after
-# the dashes, so that it is tried only where two dashes are.  What is left
-# lexes unless it holds a NUL that is no hole, a blank that `str.split`
-# cuts at and the lexer does not (in ASCII these are `_ODD_ASCII`; `_ODD_RE`
-# finds any), or a piece that is neither a name nor punctuation: a stray
-# character or an unclosed string.  Only then does the text go to the regex,
-# to locate the error.
+# A text is lexed with string methods, in under half the regex's time on
+# the bundled files, since the regex pays one match per token.  One pass of
+# `_LIFT_RE` takes out the strings and comments, leaving a padded NUL, a
+# hole, in place of each string and nothing for a comment; padding each
+# punctuation mark with spaces then lets `str.split` cut the rest into
+# tokens.  A comment's dashes must not follow a name character or a dash,
+# where the regex reads on in the name; the lookbehind stands after the
+# dashes, so that it is tried only where two dashes are.  What is left lexes
+# unless it holds a NUL that is no hole, a blank that `str.split` cuts at
+# and the lexer does not (in ASCII these are `_ODD_ASCII`; `_ODD_RE` finds
+# any), or a piece that is neither a name nor punctuation: a stray character
+# or an unclosed string.
 _ODD_ASCII = "\x0b\x0c\x1c\x1d\x1e\x1f"
 _ODD_RE = re.compile(r"[^\S \t\r\n]")
 _LIFT_RE = re.compile(_STRING + r"|--(?<![\w-]--)[^\n]*")
-_NAME_RE = re.compile(_NAME)
 _PADDED = [(c, f" {c} ") for c in "(){}[],:/="]
 _PUNCT_AND_HOLE = _PUNCT | {"\x00"}
 
 
-def _error(text: str, index: int, message: str, expected=()) -> ParseError:
-    """A ParseError located at token `index`, with 1-based line and column."""
-    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
-    offset = match.start(1)
+def _located(text: str, offset: int, message: str, expected=()) -> ParseError:
+    """A ParseError at `offset` in `text`, with 1-based line and column."""
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1,
                       offset - line_start + 1, expected)
 
 
+def _error(text: str, index: int, message: str, expected=()) -> ParseError:
+    """A ParseError located at token `index` of a text that lexes."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    return _located(text, match.start(1), message, expected)
+
+
 def _tokenize(text: str) -> list[str]:
-    """The tokens of `text` as they are written, ending with `""`."""
-    return _split(text) or _regex_tokens(text)
-
-
-def _regex_tokens(text: str) -> list[str]:
-    """`_tokenize(text)` by `_TOKEN_RE`.  `_tokenize` sends it only a text
-    that does not lex, for the ParseError at its first stray character."""
-    tokens = _TOKEN_RE.findall(text)
-    if tokens[-2:-1] == [""]:
-        # blanks or comments end the text: both their match and the empty
-        # match after it capture the end
-        tokens.pop()
-    # the first stray character and the rest of the text make the last
-    # token before the end
-    i = len(tokens) - 2
-    if i >= 0 and not _TOKEN_ONLY_RE.fullmatch(tokens[i]):
-        raise _error(text, i, f"unexpected character {tokens[i][0]!r}")
+    """The tokens of `text` as they are written, ending with `""`.  A text
+    that does not lex raises a ParseError at its first stray character."""
+    tokens = _split(text)
+    if tokens is None:
+        stray = next(m for m in _TOKEN_RE.finditer(text) if m.lastindex == 2)
+        raise _located(text, stray.start(2),
+                       f"unexpected character {stray.group(2)[0]!r}")
     return tokens
 
 
 def _split(text: str) -> list[str] | None:
-    """`_tokenize(text)` by string methods, or None when `text` does not
-    lex."""
+    """The tokens `_tokenize` gives, or None when `text` does not lex."""
     strings = []
 
     def lift(m):
@@ -178,7 +171,7 @@ def _split(text: str) -> list[str] | None:
     for c, padded in _PADDED:
         rest = rest.replace(c, padded)
     tokens = rest.split()
-    if not all(map(_NAME_RE.fullmatch, set(tokens) - _PUNCT_AND_HOLE)):
+    if not all(map(NAME_RE.fullmatch, set(tokens) - _PUNCT_AND_HOLE)):
         return None
     i = -1
     for s in strings:

@@ -35,12 +35,13 @@ import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
-_NAME_RE = re.compile(r"^[^\W\d][\w-]*$", re.UNICODE)
+# The one name rule, the checker's and the `.gat` lexer's (`gat.surface`).
+NAME_RE = re.compile(r"[^\W\d][\w-]*")
 
 
 def is_valid_name(text: str) -> bool:
     """Identifiers: unicode letters/digits/`-`/`_`, not starting with a digit."""
-    return bool(_NAME_RE.match(text))
+    return NAME_RE.fullmatch(text) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,14 @@ from gat.surface import (
     parse_telescope,
     parse_term,
     parse_theory,
+    print_theory,
 )
 from gat.syntax import (
     LR,
     RL,
     Cut,
     SortAxiom,
+    SortDecl,
     Subst,
     Telescope,
     TermAxiom,
@@ -101,6 +103,32 @@ def test_telescope_duplicate_name_is_located(cat):
     assert err.path == (1,)
 
 
+def test_telescope_variable_name_must_be_valid():
+    # a binding no `.gat` text can spell: printed, it would not parse
+    ob = Cut("ob", Subst())
+    ax = TermAxiom(Telescope((("x y", ob),)), Var("x y"), Var("x y"), ob)
+    err = check_theory(Theory((SortDecl("ob", Telescope()), ax)))
+    assert (err.kind, err.item, err.path, err.message) == (
+        ErrorKind.UNKNOWN_VARIABLE, 1, (0,), "invalid variable name 'x y'")
+
+
+@pytest.mark.parametrize("name", ["ob\n", "1x", ""])
+def test_symbol_name_must_be_valid(name):
+    err = check_theory(Theory((SortDecl(name, Telescope()),)))
+    assert (err.kind, err.item, err.message) == (
+        ErrorKind.UNKNOWN_SYMBOL, 0, f"invalid symbol name {name!r}")
+
+
+def test_unusual_valid_names_check_and_print_back():
+    th = check_theory(parse_theory(
+        "SORT a--b()\nOP é(x-: a--b{}) : a--b{}\n"
+        "TERMAX (x-: a--b{}) é{x-/x-} = x- : a--b{}\n"))
+    assert isinstance(th, CheckedTheory)
+    text = print_theory(th.theory)
+    assert parse_theory(text) == th.theory
+    assert print_theory(parse_theory(text)) == text
+
+
 def test_telescope_binding_may_not_use_later_variable(cat):
     tele = parse_telescope("f: hom{x/d, x/c}, x: ob{}")
     err = check_telescope(cat, tele)
@@ -119,6 +147,11 @@ def test_check_sort_accepts_instantiated_hom(cat):
 def test_check_sort_rejects_operation_symbol(monoid):
     err = check_sort(monoid, Telescope(), parse_sort("id{}"))
     assert err.kind == ErrorKind.NOT_A_SORT_SYMBOL
+
+
+def test_check_sort_rejects_a_variable(monoid):
+    err = check_sort(monoid, parse_telescope("x: ob{}"), Var("x"))
+    assert err.kind == ErrorKind.PRESUPPOSITION_VIOLATION
 
 
 def test_check_sort_rejects_wrong_arity(cat):

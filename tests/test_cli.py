@@ -41,6 +41,22 @@ def test_check_missing_file_is_a_usage_error(capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)],
+                         ids=["text", "json"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path,
+                                                  json_flag):
+    # directly, and as the sibling base another file extends
+    bad = tmp_path / "bad.gat"
+    bad.write_bytes(b"SORT ob()\n\xff\n")
+    (tmp_path / "child.gat").write_text('EXTENDS "bad"\nOP pt() : ob{}\n')
+    for name in ("bad.gat", "child.gat"):
+        code, out, err = run(capsys, "check", str(tmp_path / name),
+                             *json_flag)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read {bad}: ")
+        assert "Traceback" not in err
+
+
 def test_check_bad_theory_reports_kind(capsys, tmp_path):
     bad = tmp_path / "bad.gat"
     bad.write_text("SORT ob()\nSORT ob()\n")
@@ -249,6 +265,13 @@ def test_eq_requires_exactly_one_mode(capsys):
     assert exc.value.code == 2
 
 
+def test_eq_terms_requires_a_sort(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eq", MONOID, "--terms", "id{}", "id{}"])
+    assert exc.value.code == 2
+    assert "--terms requires --at SORT" in capsys.readouterr().err
+
+
 def test_norm(capsys):
     term = "cmp{cmp{x/a, id{}/b}/a, id{}/b}"
     with record_verdicts() as log:
@@ -290,6 +313,18 @@ def test_lib_path(capsys):
     code, out, _ = run(capsys, "lib", "path", "cwf")
     assert code == 0
     assert out.strip().endswith("cwf.gat")
+
+
+def test_lib_path_needs_a_name(capsys):
+    assert run(capsys, "lib", "path") == (
+        2, "", "lib path requires a theory name\n")
+
+
+def test_an_unknown_base_theory_is_a_usage_error(capsys, tmp_path):
+    child = tmp_path / "child.gat"
+    child.write_text('EXTENDS "nowhere"\nSORT ob()\n')
+    assert run(capsys, "check", str(child)) == (
+        2, "", "unknown base theory: nowhere\n")
 
 
 def test_lib_path_unknown(capsys):

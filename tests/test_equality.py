@@ -28,7 +28,7 @@ from gat.equality import (
     record_verdicts,
     replay_trace,
 )
-from gat.equality import _emit, _Entry, _Unemitted
+from gat.equality import _emit, _Entry, _Steps, _Unemitted
 from gat.canonicity import (
     GenBudget,
     evaluate_closed,
@@ -395,6 +395,30 @@ def test_unequal_substitutions_fail_on_the_bad_entry(monoid):
     p0 = parse_term("cmp{x/a, x/b}").args
     p1 = parse_term("cmp{x/a, y/b}").args
     assert isinstance(eq_subst(monoid, tele, p0, p1, target), NotProven)
+
+
+def test_substitutions_that_do_not_line_up_are_not_proven(monoid):
+    tele = parse_telescope("x: ob{}")
+    target = monoid.op_decls["cmp"][0]
+    p = parse_term("cmp{x/a, x/b}").args
+    short = Subst((("a", Var("x")),))
+    assert eq_subst(monoid, tele, p, short, target) == NotProven(
+        False, "substitution lengths differ")
+    renamed = Subst((("b", Var("x")), ("a", Var("x"))))
+    assert eq_subst(monoid, tele, renamed, p, target) == NotProven(
+        False, "target names do not match 'a'")
+
+
+def test_an_entry_at_an_irrelevant_sort_is_led_by_its_index(mltt):
+    tele = parse_telescope(
+        "u: lvl{}, v: lvl{}, p: lt{u/u, v/v}, q: lt{u/u, v/v}")
+    target = parse_telescope("u: lvl{}, v: lvl{}, p: lt{u/u, v/v}")
+    p0 = Subst((("u", Var("u")), ("v", Var("v")), ("p", Var("p"))))
+    p1 = Subst((("u", Var("u")), ("v", Var("v")), ("p", Var("q"))))
+    verdict = eq_subst(mltt, tele, p0, p1, target)
+    (step,) = verdict.trace.steps
+    assert (step.kind, step.path) == (IRRELEVANT_SORT, (2,))
+    assert replay_trace(mltt, p0, verdict.trace) is p1
 
 
 def test_substitution_equality_is_a_congruence(monoid):
@@ -1252,9 +1276,15 @@ def test_evaluating_a_closed_term_emits_no_step(mltt, monkeypatch):
     # read would hold its steps already
     th = mltt.copy()
     calls = []
-    real = _Unemitted.emit
-    monkeypatch.setattr(_Unemitted, "emit",
-                        lambda self: calls.append(self) or real(self))
+    real = _Steps.__get__
+
+    def get(self, trace, owner=None):
+        # a read of a top-level trace whose steps are not yet emitted
+        if trace is not None and type(trace.__dict__["steps"]) is _Unemitted:
+            calls.append(trace)
+        return real(self, trace, owner)
+
+    monkeypatch.setattr(_Steps, "__get__", get)
     terms = generate_closed_obs_terms(th, GenBudget(max_depth=5, seed=0))
     for t in terms:
         evaluate_closed(th, t)

@@ -673,6 +673,20 @@ def test_a_sort_check_that_needs_a_conversion_is_rejected():
             for t in (th, th, th.copy())] == [(rejected, 0)] * 3
 
 
+def test_sigma_may_not_bind_a_variable_whose_sort_it_leaves_open():
+    # neither side of "loose" mentions m or t; a sigma that binds t but not
+    # m leaves t's sort, T{m/n}, with no instance to check its value at
+    th = check_theory(parse_source(
+        HAND_BUILT + 'TERMAX "loose" (m: N{}, t: T{m/n}) b{} = a{} : N{}\n'
+    ).theory)
+    a, b = parse_term("a{}"), parse_term("b{}")
+    sigma = Subst((("t", parse_term("c{}")),))
+    step = EqStep(TERM_AXIOM, th.axiom_labels["loose"], LR, (), b, a, None,
+                  sigma)
+    assert replay_trace(th, b, EqTrace(b, a, (step,), EMPTY)) == ReplayError(
+        0, "no sort check for sigma's value for 't'")
+
+
 def test_cached_instances_are_dropped_when_the_theory_is_extended(monoid):
     base = monoid.copy()
     tele = parse_telescope("x: ob{}, y: ob{}")

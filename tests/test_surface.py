@@ -16,7 +16,6 @@ from gat.surface import (
     NotationDecl,
     ParseError,
     _error,
-    _regex_tokens,
     _split,
     _tokenize,
     _value,
@@ -84,7 +83,18 @@ def test_unbalanced_brace_is_located():
     ("SORT ob()\n\n\n  OP $", "unexpected character '$'", 4, 6, ()),
     ("SORT ob()\nOP id() : ob{", "expected term, found 'end of file'", 2, 14,
      ("term",)),
-], ids=["after-a-comment-line", "after-blank-lines", "at-end-of-file"])
+    ('SORT ob()\nEXTENDS "x"', "EXTENDS is only allowed as the file header",
+     2, 9, ()),
+    ("TERMAX [( (x: ob{}) x = x : ob{}",
+     "expected orientation tag, found '('", 1, 9, ("orientation tag",)),
+    ("TERMAX [lr x", "expected ']', found 'x'", 1, 12, ("]",)),
+    ("SORT ob()\nTERMAX (x: ob{}) x x : ob{}", "expected '=', found 'x'",
+     2, 20, ("=",)),
+    ("SORT ob()\nTERMAX (x: ob{}) x = x ob{}", "expected ':', found 'ob'",
+     2, 24, (":",)),
+], ids=["after-a-comment-line", "after-blank-lines", "at-end-of-file",
+        "extends-after-an-item", "tag-not-a-name", "tag-unclosed",
+        "axiom-without-equals", "term-axiom-without-sort"])
 def test_error_line_and_column(text, message, line, col, expected):
     with pytest.raises(ParseError) as exc:
         parse_theory(text)
@@ -319,7 +329,7 @@ def test_each_piece_lexes_as_the_seed_did_in_a_clean_text(piece):
 @pytest.mark.parametrize("name", library_names())
 def test_a_bundled_theory_is_lexed_by_the_split(name):
     text = entry(name).source
-    assert _split(text) == _regex_tokens(text)
+    assert _lexes_as_the_seed_did(text)
 
 
 # -- the parser against the one it replaced -----------------------------------
