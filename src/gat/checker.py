@@ -76,14 +76,14 @@ class CheckedTheory:
     `__init__` starts them empty and `_add_item` extends them per item.
     They hold per-symbol telescopes and result sorts, the axiom lists with
     their item indices, the proof-irrelevant sort symbols, a rewrite rule
-    per oriented axiom by the head of its source (the engine's `_complete`
-    decides at each match whether it fires), and per-symbol match plans
-    (see `_plan`).  What it keeps of its own work is never copied and lives
-    by one rule: a judgment derived with no equation holds in every
-    extension (Cartmell), so `_judged` keeps those for good (see `_judge`),
-    and all else used an equation, so every item drops it (`_drop_caches`).
-    Like terms (see `gat.syntax`), a theory is used from one thread at a
-    time.
+    per oriented axiom by the head of its source (it fires on a match only
+    when the source binds every variable of the target), and per-symbol
+    match plans (see `_plan`).  What it keeps of its own work is never
+    copied and lives by one rule: a judgment derived with no equation holds
+    in every extension (Cartmell), so `_judged` keeps those for good (see
+    `_judge`), and all else used an equation, so every item drops it
+    (`_drop_caches`).  Like terms (see `gat.syntax`), a theory is used from
+    one thread at a time.
     """
 
     def __init__(self) -> None:
@@ -94,9 +94,9 @@ class CheckedTheory:
         self.sort_axioms: list[tuple[int, SortAxiom]] = []
         self.axiom_labels: dict[str, int] = {}
         self.irrelevant_heads: frozenset[str] = frozenset()
-        # (kind, item index, source, target, direction, axiom) per oriented
-        # axiom (see `gat.equality.oriented`), in item order, a tuple per
-        # head of the source
+        # (kind, item index, source, target, direction) per oriented axiom
+        # (see `gat.equality.oriented`), in item order, a tuple per head of
+        # the source
         self.rules: dict[str, tuple] = {}
         self.plans: dict[str, tuple] = {}
         # the sorts of conversion-free judgments, which no item drops
@@ -148,7 +148,7 @@ class CheckedTheory:
         if rule is not None:
             head = rule[0].head
             self.rules[head] = self.rules.get(head, ()) + (
-                (kind, index, *rule, ax.orientation, ax),)
+                (kind, index, *rule, ax.orientation),)
 
     def _add_item(self, item) -> None:
         self._drop_caches()
@@ -196,6 +196,11 @@ def theory_extends(base: CheckedTheory, ext: Theory):
 def _extend_checked(th: CheckedTheory, items) -> CheckError | None:
     for item in items:
         index = len(th.theory.items)
+        # `print_theory` writes a label as a string literal, on one line
+        if (isinstance(item, (TermAxiom, SortAxiom))
+                and "\n" in (item.label or "")):
+            return CheckError(ErrorKind.UNKNOWN_SYMBOL, index, ("label",),
+                              f"axiom label {item.label!r} holds a line break")
         # what the item asks beyond its telescope: (path, sort or term,
         # expected sort or None for a sort) per judgment, in order
         if isinstance(item, TermAxiom):

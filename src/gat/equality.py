@@ -11,10 +11,8 @@ Strategy:
     as proof-irrelevant; terms are compared modulo arguments at irrelevant
     positions, and such axioms never drive rewriting;
   * sorts are normalized exactly like terms, their roots rewritten with the
-    theory's oriented sort axioms; when two normal forms still differ, a
-    "bridge" step tries to exhibit them as the two sides of one sort axiom
-    under a common instantiation, which covers axioms no orientation can
-    use as a rewrite rule;
+    theory's oriented sort axioms; a sort axiom serves only as such a rule,
+    so one that no orientation lets fire proves nothing;
   * a query that finds no answer ends at the first of three bounds, with a
     `NotProven(fuel_exhausted=True)` whose reason names it: the rewrite
     fuel, the term size cap, or the cap on nested discharges of deferred
@@ -31,19 +29,19 @@ always match strictly, which is what keeps distinct axioms apart.
 Every query (`eq_sort`, `eq_term`, `normalize_term`) that is asked afresh
 runs its own engine with its own fuel and its own table of the terms it has
 normalized.  All of them read the rewrite rules and match plans the
-`CheckedTheory` extends as items are added: each oriented axiom appends
-its rule (see `oriented`), which fires on a match only if `_complete` gives
-each variable of its target a value, and each declaration adds its symbol's
-plan.  They also share one normal-form memo held by the theory.
-A memo entry records how its term normalized: the entries of its
-arguments, the terms its deferred positions made it normalize, and its root
-rewrite.  Computed or taken from the memo, a term the query has not
-normalized yet is charged in one order: its arguments; then, one nesting
-level deeper, each deferred position's instance and subject; then its root
-rewrite, through the one helper `_charge`, which spends 1 fuel, checks the
-size of the result and then normalizes the result.  A term already in the
-query's own table costs nothing.  So a verdict, its trace and the fuel it
-used never depend on what the memo holds.
+`CheckedTheory` extends as items are added: each oriented axiom appends its
+rule (see `oriented`), which fires on a match only if the match binds every
+variable of its target, and each declaration adds its symbol's plan.  They
+also share one normal-form memo held by the theory.  A memo entry records
+how its term normalized: the entries of its arguments, the terms its
+deferred positions made it normalize, and its root rewrite.  Computed or
+taken from the memo, a term the query has not normalized yet is charged in
+one order: its arguments; then, one nesting level deeper, each deferred
+position's instance and subject; then its root rewrite, through the one
+helper `_charge`, which spends 1 fuel, checks the size of the result and
+then normalizes the result.  A term already in the query's own table costs
+nothing.  So a verdict, its trace and the fuel it used never depend on what
+the memo holds.
 
 That makes the whole answer of a query a function of the theory, the query
 and its bounds, and the theory keeps those of `eq_sort` and
@@ -63,14 +61,14 @@ Traces.  An `EqTrace` lists `EqStep`s, whose format `gat.kernel` sets
 out.  A rewrite's `pre` covers the positions `match` deferred, each as
 subject -> normal form ~ normal form <- instance, then one irrelevance step
 where a repeated pattern variable matched only modulo irrelevance; its
-`post` is empty.  A bridge step keeps x -> left instance in `pre` and right
-instance -> y in `post`.  Sub-traces stay nested in their step, so a
-trace's top-level steps are exactly the rewrites, irrelevance and bridge
-steps between its ends.  A join's second half is the other side's
-normalization, inverted by `gat.kernel.invert`.  `_Unemitted` builds every
-run x -> nf ~ nf <- y from the memo entries of its ends.  The trace a query
-returns builds its top-level steps with it on first read, once; `pre` and
-`post` are built with the entry that holds them.  So a trace no one reads
+`post` is empty until `gat.kernel.invert` moves the `pre` there.
+Sub-traces stay nested in their step, so a trace's top-level steps are
+exactly the rewrites and irrelevance steps between its ends.  A join's
+second half is the other side's normalization, inverted by
+`gat.kernel.invert`.  `_Unemitted` builds every run x -> nf ~ nf <- y from
+the memo entries of its ends.  The trace a query returns builds its
+top-level steps with it on first read, once; `pre` and `post` are built
+with the entry that holds them.  So a trace no one reads
 costs nothing, and a trace read late is the one an eager engine would have
 returned.
 
@@ -407,7 +405,7 @@ class _Engine:
         self._pending_depth -= 1
         return None if steps is None else (steps, t)
 
-    def match_rule(self, src: Term, dst: Term, subject: Term, ax, log: list):
+    def match_rule(self, src: Term, dst: Term, subject: Term, log: list):
         """The instantiation making `subject` an instance of `src`, usable
         to build the corresponding instance of `dst`, and the `pre` steps
         from `subject` to that instance of `src`: empty when `subject` is
@@ -420,8 +418,7 @@ class _Engine:
             return None
         # discharging matches other rules, which resets the flag
         inexact = self._inexact
-        needed = dst.fv.union(*(pattern.fv for _, pattern, _ in pending))
-        if not self._complete(sigma, needed, ax.params):
+        if not dst.fv.union(*(p.fv for _, p, _ in pending)) <= sigma.keys():
             return None
         sub = Subst(tuple(sigma.items()))
         found = self._discharge(sub, pending, subject, log)
@@ -435,34 +432,6 @@ class _Engine:
             if t is not source:
                 pre.append(EqStep(IRRELEVANCE, None, None, (), t, source))
         return sub, tuple(pre)
-
-    def soft_match(self, pattern: Term, subject: Term, sigma: dict) -> None:
-        """Harvest bindings wherever pattern and subject line up; never
-        fails.  Used to recover variables one axiom side leaves free."""
-        if isinstance(pattern, Var):
-            if pattern.name not in sigma:
-                sigma[pattern.name] = subject
-            return
-        if not isinstance(subject, Cut) or subject.head != pattern.head:
-            return
-        pe = pattern.args.entries
-        se = subject.args.entries
-        if len(pe) != len(se):
-            return
-        for (_, p), (_, s) in zip(pe, se):
-            self.soft_match(p, s, sigma)
-
-    def _complete(self, sigma: dict, needed: set[str], params: Telescope) -> bool:
-        """Fill unbound variables at proof-irrelevant sorts with fresh
-        placeholders (their value never takes part in comparison); any other
-        unbound variable makes the instantiation unusable."""
-        for v in sorted(needed - sigma.keys()):
-            sort = params.lookup(v)
-            if sort is not None and sort.head in self.th.irrelevant_heads:
-                sigma[v] = Var("?" + v)
-            else:
-                return False
-        return True
 
     def _meet(self, x: Term, y: Term) -> tuple[EqStep, ...] | None:
         """The steps between two normal forms: none when they are one term,
@@ -539,8 +508,8 @@ class _Engine:
                 (name, v if a is None else a.nf)
                 for (name, v), a in zip(t.args.entries, args))))
         log: list = []
-        for kind, idx, src, dst, direction, ax in self.rules.get(t.head, ()):
-            found = self.match_rule(src, dst, t, ax, log)
+        for kind, idx, src, dst, direction in self.rules.get(t.head, ()):
+            found = self.match_rule(src, dst, t, log)
             if found is not None:
                 sub, pre = found
                 new = subst_apply_term(sub, dst)
@@ -553,63 +522,15 @@ class _Engine:
     # -- equality --------------------------------------------------------
 
     def join(self, x, y, tele, reason: str):
-        """Rewrite both sides to normal form and compare modulo irrelevance;
-        when the normal forms differ, try one bridge step between them.  An
-        `Equal` trace runs x -> nf(x) -> nf(y) -> y; otherwise `NotProven`
+        """Rewrite both sides to normal form and compare modulo irrelevance.
+        An `Equal` trace runs x -> nf(x) -> nf(y) -> y; otherwise `NotProven`
         with `reason`."""
         nx, ex = self.normal_entry(x)
         ny, ey = self.normal_entry(y)
         mid = self._meet(nx, ny)
         if mid is None:
-            bridge = self._bridge(nx, ny)
-            if bridge is None:
-                return NotProven(False, reason, nx, ny)
-            mid = (bridge,)
+            return NotProven(False, reason, nx, ny)
         return Equal(EqTrace(x, y, _Unemitted(ex, mid, ey), tele))
-
-    def _bridge(self, x, y) -> EqStep | None:
-        """Exhibit sorts x and y as the two sides of one sort axiom under a
-        common instantiation: a step whose `pre` runs x ~ nf(left) <- left
-        and whose `post` runs right -> nf(right) ~ y, where ~ is equality
-        modulo irrelevance.  Term normal forms (including variables) never
-        match."""
-        if not isinstance(x, Cut) or not isinstance(y, Cut):
-            return None
-        for idx, ax in self.th.sort_axioms:
-            for direction in (LR, RL):
-                left, right = sides(ax, direction)
-                if left.head != x.head or right.head != y.head:
-                    continue
-                found = self._bridge_instance(ax, left, right, x, y)
-                if found is not None:
-                    return EqStep(SORT_AXIOM, idx, direction, (), x, y,
-                                  None, *found)
-        return None
-
-    def _bridge_instance(self, ax, left, right, x: Sort, y: Sort):
-        """Try to instantiate left ↦ x and right ↦ y under one substitution;
-        its `sigma`, `pre` and `post` on success, else None.  Either side
-        may seed the strict match; the soft match on the other side recovers
-        variables only that side determines.  Deferred positions are
-        subsumed by the final normalize-and-compare check on whole
-        instances, so pending is dropped."""
-        for seed, u, other, w in ((left, x, right, y), (right, y, left, x)):
-            sigma: dict = {}
-            if not self.match(seed, u, sigma, []):
-                continue
-            self.soft_match(other, w, sigma)
-            needed = left.fv | right.fv
-            if not self._complete(sigma, needed, ax.params):
-                continue
-            sub = Subst(tuple(sigma.items()))
-            lx, el = self.normal_entry(subst_apply_term(sub, left))
-            ry, er = self.normal_entry(subst_apply_term(sub, right))
-            pre = self._meet(x, lx)
-            post = self._meet(ry, y)
-            if pre is not None and post is not None:
-                return (sub, sum(_Unemitted(None, pre, el).emit(), ()),
-                        sum(_Unemitted(er, post).emit(), ()))
-        return None
 
 
 def answered(th: CheckedTheory, kept: tuple):

@@ -56,7 +56,7 @@ IRRELEVANCE = "irrelevance"
 IRRELEVANT_SORT = "irrelevant-sort"
 _FLIP = {LR: RL, RL: LR}
 # How deep sub-traces may nest; the engine's nest one level per nested
-# discharge (`gat.equality._PENDING_CAP`) and one for a bridge step.
+# discharge (`gat.equality._PENDING_CAP`).
 NESTING_CAP = 32
 # How many steps a trace may unfold to.  On the benchmark's workloads at
 # seeds 0-9 the engine's traces unfold to at most 5.3 steps per unit of
@@ -124,8 +124,12 @@ def sides(ax, direction: str):
 
 def equal_mod_irr(th, x, y) -> bool:
     """Whether x and y differ at most in arguments of proof-irrelevant sort.
-    The pairs left to compare are kept on a stack, not the Python stack."""
+    The pairs left to compare are kept on a stack, not the Python stack,
+    and each distinct pair is pushed once, by identity, however many paths
+    lead to it: terms are hash-consed, so the work is bounded by the
+    distinct nodes of x and y."""
     pairs = [(x, y)]
+    pushed = set()
     while pairs:
         x, y = pairs.pop()
         if x is y:
@@ -135,9 +139,13 @@ def equal_mod_irr(th, x, y) -> bool:
             return False
         plan = th.plans.get(x.head)
         irr = () if plan is None else plan[2]
-        for i, pair in enumerate(zip(x.args.values(), y.args.values())):
-            if not (i < len(irr) and irr[i]):
-                pairs.append(pair)
+        for i, (a, b) in enumerate(zip(x.args.values(), y.args.values())):
+            if a is b or i < len(irr) and irr[i]:
+                continue
+            key = (id(a), id(b))
+            if key not in pushed:
+                pushed.add(key)
+                pairs.append((a, b))
     return True
 
 
@@ -213,10 +221,8 @@ def _misshapen(steps) -> str | None:
 
 
 def _over(names, x) -> bool:
-    """Whether `x` is a node whose free variables `names` binds, bar the
-    engine's `?` placeholders, which stand at proof-irrelevant positions."""
-    return isinstance(x, (Var, Cut, Subst)) and (
-        x.fv <= names or all(v in names or v[0] == "?" for v in x.fv))
+    """Whether `x` is a node whose free variables `names` binds."""
+    return isinstance(x, (Var, Cut, Subst)) and x.fv <= names
 
 
 def _children(node):
@@ -297,8 +303,8 @@ def _sub(th, start, steps, end, tele, what: str) -> None:
 
 def _instance(th, s, tele):
     """(source, target) of the instance of item `s.axiom` that `s` names,
-    used in `s.direction`.  Each value the source side leaves open (bar `?`
-    placeholders at proof-irrelevant sorts) must have its instantiated sort.
+    used in `s.direction`.  Each value the source side leaves open must have
+    its instantiated sort.
     `th.instances` holds, per theory, both sides under a well-shaped `sigma`
     and the (variable, value, sort) checks of the open values, which run at
     every use over `tele`; a closed value's check is decided once, before
@@ -320,10 +326,9 @@ def _instance(th, s, tele):
             raise _Reject("sigma is no instantiation of the axiom's variables")
         checks = []
         for v, value in sigma.entries:
-            sort = ax.params.lookup(v)
-            if v in bound or (value is Var("?" + v)
-                              and sort.head in th.irrelevant_heads):
+            if v in bound:
                 continue
+            sort = ax.params.lookup(v)
             if not sort.fv <= names:
                 raise _Reject(f"no sort check for sigma's value for {v!r}")
             check = (v, value, subst_apply_term(sigma, sort))

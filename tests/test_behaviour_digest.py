@@ -42,7 +42,7 @@ from gat.library import entry, library_names
 from gat.surface import parse_source, print_telescope, print_term
 from gat.syntax import Subst, Telescope
 
-DIGEST = "b89b944670c5efb96b0ac072c670b3505a6db8b95a384f39bc725d2b06a4af91"
+DIGEST = "0884af0c4283a5bf26abf85f82038ae8cbaf3d0c7d2df07cafe76f932a1ff78c"
 
 
 def _show(x) -> str:

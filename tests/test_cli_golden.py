@@ -28,8 +28,8 @@ _CAT_TELE = ("--telescope",
 _LVL_TELE = "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}"
 _PI_TELE = (_LVL_TELE + ", A: ty{a/l, g/g}, "
             "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
-# "pi lifting" pushes lift inside pi, so only a bridge step over "element
-# lifting" joins these two sorts
+# "pi lifting" pulls lift out of pi and "element lifting" drops it from the
+# sort, so one step over each joins these two sorts
 _PI_LOW = "el{a/l, g/g, pi{a/l, g/g, A/A, B/B}/A}"
 _PI_HIGH = ("el{b/l, g/g, pi{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A, "
             "lift{a/a, b/b, p/p, ext{a/l, g/g, A/A}/g, B/A}/B}/A}")

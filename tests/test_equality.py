@@ -48,7 +48,7 @@ from gat.checker import (
 from gat.checker import _extend_checked
 from gat.kernel import (IRRELEVANCE, IRRELEVANT_SORT, TERM_AXIOM,
                         equal_mod_irr, invert)
-from gat.library import load
+from gat.library import entry, library_names, load
 from gat.surface import parse_sort, parse_source, parse_telescope, parse_term
 from gat.syntax import (
     LR,
@@ -133,8 +133,9 @@ def test_element_sort_is_not_a_type(mltt):
     assert not verdict.fuel_exhausted
 
 
-# "pi lifting" pushes lift inside pi, so no oriented rule rewrites one of
-# these sorts into the other; one "element lifting" step relates them.
+# "pi lifting" and "element lifting" are both oriented toward the lower
+# level: PI_HIGH's pi rewrites to a lifted pi, and the lift then drops out
+# of the sort, which gives PI_LOW.
 PI_TELE = parse_telescope(
     "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}, "
     "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
@@ -144,31 +145,91 @@ PI_HIGH = parse_sort(
     "lift{a/a, b/b, p/p, ext{a/l, g/g, A/A}/g, B/A}/B}/A}")
 
 
-def test_lifted_pi_elements_join_through_the_bridge(mltt):
-    for x, y in ((PI_HIGH, PI_LOW), (PI_LOW, PI_HIGH)):
+def test_lifting_normalizes_toward_the_lower_level(mltt):
+    high_pi = PI_HIGH.args.lookup("A")
+    element = parse_sort("el{b/l, g/g, lift{a/a, b/b, p/p, g/g, A/A}/A}")
+    lifted = parse_term("lift{a/a, b/b, p/p, g/g, pi{a/l, g/g, A/A, B/B}/A}")
+    for x, nf in ((high_pi, lifted),
+                  (element, parse_sort("el{a/l, g/g, A/A}")),
+                  (PI_HIGH, PI_LOW), (PI_LOW, PI_LOW)):
+        got, trace = normalize_term(mltt, x, PI_TELE)
+        assert got == nf
+        assert replay_trace(mltt, x, trace) == nf
+
+
+def test_lifted_pi_elements_join_by_rewriting(mltt):
+    pi, element = (mltt.axiom_labels[label]
+                   for label in ("pi lifting", "element lifting"))
+    for x, y, axioms in ((PI_HIGH, PI_LOW, [pi, element]),
+                         (PI_LOW, PI_HIGH, [element, pi])):
         verdict = eq_sort(mltt, PI_TELE, x, y)
         assert isinstance(verdict, Equal)
-        sort_steps = [s for s in verdict.trace.steps if s.kind == SORT_AXIOM]
-        assert [s.axiom for s in sort_steps] == [
-            mltt.axiom_labels["element lifting"]]
+        steps = verdict.trace.steps
+        assert [s.axiom for s in steps] == axioms
+        assert all(s.pre == s.post == () for s in steps)
         assert replay_ok(mltt, verdict.trace)
 
 
-def test_an_axiom_whose_rule_cannot_fire_serves_only_the_bridge(mltt):
-    # "element lifting"'s target binds b, which its source lacks, and b is
-    # of the relevant sort lvl: so no match completes its rule
+# "S is U" has on each side a variable the other side lacks, so its rule
+# can fire in neither orientation.
+UNUSABLE = """
+SORT ob()
+OP c() : ob{}
+OP d() : ob{}
+SORT S(x: ob{})
+SORT U(y: ob{})
+SORTAX "S is U" %s (x: ob{}, y: ob{}) S{x/x} = U{y/y}
+"""
+
+
+def test_a_sort_axiom_no_orientation_can_use_is_not_used(mltt):
+    s, u = parse_sort("S{c{}/x}"), parse_sort("U{d{}/y}")
+    for tag in ("[lr]", "[rl]", "[unoriented]"):
+        th = check_theory(parse_source(UNUSABLE % tag).theory)
+        assert isinstance(th, CheckedTheory)
+        for x, y in ((s, u), (u, s)):
+            verdict = eq_sort(th, Telescope(), x, y)
+            assert verdict == NotProven(False, "sorts do not join", x, y)
+    # with its rule taken out, "element lifting" joins nothing either
     idx = mltt.axiom_labels["element lifting"]
-    assert idx in (rule[1] for rule in mltt.rules["el"])
-    # with the rule taken out, every bridge query through the axiom gives
-    # the same verdict, trace and fuel
     removed = mltt.copy()
     removed.rules["el"] = tuple(r for r in removed.rules["el"] if r[1] != idx)
     for x, y in ((PI_HIGH, PI_LOW), (PI_LOW, PI_HIGH)):
-        verdict, fuel = _metered(mltt.copy(), eq_sort, (PI_TELE, x, y), None)
-        assert isinstance(verdict, Equal)
-        assert idx in (s.axiom for s in verdict.trace.steps)
-        assert _metered(removed, eq_sort, (PI_TELE, x, y), None) == (
-            verdict, fuel)
+        verdict = eq_sort(removed, PI_TELE, x, y)
+        assert isinstance(verdict, NotProven) and not verdict.fuel_exhausted
+        assert verdict.reason == "sorts do not join"
+
+
+def test_no_step_of_the_builds_or_the_sweep_names_a_placeholder():
+    # every variable a step names is bound by the trace's telescope or by
+    # its axiom's: the engine makes none up, not even at an irrelevant sort
+    built = {}
+    with record_verdicts() as log:
+        for name in library_names():
+            src = parse_source(entry(name).source, path=name)
+            built[name] = (check_theory(src.theory) if src.extends is None
+                           else theory_extends(built[src.extends], src.theory))
+        mltt = built["mltt"]
+        for depth in range(1, 7):
+            for t in generate_closed_obs_terms(
+                    mltt, GenBudget(max_depth=depth, seed=0)):
+                evaluate_closed(mltt, t)
+    # the free variables of every step, sub-traces and sigma values
+    # included, each tuple of steps visited once
+    names, seen = set(), set()
+    todo = [trace.steps for _, trace in log]
+    while todo:
+        steps = todo.pop()
+        if id(steps) in seen:
+            continue
+        seen.add(id(steps))
+        for s in steps:
+            names |= s.before.fv | s.after.fv
+            if s.sigma is not None:
+                names |= s.sigma.fv
+            todo += (s.pre, s.post)
+    assert len(log) > 1000 and names
+    assert not [v for v in names if v.startswith("?")]
 
 
 # Per theory: a sort over its terms, so that `eq_sort` has work to do, and
@@ -244,8 +305,9 @@ def test_a_rule_whose_instance_cannot_complete_changes_nothing(
     # which a term no rule before it rewrites matches, so that the new rule
     # is tried; and a target with a variable of relevant sort that the
     # source lacks
-    sources = [(ax.params, src, ax.sort) for rules in base.rules.values()
-               for _, _, src, _, _, ax in rules]
+    axioms = base.theory.items
+    sources = [(axioms[i].params, src, axioms[i].sort)
+               for rules in base.rules.values() for _, i, src, _, _ in rules]
     general = [(params, Cut(head, Subst(tuple(
         (v, Var(v)) for v in params.names()))), result)
         for head, (params, result) in base.op_decls.items()
@@ -261,7 +323,7 @@ def test_a_rule_whose_instance_cannot_complete_changes_nothing(
                      lhs, rhs, sort, "never fires", orientation)
     th, without = base.copy(), base.copy()
     assert _extend_checked(th, (item,)) is None
-    assert th.rules[src.head][-1][5] is item
+    assert th.rules[src.head][-1][1] == len(base.theory.items)
     for _ in range(data.draw(st.integers(1, 4))):
         query, args = _never_firing_query(data.draw, name, tele)
         assert (_answered(th, query, args, None)
@@ -606,7 +668,7 @@ def test_a_copy_meters_a_check_as_a_fresh_theory_does(mltt):
         return meter[0]
 
     warm = mltt.copy()
-    assert fuel(warm) == fuel(warm) == fuel(warm.copy()) == 2
+    assert fuel(warm) == fuel(warm) == fuel(warm.copy()) == 3
 
 
 def test_record_fuel_counts_normalization(monoid):
@@ -643,7 +705,7 @@ def test_nested_verdict_recorders_both_see_an_equal(monoid):
 def bounded_cases(monoid, mltt):
     """(theory, a warm copy of it, query, arguments) for sweep terms at
     depths 2-5 against their normal forms, the open queries above, and an
-    mltt sort equality that needs the bridge."""
+    mltt sort equality that needs both lifting rules."""
     empty = Telescope()
     cases = []
     for depth in range(2, 6):
@@ -691,7 +753,7 @@ def _answered(th, query, args, cfg):
 @pytest.fixture(scope="module")
 def kept_cases(monoid, mltt):
     """(theory, a warm copy of it, query, arguments) for the queries whose
-    answers a theory keeps: mltt's bridge both ways; for sweep terms at
+    answers a theory keeps: mltt's lifted pi both ways; for sweep terms at
     depths 2-5, canonicity's sort check and the normalization; the open
     terms above, normalized; a sort past the pending cap and one short of
     it; and a sort and a term on a rewrite cycle."""
@@ -1392,7 +1454,7 @@ def test_match_binds_as_a_plain_reference_matcher_does(monoid, mltt):
                  for x in (ax.lhs, ax.rhs)]
         subjects = _subterms_of(sweep + sides)
         for rules in th.rules.values():
-            for _, _, src, _, _, _ in rules:
+            for _, _, src, _, _ in rules:
                 for subject in subjects:
                     sigma, pending = {}, []
                     ok = engine.match(src, subject, sigma, pending)

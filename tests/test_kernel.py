@@ -118,7 +118,7 @@ def pre_step(sweep):
     return next((t, i) for t in sweep for i, s in enumerate(t.steps) if s.pre)
 
 
-BRIDGE_TELE = parse_telescope(
+PI_TELE = parse_telescope(
     "a: lvl{}, b: lvl{}, p: lt{a/u, b/v}, g: ob{}, A: ty{a/l, g/g}, "
     "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
 LOW = parse_sort("el{a/l, g/g, pi{a/l, g/g, A/A, B/B}/A}")
@@ -127,8 +127,10 @@ HIGH = parse_sort(
     "lift{a/a, b/b, p/p, ext{a/l, g/g, A/A}/g, B/A}/B}/A}")
 
 
-def _bridge(mltt, x, y):
-    verdict = eq_sort(mltt, BRIDGE_TELE, x, y)
+def _lifted(mltt, x, y):
+    """The trace of `eq_sort` between LOW and HIGH, one rewrite by "pi
+    lifting" and one by "element lifting", and the index of the latter."""
+    verdict = eq_sort(mltt, PI_TELE, x, y)
     assert isinstance(verdict, Equal)
     trace = verdict.trace
     (i,) = [i for i, s in enumerate(trace.steps) if s.kind == SORT_AXIOM]
@@ -140,13 +142,16 @@ def _bridge(mltt, x, y):
 
 def test_steps_record_sigma_and_sub_traces(monoid_trace, pre_step, mltt):
     assert all(isinstance(s.sigma, Subst) for s in monoid_trace.steps)
+    for x, y in ((LOW, HIGH), (HIGH, LOW)):
+        trace, _ = _lifted(mltt, x, y)
+        assert all(isinstance(s.sigma, Subst) and s.pre == s.post == ()
+                   for s in trace.steps)
+    # the engine fills only `pre`; inverting a step moves it to `post`
     trace, i = pre_step
-    assert trace.steps[i].post == ()
-    # the bridge keeps x -> left[sigma] in pre, right[sigma] -> y in post
-    trace, i = _bridge(mltt, LOW, HIGH)
-    assert trace.steps[i].pre == () and trace.steps[i].post
-    trace, i = _bridge(mltt, HIGH, LOW)
-    assert trace.steps[i].pre and trace.steps[i].post == ()
+    step = trace.steps[i]
+    assert step.pre and step.post == ()
+    back = kernel.invert(trace.steps)[len(trace.steps) - 1 - i]
+    assert back.pre == () and back.post == kernel.invert(step.pre)
 
 
 def test_inverted_steps_swap_and_invert_their_sub_traces(mltt, pre_step):
@@ -223,8 +228,9 @@ def _nested(trace: EqTrace, depth: int) -> EqTrace:
 
 def test_sub_traces_nested_past_the_cap_are_a_replay_error(monoid_trace,
                                                            monoid):
-    # the engine nests sub-traces one level per nested discharge and one
-    # for a bridge step; the kernel cannot import it to read its cap
+    # the engine nests sub-traces one level per nested discharge, which
+    # the cap allows with a level to spare; the kernel cannot import it to
+    # read its cap
     assert kernel.NESTING_CAP > equality._PENDING_CAP + 1
     deepest = f"sub-traces nest deeper than {kernel.NESTING_CAP}"
     for depth, at in ((5000, -1), (kernel.NESTING_CAP + 1, -1),
@@ -483,13 +489,14 @@ def test_dropped_or_truncated_sub_traces_are_rejected(pre_step, mltt):
     pre = trace.steps[i].pre
     for cut in {(), pre[:-1], pre[1:]} - {pre}:
         assert _rejected(mltt, _with_step(trace, i, pre=cut))
-    for x, y in ((LOW, HIGH), (HIGH, LOW)):
-        trace, i = _bridge(mltt, x, y)
-        s = trace.steps[i]
-        for field in ("pre", "post"):
-            sub = getattr(s, field)
-            for cut in {(), sub[:-1], sub[1:]} - {sub}:
-                assert _rejected(mltt, _with_step(trace, i, **{field: cut}))
+    # the same cuts of the `post` that inverting the trace puts there
+    back = EqTrace(trace.end, trace.start, kernel.invert(trace.steps),
+                   trace.tele)
+    i = len(trace.steps) - 1 - i
+    post = back.steps[i].post
+    assert post
+    for cut in {(), post[:-1], post[1:]} - {post}:
+        assert _rejected(mltt, _with_step(back, i, post=cut))
 
 
 def test_lone_unit_steps_between_the_two_unit_shapes_are_rejected(monoid):
@@ -589,6 +596,43 @@ def test_deep_terms_compare_modulo_irrelevance_without_recursion():
     assert _rejected(th, traces[1])
 
 
+# f's third argument has the proof-irrelevant sort pf{e{}}
+SHARED = """
+SORT ob()
+SORT pf(x: ob{})
+OP e() : ob{}
+OP o() : ob{}
+OP q() : pf{e{}/x}
+OP r() : pf{e{}/x}
+OP f(a: ob{}, b: ob{}, w: pf{e{}/x}) : ob{}
+TERMAX "pf irrelevant" (x: ob{}, u: pf{x/x}, v: pf{x/x}) u = v : pf{x/x}
+"""
+
+
+def _shared(k: int, leaf: str, proof: str):
+    """t_k = f{t_(k-1)/a, t_(k-1)/b, proof/w}, t_0 = leaf: k + 1 distinct
+    nodes that unfold to 2^k leaves."""
+    t, w = parse_term(leaf), parse_term(proof)
+    for _ in range(k):
+        t = Cut("f", Subst((("a", t), ("b", t), ("w", w))))
+    return t
+
+
+def test_comparison_modulo_irrelevance_takes_each_shared_pair_once():
+    # two DAGs that differ in the proof-irrelevant argument at every level:
+    # compared once per path, the pairs at k = 40 would number 2^40
+    th = check_theory(parse_source(SHARED).theory)
+    m, n = _shared(40, "e{}", "q{}"), _shared(40, "e{}", "r{}")
+    start = time.perf_counter()
+    verdict = eq_term(th, EMPTY, m, n, OB)
+    assert isinstance(verdict, Equal)
+    assert [s.kind for s in verdict.trace.steps] == [IRRELEVANCE]
+    assert replay_trace(th, m, verdict.trace) is n
+    assert time.perf_counter() - start < 1.0
+    # a relevant difference under the shared nodes still tells them apart
+    assert not kernel.equal_mod_irr(th, m, _shared(40, "o{}", "r{}"))
+
+
 # -- the instance cache ------------------------------------------------------
 
 
@@ -596,14 +640,14 @@ def test_instances_checked_over_a_telescope_are_not_cached(mltt):
     # left to right, "element lifting" takes b and p from the sort it
     # reaches: the values are open, so their check holds for one telescope.
     # The trace goes there and back, so that b and p are checked whichever
-    # end replay takes the bridge from.
+    # end replay takes the step from.
     th = mltt.copy()
-    there, back = _bridge(th, LOW, HIGH)[0], _bridge(th, HIGH, LOW)[0]
-    trace = EqTrace(LOW, LOW, there.steps + back.steps, BRIDGE_TELE)
+    there, back = _lifted(th, LOW, HIGH)[0], _lifted(th, HIGH, LOW)[0]
+    trace = EqTrace(LOW, LOW, there.steps + back.steps, PI_TELE)
     bad = parse_telescope(
         "a: lvl{}, b: ob{}, p: lt{a/u, a/v}, g: ob{}, A: ty{a/l, g/g}, "
         "B: ty{a/l, ext{a/l, g/g, A/A}/g}")
-    for tele, ok in ((BRIDGE_TELE, True), (bad, False), (BRIDGE_TELE, True)):
+    for tele, ok in ((PI_TELE, True), (bad, False), (PI_TELE, True)):
         assert _rejected(th, dataclasses.replace(trace, tele=tele)) != ok
 
 
@@ -626,7 +670,7 @@ def test_warm_and_cold_replay_agree(mltt, monoid, sweep, monoid_trace):
                    "homid{c/g}/f, g/g}/f, f/g}"), parse_sort("hom{a/d, c/c}"))
     cases = [(mltt, t) for t in sweep]
     cases += [(monoid, monoid_trace), (cat, cat_trace),
-              (mltt, _bridge(mltt, LOW, HIGH)[0])]
+              (mltt, _lifted(mltt, LOW, HIGH)[0])]
     outs = []
     for th, trace in cases:
         for tele in (trace.tele, None):
@@ -774,10 +818,9 @@ def _genuine(th, s, tele) -> bool:
             or not src.fv | dst.fv <= set(names)):
         return False
     for v, value in s.sigma.entries:
-        sort = ax.params.lookup(v)
-        if v in src.fv or (value == Var("?" + v)
-                           and sort.head in th.irrelevant_heads):
+        if v in src.fv:
             continue
+        sort = ax.params.lookup(v)
         if (tele is None or not sort.fv <= set(names) or not _checks(
                 th, tele, value, subst_apply_sort(s.sigma, sort))):
             return False
@@ -935,8 +978,8 @@ def test_inversion_is_the_symmetry_of_replay(mltt, seed0):
     # done twice, and a trace from x to y, inverted, must replay from y to
     # x: warm and cold
     proofs, norms = seed0
-    traces = proofs + norms + [_bridge(mltt, LOW, HIGH)[0],
-                               _bridge(mltt, HIGH, LOW)[0]]
+    traces = proofs + norms + [_lifted(mltt, LOW, HIGH)[0],
+                               _lifted(mltt, HIGH, LOW)[0]]
     for proof in proofs:
         sort = infer_term(mltt, EMPTY, proof.start)
         traces.append(_proof(mltt, EMPTY, proof.end, proof.start, sort))
@@ -974,8 +1017,8 @@ def seed0(mltt):
 
 @pytest.fixture(scope="module")
 def sort_pool(mltt, seed0):
-    """The terms of the seed-0 sweep's steps and of two bridge traces, with
-    their sigma values and the bridge telescope's variables; and the sorts
+    """The terms of the seed-0 sweep's steps and of the two lifted pi
+    traces, with their sigma values and those traces' variables; and the sorts
     they infer over that telescope, with the sorts of the axiom parameters
     the sigma values instantiate."""
     terms, sorts = {}, {}
@@ -991,12 +1034,12 @@ def sort_pool(mltt, seed0):
                     for v in s.sigma.targets()))
             collect(s.pre + s.post)
 
-    for trace in seed0[0] + [_bridge(mltt, LOW, HIGH)[0],
-                             _bridge(mltt, HIGH, LOW)[0]]:
+    for trace in seed0[0] + [_lifted(mltt, LOW, HIGH)[0],
+                             _lifted(mltt, HIGH, LOW)[0]]:
         collect(trace.steps)
-    terms.update(dict.fromkeys(Var(v) for v in BRIDGE_TELE.names()))
+    terms.update(dict.fromkeys(Var(v) for v in PI_TELE.names()))
     for t in terms:
-        sort = infer_term(mltt, BRIDGE_TELE, t)
+        sort = infer_term(mltt, PI_TELE, t)
         if isinstance(sort, Cut):
             sorts[sort] = None
     return list(terms), list(sorts)
@@ -1018,7 +1061,7 @@ def _swapped(data, m, pool):
 def test_the_kernel_checks_a_sort_as_the_checker_does_without_conversion(
         mltt, sort_pool, data):
     terms, sorts = sort_pool
-    tele = data.draw(st.sampled_from((EMPTY, BRIDGE_TELE)))
+    tele = data.draw(st.sampled_from((EMPTY, PI_TELE)))
     m = data.draw(st.sampled_from(terms))
     own = infer_term(mltt, tele, m)
     a = (own if isinstance(own, Cut) and data.draw(st.booleans())
