@@ -76,8 +76,8 @@ class CheckedTheory:
     `__init__` starts them empty and `_add_item` extends them per item.
     They hold per-symbol telescopes and result sorts, the axiom lists with
     their item indices, the proof-irrelevant sort symbols, a rewrite rule
-    per oriented axiom by the head of its source (it fires on a match only
-    when the source binds every variable of the target), and per-symbol
+    per oriented axiom by the head of its source (none when the target has
+    a variable the source lacks: it could never fire), and per-symbol
     match plans (see `_plan`).  What it keeps of its own work is never
     copied and lives by one rule: a judgment derived with no equation holds
     in every extension (Cartmell), so `_judged` keeps those for good (see

@@ -29,10 +29,10 @@ always match strictly, which is what keeps distinct axioms apart.
 Every query (`eq_sort`, `eq_term`, `normalize_term`) that is asked afresh
 runs its own engine with its own fuel and its own table of the terms it has
 normalized.  All of them read the rewrite rules and match plans the
-`CheckedTheory` extends as items are added: each oriented axiom appends its
-rule (see `oriented`), which fires on a match only if the match binds every
-variable of its target, and each declaration adds its symbol's plan.  They
-also share one normal-form memo held by the theory.  A memo entry records
+`CheckedTheory` extends as items are added: each oriented axiom whose
+source has every variable of its target appends its rule (see `oriented`),
+and each declaration adds its symbol's plan.  They also share one
+normal-form memo held by the theory.  A memo entry records
 how its term normalized: the entries of its arguments, the terms its
 deferred positions made it normalize, and its root rewrite.  Computed or
 taken from the memo, a term the query has not normalized yet is charged in
@@ -218,13 +218,16 @@ def _logged(th: CheckedTheory, trace: EqTrace) -> EqTrace:
 
 def oriented(ax) -> tuple[Term, Term] | None:
     """The (source, target) of the rewrite rule the `.gat` file orients
-    `ax` into; None for an unoriented axiom, and for one whose source is a
+    `ax` into; None for an unoriented axiom, for one whose source is a
     variable: that matches everything, so such axioms (the
-    proof-irrelevance ones) are handled by comparison instead."""
+    proof-irrelevance ones) are handled by comparison instead, and for one
+    whose target has a variable its source lacks: a match binds only the
+    source's variables, so that rule could never fire, and none is made."""
     if ax.orientation not in (LR, RL):
         return None
     src, dst = sides(ax, ax.orientation)
-    return None if isinstance(src, Var) else (src, dst)
+    return (None if isinstance(src, Var) or not dst.fv <= src.fv
+            else (src, dst))
 
 
 # Discharging a deferred position normalizes terms, which matches rules,
@@ -418,7 +421,7 @@ class _Engine:
             return None
         # discharging matches other rules, which resets the flag
         inexact = self._inexact
-        if not dst.fv.union(*(p.fv for _, p, _ in pending)) <= sigma.keys():
+        if not all(p.fv <= sigma.keys() for _, p, _ in pending):
             return None
         sub = Subst(tuple(sigma.items()))
         found = self._discharge(sub, pending, subject, log)

@@ -19,12 +19,13 @@ source side's instance, and `post` from the target side's instance to
 `after`.  An `IRRELEVANCE` step changes only arguments at positions of
 proof-irrelevant sort; an `IRRELEVANT_SORT` step relates two terms of the
 proof-irrelevant sort in `note`.  Sub-traces stay nested in their step,
-at most `NESTING_CAP` levels deep, since replay recurses once per level,
-and a trace unfolds, a sub-trace counted once per path to it, to at most
-`STEP_CAP` steps, so replay's work is bounded by the size of its input.
-`invert` turns steps from x to y into steps from y to x: it reverses them,
-flips each direction and swaps and inverts each step's `pre` and `post`,
-each distinct tuple once.
+at most `NESTING_CAP` levels deep, since replay recurses once per level.
+Steps and tuples of steps may be shared: replay validates each distinct
+step once, by identity, so its work is linear in the steps and tuple
+references it is given, however many paths lead to them.  `invert` turns
+steps from x to y into steps from y to x: it reverses them, flips each
+direction and swaps and inverts each step's `pre` and `post`, each
+distinct tuple once.
 
 A trace from x to y proves x = y over its telescope and presupposes, as
 that judgment does, that x and y are well formed there; replay checks only
@@ -58,11 +59,6 @@ _FLIP = {LR: RL, RL: LR}
 # How deep sub-traces may nest; the engine's nest one level per nested
 # discharge (`gat.equality._PENDING_CAP`).
 NESTING_CAP = 32
-# How many steps a trace may unfold to.  On the benchmark's workloads at
-# seeds 0-9 the engine's traces unfold to at most 5.3 steps per unit of
-# fuel spent, plus one; this allows about 100 per unit of its default fuel
-# (`gat.equality.EqEngineConfig`), a relation the tests pin.
-STEP_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -169,12 +165,13 @@ def replay(th, start, trace):
         return ReplayError(-1, "start is not over the trace's telescope")
     if not _over(names, end):
         return ReplayError(len(steps), "end is not over the trace's telescope")
+    done: dict = {}
     try:
-        reached = _walk(th, start, steps, tele)
+        reached = _walk(th, start, steps, tele, done)
     except _Reject as r:
         n, reason, met = r.args
         try:
-            if _walk(th, end, invert(steps[n:]), tele) is met:
+            if _walk(th, end, invert(steps[n:]), tele, done) is met:
                 return end
         except _Reject:
             pass
@@ -186,22 +183,20 @@ def replay(th, start, trace):
 
 def _misshapen(steps) -> str | None:
     """Why `steps` and the sub-traces within are not tuples of `EqStep`s
-    with tuple paths, nested at most `NESTING_CAP` deep and unfolding to at
-    most `STEP_CAP` steps; None when they are.  The tuples wait on a stack
-    and each is checked once, by identity, however many paths lead to it:
-    `seen` holds its unfolded step count and how deep sub-traces nest below
-    it, summed bottom-up.  A step with a side that is no node fails in
+    with tuple paths, nested at most `NESTING_CAP` deep; None when they
+    are.  The tuples wait on a stack and each is checked once, by identity,
+    however many paths lead to it: `height` holds how deep sub-traces nest
+    below it, found bottom-up.  A step with a side that is no node fails in
     `_walk`, so sides need no check here."""
     deepest = f"sub-traces nest deeper than {NESTING_CAP}"
-    seen: dict = {}
+    height: dict = {}
     todo = [(steps, 0, None)]
     while todo:
         t, depth, subs = todo.pop()
-        if subs is not None:  # every tuple in `subs` is in `seen`
-            seen[id(t)] = (len(t) + sum(seen[id(u)][0] for u in subs),
-                           max((seen[id(u)][1] + 1 for u in subs), default=0))
+        if subs is not None:  # every tuple in `subs` is in `height`
+            height[id(t)] = max((height[id(u)] + 1 for u in subs), default=0)
             continue
-        if id(t) in seen:
+        if id(t) in height:
             continue
         if type(t) is not tuple or not all(
                 type(s) is EqStep and type(s.path) is tuple
@@ -212,12 +207,7 @@ def _misshapen(steps) -> str | None:
             return deepest
         todo.append((t, depth, subs))
         todo += ((u, depth + 1, None) for u in subs)
-    count, height = seen[id(steps)]
-    if height > NESTING_CAP:
-        return deepest
-    if count > STEP_CAP:
-        return f"the trace unfolds to more than {STEP_CAP} steps"
-    return None
+    return deepest if height[id(steps)] > NESTING_CAP else None
 
 
 def _over(names, x) -> bool:
@@ -239,10 +229,13 @@ def _plug(parent, i: int, child):
     return Cut(parent.head, args) if isinstance(parent, Cut) else args
 
 
-def _walk(th, focus, steps, tele):
+def _walk(th, focus, steps, tele, done):
     """Replay `steps` from `focus`, in order, with a zipper: `stack` holds
     the (parent, child index) pairs from the root down to `focus`, and a
-    parent is rebuilt only when the walk leaves it.  A step that fails
+    parent is rebuilt only when the walk leaves it.  Each step is located
+    and compared with the subterm there, then validated unless `done`, the
+    steps this replay has validated by identity, holds it: its validity
+    depends only on the theory, the step and `tele`.  A step that fails
     raises `_Reject(n, reason, root)`, where `root` is the term the walk had
     reached.  To walk steps backward, walk their inversion."""
     stack: list = []
@@ -262,7 +255,9 @@ def _walk(th, focus, steps, tele):
                 focus = entries[i][1]
             if focus is not s.before or isinstance(focus, Subst):
                 raise _Reject("recorded subterm differs from the current one")
-            _step(th, s, tele)
+            if id(s) not in done:
+                _step(th, s, tele, done)
+                done[id(s)] = s  # held, so that no other step takes its id
         except _Reject as r:
             while stack:
                 focus = _plug(*stack.pop(), focus)
@@ -273,7 +268,7 @@ def _walk(th, focus, steps, tele):
     return focus
 
 
-def _step(th, s, tele) -> None:
+def _step(th, s, tele, done) -> None:
     if s.kind == IRRELEVANCE:
         if not equal_mod_irr(th, s.before, s.after):
             raise _Reject("sides differ at a relevant position")
@@ -285,16 +280,16 @@ def _step(th, s, tele) -> None:
             raise _Reject("terms do not check at a proof-irrelevant sort")
     elif s.kind in (TERM_AXIOM, SORT_AXIOM):
         src, dst = _instance(th, s, tele)
-        _sub(th, s.before, s.pre, src, tele, "pre")
-        _sub(th, dst, s.post, s.after, tele, "post")
+        _sub(th, s.before, s.pre, src, tele, done, "pre")
+        _sub(th, dst, s.post, s.after, tele, done, "post")
     else:
         raise _Reject(f"unknown step kind {s.kind!r}")
 
 
-def _sub(th, start, steps, end, tele, what: str) -> None:
+def _sub(th, start, steps, end, tele, done, what: str) -> None:
     if steps:
         try:
-            start = _walk(th, start, steps, tele)
+            start = _walk(th, start, steps, tele, done)
         except _Reject as r:
             raise _Reject(f"{what} step {r.args[0]}: {r.args[1]}") from None
     if start is not end:

@@ -303,8 +303,8 @@ def test_a_rule_whose_instance_cannot_complete_changes_nothing(
     base, tele = never_fires[name]
     # a source some rule has, or the most general one of a rule's head,
     # which a term no rule before it rewrites matches, so that the new rule
-    # is tried; and a target with a variable of relevant sort that the
-    # source lacks
+    # would be tried; and a target with a variable of relevant sort that
+    # the source lacks, so that no rule is made
     axioms = base.theory.items
     sources = [(axioms[i].params, src, axioms[i].sort)
                for rules in base.rules.values() for _, i, src, _, _ in rules]
@@ -323,7 +323,7 @@ def test_a_rule_whose_instance_cannot_complete_changes_nothing(
                      lhs, rhs, sort, "never fires", orientation)
     th, without = base.copy(), base.copy()
     assert _extend_checked(th, (item,)) is None
-    assert th.rules[src.head][-1][1] == len(base.theory.items)
+    assert th.rules == base.rules and th.theory.items[-1] is item
     for _ in range(data.draw(st.integers(1, 4))):
         query, args = _never_firing_query(data.draw, name, tele)
         assert (_answered(th, query, args, None)
