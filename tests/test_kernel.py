@@ -273,21 +273,30 @@ def _self_shared(step: EqStep, depth: int) -> EqStep:
     return step
 
 
-def test_a_self_shared_trace_is_rejected_at_once(monoid_trace, monoid):
-    # walked path by path, checking the deepest of these traces would take
-    # hours; its first step fails, and the inversion of the steps from
-    # there is built and walked before replay gives up
+def _rejects_self_shared_at_once(monoid_trace, monoid, depth):
+    # its first step fails, and the inversion of the steps from there is
+    # built and walked before replay gives up
     leaf = dataclasses.replace(monoid_trace.steps[0], pre=(), post=())
-    for depth in (20, kernel.NESTING_CAP):
-        step = _self_shared(leaf, depth)
-        for steps in ((step,), (step,) + monoid_trace.steps[1:]):
-            trace = dataclasses.replace(monoid_trace, steps=steps)
-            for th in (monoid, monoid.copy()):  # a warm and a cold cache
-                start = time.perf_counter()
-                out = replay_trace(th, trace.start, trace)
-                assert time.perf_counter() - start < 0.01
-                assert isinstance(out, ReplayError) and out.step == 0
-                assert out.reason.startswith("pre step 0: ")
+    step = _self_shared(leaf, depth)
+    for steps in ((step,), (step,) + monoid_trace.steps[1:]):
+        trace = dataclasses.replace(monoid_trace, steps=steps)
+        for th in (monoid, monoid.copy()):  # a warm and a cold cache
+            start = time.perf_counter()
+            out = replay_trace(th, trace.start, trace)
+            assert time.perf_counter() - start < 0.01
+            assert isinstance(out, ReplayError) and out.step == 0
+            assert out.reason.startswith("pre step 0: ")
+
+
+def test_a_self_shared_trace_is_rejected_at_once(monoid_trace, monoid):
+    # walked path by path, checking this trace would take hours
+    _rejects_self_shared_at_once(monoid_trace, monoid, kernel.NESTING_CAP)
+
+
+def test_a_self_shared_trace_under_the_cap_is_rejected_at_once(monoid_trace,
+                                                              monoid):
+    # nested 20 deep, under the nesting cap: 2^21 - 1 steps unfolded
+    _rejects_self_shared_at_once(monoid_trace, monoid, 20)
 
 
 def test_a_shared_sub_trace_nests_as_deep_as_its_deepest_path(monoid_trace):
