@@ -408,10 +408,9 @@ class _Engine:
         self._pending_depth -= 1
         return None if steps is None else (steps, t)
 
-    def match_rule(self, src: Term, dst: Term, subject: Term, log: list):
-        """The instantiation making `subject` an instance of `src`, usable
-        to build the corresponding instance of `dst`, and the `pre` steps
-        from `subject` to that instance of `src`: empty when `subject` is
+    def match_rule(self, src: Term, subject: Term, log: list):
+        """The instantiation making `subject` an instance of `src`, and the
+        `pre` steps from `subject` to that instance: empty when `subject` is
         exactly it.  None when the rule does not apply.  Discharges append
         to `log`."""
         sigma: dict = {}
@@ -512,7 +511,7 @@ class _Engine:
                 for (name, v), a in zip(t.args.entries, args))))
         log: list = []
         for kind, idx, src, dst, direction in self.rules.get(t.head, ()):
-            found = self.match_rule(src, dst, t, log)
+            found = self.match_rule(src, t, log)
             if found is not None:
                 sub, pre = found
                 new = subst_apply_term(sub, dst)

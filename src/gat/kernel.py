@@ -20,12 +20,11 @@ source side's instance, and `post` from the target side's instance to
 proof-irrelevant sort; an `IRRELEVANT_SORT` step relates two terms of the
 proof-irrelevant sort in `note`.  Sub-traces stay nested in their step,
 at most `NESTING_CAP` levels deep, since replay recurses once per level.
-Steps and tuples of steps may be shared: replay validates each distinct
-step once, by identity, so its work is linear in the steps and tuple
-references it is given, however many paths lead to them.  `invert` turns
-steps from x to y into steps from y to x: it reverses them, flips each
-direction and swaps and inverts each step's `pre` and `post`, each
-distinct tuple once.
+Steps and tuples of steps may be shared: replay walks each distinct
+sub-trace once from each term it starts at, by identity, however many
+paths lead to it.  `invert` turns steps from x to y into steps from y to
+x: it reverses them, flips each direction and swaps and inverts each
+step's `pre` and `post`, each distinct tuple once.
 
 A trace from x to y proves x = y over its telescope and presupposes, as
 that judgment does, that x and y are well formed there; replay checks only
@@ -76,14 +75,18 @@ class EqStep:
     pre: tuple["EqStep", ...] = ()
     post: tuple["EqStep", ...] = ()
 
+    def __repr__(self) -> str:
+        # sub-traces by their length: a shared one would print once per path
+        return "EqStep(" + ", ".join(
+            f"{k}=<{len(v)} steps>" if k in ("pre", "post") else f"{k}={v!r}"
+            for k, v in vars(self).items()) + ")"
+
 
 def invert(steps) -> tuple[EqStep, ...]:
     """The steps backwards: each one flipped, its sub-traces swapped and
     inverted.  A direction other than LR and RL is kept as it is.  Each
     distinct tuple of steps is inverted once, by identity, however many
     paths lead to it, so the result shares as the input does."""
-    if not steps:
-        return ()
     memo: dict = {}
 
     def inv(t):
@@ -165,13 +168,13 @@ def replay(th, start, trace):
         return ReplayError(-1, "start is not over the trace's telescope")
     if not _over(names, end):
         return ReplayError(len(steps), "end is not over the trace's telescope")
-    done: dict = {}
+    walked: dict = {}
     try:
-        reached = _walk(th, start, steps, tele, done)
+        reached = _walk(th, start, steps, tele, walked)
     except _Reject as r:
         n, reason, met = r.args
         try:
-            if _walk(th, end, invert(steps[n:]), tele, done) is met:
+            if _walk(th, end, invert(steps[n:]), tele, walked) is met:
                 return end
         except _Reject:
             pass
@@ -184,30 +187,25 @@ def replay(th, start, trace):
 def _misshapen(steps) -> str | None:
     """Why `steps` and the sub-traces within are not tuples of `EqStep`s
     with tuple paths, nested at most `NESTING_CAP` deep; None when they
-    are.  The tuples wait on a stack and each is checked once, by identity,
-    however many paths lead to it: `height` holds how deep sub-traces nest
-    below it, found bottom-up.  A step with a side that is no node fails in
-    `_walk`, so sides need no check here."""
-    deepest = f"sub-traces nest deeper than {NESTING_CAP}"
-    height: dict = {}
-    todo = [(steps, 0, None)]
+    are.  The tuples wait on a stack with their depth, top-down, and each
+    (tuple, depth) pair is checked once, by identity, so a tuple is met at
+    the depth of its deepest path too.  A step with a side that is no node
+    fails in `_walk`, so sides need no check here."""
+    todo, seen = [(steps, 0)], set()
     while todo:
-        t, depth, subs = todo.pop()
-        if subs is not None:  # every tuple in `subs` is in `height`
-            height[id(t)] = max((height[id(u)] + 1 for u in subs), default=0)
+        t, depth = todo.pop()
+        if (id(t), depth) in seen:
             continue
-        if id(t) in height:
-            continue
+        seen.add((id(t), depth))
         if type(t) is not tuple or not all(
                 type(s) is EqStep and type(s.path) is tuple
                 and type(s.pre) is tuple and type(s.post) is tuple for s in t):
             return "steps are not shaped as the format sets out"
-        subs = [u for s in t for u in (s.pre, s.post) if u]
+        subs = [(u, depth + 1) for s in t for u in (s.pre, s.post) if u]
         if subs and depth == NESTING_CAP:  # also ends a cycle
-            return deepest
-        todo.append((t, depth, subs))
-        todo += ((u, depth + 1, None) for u in subs)
-    return deepest if height[id(steps)] > NESTING_CAP else None
+            return f"sub-traces nest deeper than {NESTING_CAP}"
+        todo += subs
+    return None
 
 
 def _over(names, x) -> bool:
@@ -229,15 +227,14 @@ def _plug(parent, i: int, child):
     return Cut(parent.head, args) if isinstance(parent, Cut) else args
 
 
-def _walk(th, focus, steps, tele, done):
+def _walk(th, focus, steps, tele, walked):
     """Replay `steps` from `focus`, in order, with a zipper: `stack` holds
     the (parent, child index) pairs from the root down to `focus`, and a
-    parent is rebuilt only when the walk leaves it.  Each step is located
-    and compared with the subterm there, then validated unless `done`, the
-    steps this replay has validated by identity, holds it: its validity
-    depends only on the theory, the step and `tele`.  A step that fails
-    raises `_Reject(n, reason, root)`, where `root` is the term the walk had
-    reached.  To walk steps backward, walk their inversion."""
+    parent is rebuilt only when the walk leaves it.  Each step is located,
+    compared with the subterm there and validated, its sub-traces through
+    `_sub`.  A step that fails raises `_Reject(n, reason, root)`, where
+    `root` is the term the walk had reached.  To walk steps backward, walk
+    their inversion."""
     stack: list = []
     for n, s in enumerate(steps):
         path = s.path
@@ -255,9 +252,7 @@ def _walk(th, focus, steps, tele, done):
                 focus = entries[i][1]
             if focus is not s.before or isinstance(focus, Subst):
                 raise _Reject("recorded subterm differs from the current one")
-            if id(s) not in done:
-                _step(th, s, tele, done)
-                done[id(s)] = s  # held, so that no other step takes its id
+            _step(th, s, tele, walked)
         except _Reject as r:
             while stack:
                 focus = _plug(*stack.pop(), focus)
@@ -268,7 +263,7 @@ def _walk(th, focus, steps, tele, done):
     return focus
 
 
-def _step(th, s, tele, done) -> None:
+def _step(th, s, tele, walked) -> None:
     if s.kind == IRRELEVANCE:
         if not equal_mod_irr(th, s.before, s.after):
             raise _Reject("sides differ at a relevant position")
@@ -280,19 +275,23 @@ def _step(th, s, tele, done) -> None:
             raise _Reject("terms do not check at a proof-irrelevant sort")
     elif s.kind in (TERM_AXIOM, SORT_AXIOM):
         src, dst = _instance(th, s, tele)
-        _sub(th, s.before, s.pre, src, tele, done, "pre")
-        _sub(th, dst, s.post, s.after, tele, done, "post")
+        _sub(th, s.before, s.pre, src, tele, walked, "pre")
+        _sub(th, dst, s.post, s.after, tele, walked, "post")
     else:
         raise _Reject(f"unknown step kind {s.kind!r}")
 
 
-def _sub(th, start, steps, end, tele, done, what: str) -> None:
-    if steps:
+def _sub(th, start, steps, end, tele, walked, what: str) -> None:
+    """Check that `steps` lead from `start` to `end`.  Each walk this replay
+    finishes is kept in `walked` as `(steps, start, end)`, keyed by the ids
+    of the two it holds, since the end depends on them, `th` and `tele`."""
+    key = (id(steps), id(start))
+    if steps and key not in walked:
         try:
-            start = _walk(th, start, steps, tele, done)
+            walked[key] = steps, start, _walk(th, start, steps, tele, walked)
         except _Reject as r:
             raise _Reject(f"{what} step {r.args[0]}: {r.args[1]}") from None
-    if start is not end:
+    if (walked[key][2] if steps else start) is not end:
         raise _Reject(f"{what} does not connect the step to the axiom instance")
 
 

@@ -340,11 +340,26 @@ SHARED_PRE = "\n".join([
     'TERMAX "c of u" (y: P{h0{u{}/n}/n}) c{h0{u{}/n}/x, y/y} = z{} : N{}'])
 
 
-def test_a_trace_whose_steps_share_one_pre_replays_each_step_once():
+def _counting(monkeypatch, name: str) -> list:
+    """The argument tuples of each call to kernel function `name`, from
+    now on."""
+    calls, f = [], getattr(kernel, name)
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
+def test_a_trace_whose_steps_share_one_pre_replays_each_step_once(
+        monkeypatch):
     # t_k = f{t_(k-1)/a, t_(k-1)/b}, with t_0 the redex: the engine
     # normalizes t_0 once and emits its step at each of the 2^16 leaves,
     # each copy holding the one `pre`.  Replayed path by path, that is
-    # 2^16 * 17 steps; replay validates the 2^16 + 16 distinct ones once.
+    # 2^16 * 17 steps; replay validates each top-level step where it
+    # stands and walks the one `pre` once, from the one redex.
     th = check_theory(parse_source(SHARED_PRE).theory)
     t = parse_term("c{u{}/x, q{}/y}")
     for _ in range(16):
@@ -353,23 +368,71 @@ def test_a_trace_whose_steps_share_one_pre_replays_each_step_once():
     steps = trace.steps
     assert len(steps) == 1 << 16 and len(steps[0].pre) == CHAIN
     assert all(s.pre is steps[0].pre for s in steps)
-    calls = []
+    calls, walks = (_counting(monkeypatch, f) for f in ("_step", "_walk"))
+    assert replay_trace(th, t, trace) is nf
+    assert len(calls) == len({id(s) for _, s, *_ in calls})
+    assert len(calls) == len(steps) + CHAIN
+    assert len(walks) == 2  # each compared by identity: no trace printed
+    assert walks[0][2] is steps and walks[1][2] is steps[0].pre
 
-    def counted(th, s, *args):
-        calls.append(s)
-        return step(th, s, *args)
 
-    step, kernel._step = kernel._step, counted
-    try:
-        assert replay_trace(th, t, trace) is nf
-    finally:
-        kernel._step = step
-    assert len(calls) == len({id(s) for s in calls}) == len(steps) + CHAIN
+def _three_redexes(second: str):
+    """The engine's step of "c of u" from `c{u{}/x, q{}/y}`, and a trace
+    that takes it, each time with its one `pre` tuple, at `a` of `a`, at
+    `b` of `a` from `second`, with `second`'s `y` in sigma, and at `b`."""
+    th = check_theory(parse_source(SHARED_PRE + "\nOP r() : P{u{}/n}").theory)
+    s = normalize_term(th, parse_term("c{u{}/x, q{}/y}"))[1].steps[0]
+    other = parse_term(second)
+    sigma = Subst((("y", other.args.lookup("y")),))
+    steps = (dataclasses.replace(s, path=(0, 0)),
+             dataclasses.replace(s, path=(0, 1), before=other, sigma=sigma),
+             dataclasses.replace(s, path=(1,)))
+
+    def f(a, b):
+        return Cut("f", Subst((("a", a), ("b", b))))
+
+    return th, s, EqTrace(f(f(s.before, other), s.before),
+                          f(f(s.after, s.after), s.after), steps, EMPTY)
+
+
+def test_a_pre_held_by_steps_is_walked_once_from_each_start(monkeypatch):
+    th, s, trace = _three_redexes("c{u{}/x, r{}/y}")
+    walks = _counting(monkeypatch, "_walk")
+    assert replay_trace(th, trace.start, trace) == trace.end
+    assert len(walks) == 3 and walks[0][1] is trace.start
+    assert all(w[2] is s.pre for w in walks[1:])
+    assert [w[1] for w in walks[1:]] == [s.before, trace.steps[1].before]
+
+
+def test_a_pre_walked_from_a_wrong_start_fails_where_it_fails():
+    # the tuple walked from the other steps' start must not answer for
+    # the one whose `x` is not the `u{}` its step 0 rewrites
+    th, s, trace = _three_redexes("c{z{}/x, r{}/y}")
+    for order, n in (((0, 1, 2), 1), ((1, 0, 2), 0), ((0, 2, 1), 2)):
+        mutated = dataclasses.replace(
+            trace, steps=tuple(trace.steps[i] for i in order))
+        for cache in (th, th.copy()):  # a warm and a cold instance cache
+            assert replay_trace(cache, trace.start, mutated) == ReplayError(
+                n, "pre step 0: recorded subterm differs from the current one")
+
+
+def test_a_self_shared_step_prints_its_sub_traces_by_length(monoid_trace):
+    leaf = dataclasses.replace(monoid_trace.steps[0], pre=(), post=())
+    shared = _self_shared(leaf, kernel.NESTING_CAP)
+    start = time.perf_counter()
+    text = repr(shared)
+    assert time.perf_counter() - start < 0.01
+    assert len(text) < 2048
+    assert text.endswith("pre=<1 steps>, post=<1 steps>)")
+    # every other field as the generated repr prints it
+    fields = ", ".join(f"{f.name}={getattr(leaf, f.name)!r}"
+                       for f in dataclasses.fields(leaf)[:-2])
+    assert repr(leaf) == f"EqStep({fields}, pre=<0 steps>, post=<0 steps>)"
 
 
 def test_a_step_met_again_is_located_again(monoid_trace, monoid):
-    # validated once, the first step is still compared with the subterm
-    # it meets the second time, which it has already rewritten
+    # met again, the first step is still compared with the subterm it
+    # meets the second time, which it has already rewritten
     trace = dataclasses.replace(
         monoid_trace, steps=monoid_trace.steps[:1] + monoid_trace.steps)
     for th in (monoid, monoid.copy()):  # a warm and a cold instance cache
@@ -425,8 +488,9 @@ def test_replay_steps_no_more_than_the_trace_unfolds_to(monoid_trace, monoid,
     # random traces whose tuples share sub-traces, from genuine steps of
     # monoid_trace, then wrapped in steps that hold them as both `pre` and
     # `post`, at times past the nesting cap; each step `_walk` validates is
-    # one call of `_step`, and it validates each distinct step once, from
-    # either end, however many steps the trace unfolds to
+    # one call of `_step`, and replay walks each distinct tuple once from
+    # each term it starts at, from either end, however many steps the trace
+    # unfolds to
     pool = [()]
     for _ in range(data.draw(st.integers(1, 8))):
         pool.append(tuple(dataclasses.replace(
