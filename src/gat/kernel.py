@@ -22,8 +22,9 @@ proof-irrelevant sort in `note`.  Sub-traces stay nested in their step,
 at most `NESTING_CAP` levels deep, since replay recurses once per level.
 Steps and tuples of steps may be shared: replay walks each distinct
 sub-trace once from each term it starts at, by identity, however many
-paths lead to it.  `invert` turns steps from x to y into steps from y to
-x: it reverses them, flips each direction and swaps and inverts each
+paths lead to it, and rebuilds a node only as it leaves it changed, never
+one a step lands on.  `invert` turns steps from x to y into steps from y
+to x: it reverses them, flips each direction and swaps and inverts each
 step's `pre` and `post`, each distinct tuple once.
 
 A trace from x to y proves x = y over its telescope and presupposes, as
@@ -219,48 +220,62 @@ def _children(node):
             else node.entries if isinstance(node, Subst) else None)
 
 
-def _plug(parent, i: int, child):
-    entries = _children(parent)
-    if entries[i][1] is child:
-        return parent
-    args = Subst(entries[:i] + ((entries[i][0], child),) + entries[i + 1:])
-    return Cut(parent.head, args) if isinstance(parent, Cut) else args
-
-
 def _walk(th, focus, steps, tele, walked):
-    """Replay `steps` from `focus`, in order, with a zipper: `stack` holds
-    the (parent, child index) pairs from the root down to `focus`, and a
-    parent is rebuilt only when the walk leaves it.  Each step is located,
-    compared with the subterm there and validated, its sub-traces through
-    `_sub`.  A step that fails raises `_Reject(n, reason, root)`, where
-    `root` is the term the walk had reached.  To walk steps backward, walk
-    their inversion."""
+    """Replay `steps` from `focus`, in order, with a lazy zipper: `stack`
+    holds a frame per node from the root down to `focus`: the node, the
+    list of its entries as they now stand and the index in focus.  Each
+    step is located, compared with the subterm there and validated, its
+    sub-traces through `_sub`.  A step that fails raises `_Reject(n,
+    reason, root)`, where `root` is the term the walk had reached."""
     stack: list = []
     for n, s in enumerate(steps):
-        path = s.path
-        k = 0
-        while k < len(stack) and k < len(path) and stack[k][1] == path[k]:
+        path, k = s.path, 0
+        while k < len(stack) and k < len(path) and stack[k][2] == path[k]:
             k += 1
-        while len(stack) > k:
-            focus = _plug(*stack.pop(), focus)
+        while len(stack) > k + (k < len(path)):  # keep those above s.before
+            focus = _up(stack.pop(), focus, s.before)
         try:
+            if len(stack) > k:  # on to a sibling: nothing is rebuilt
+                _, entries, i = frame = stack[k]
+                entries[i] = entries[i][0], focus
+                focus = entries[_index(path[k], entries)][1]
+                frame[2], k = path[k], k + 1
             for i in path[k:]:
-                entries = _children(focus)
-                if type(i) is not int or not 0 <= i < len(entries or ()):
-                    raise _Reject("path leads outside the term")
-                stack.append((focus, i))
+                entries = list(_children(focus) or ())
+                stack.append([focus, entries, _index(i, entries)])
                 focus = entries[i][1]
             if focus is not s.before or isinstance(focus, Subst):
                 raise _Reject("recorded subterm differs from the current one")
             _step(th, s, tele, walked)
         except _Reject as r:
             while stack:
-                focus = _plug(*stack.pop(), focus)
+                focus = _up(stack.pop(), focus)
             raise _Reject(n, r.args[0], focus) from None
         focus = s.after
     while stack:
-        focus = _plug(*stack.pop(), focus)
+        focus = _up(stack.pop(), focus)
     return focus
+
+
+def _index(i, entries) -> int:
+    if type(i) is not int or not 0 <= i < len(entries):
+        raise _Reject("path leads outside the term")
+    return i
+
+
+def _up(frame, focus, before=None):
+    """The node of `frame` with `focus` at its index: `before` if it is that
+    cut, compared entry by entry, else the node, rebuilt if it changed."""
+    node, entries, i = frame
+    entries[i] = entries[i][0], focus
+    entries = tuple(entries)
+    if (type(before) is type(node) is Cut and before.head == node.head
+            and before.args.entries == entries):
+        return before
+    if entries == _children(node):
+        return node
+    args = Subst(entries)
+    return Cut(node.head, args) if type(node) is Cut else args
 
 
 def _step(th, s, tele, walked) -> None:

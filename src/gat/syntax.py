@@ -209,7 +209,11 @@ class Telescope:
     bindings: tuple[tuple[str, Sort], ...] = ()
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.bindings)
+        # made once, on first use, and kept beside the (frozen) fields
+        names = self.__dict__.get("_names")
+        if names is None:
+            names = self.__dict__["_names"] = tuple(n for n, _ in self.bindings)
+        return names
 
     def lookup(self, name: str) -> Sort | None:
         for n, s in self.bindings:

@@ -3,7 +3,8 @@
 Every mutation here must be rejected with a `ReplayError`.  One property
 compares the kernel, with its zipper walk, its turn to the trace's end and
 its instance cache, against a definitional replay that walks from the root,
-tries every step to turn at and caches nothing; another compares the
+tries every step to turn at and caches nothing; another compares the lazy
+zipper with a walk that rebuilds each parent it pops; another compares the
 kernel's sort check with the checker's.
 """
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gat import checker, equality, kernel
+from gat import checker, equality, kernel, syntax
 from gat.canonicity import GenBudget, _el_obs, generate_closed_obs_terms
 from gat.checker import check_term, check_theory, infer_term, theory_extends
 from gat.equality import (
@@ -1199,6 +1200,172 @@ def test_replay_asks_neither_the_checker_nor_the_engine(mltt, seed0,
     bad = _obs_substitution(th, parse_term("emp{}"), parse_term("lz{}"))
     assert replay_trace(th, OBS, bad) == ReplayError(
         0, "sigma's value for 'f' does not check at its sort")
+
+
+# -- the lazy zipper against the walk that plugs each parent ---------------
+
+
+def _plug(parent, i: int, child):
+    entries = kernel._children(parent)
+    if entries[i][1] is child:
+        return parent
+    args = Subst(entries[:i] + ((entries[i][0], child),) + entries[i + 1:])
+    return Cut(parent.head, args) if isinstance(parent, Cut) else args
+
+
+def _plugging_walk(th, focus, steps, tele, walked):
+    """`kernel._walk` as it was before its zipper was lazy, kept as a
+    reference: its stack holds (parent, child index) pairs, and each pop
+    plugs the child in and rebuilds the parent, also on a move to a
+    sibling and under a step that lands on the parent."""
+    stack: list = []
+    for n, s in enumerate(steps):
+        path = s.path
+        k = 0
+        while k < len(stack) and k < len(path) and stack[k][1] == path[k]:
+            k += 1
+        while len(stack) > k:
+            focus = _plug(*stack.pop(), focus)
+        try:
+            for i in path[k:]:
+                entries = kernel._children(focus)
+                if type(i) is not int or not 0 <= i < len(entries or ()):
+                    raise kernel._Reject("path leads outside the term")
+                stack.append((focus, i))
+                focus = entries[i][1]
+            if focus is not s.before or isinstance(focus, Subst):
+                raise kernel._Reject(
+                    "recorded subterm differs from the current one")
+            kernel._step(th, s, tele, walked)
+        except kernel._Reject as r:
+            while stack:
+                focus = _plug(*stack.pop(), focus)
+            raise kernel._Reject(n, r.args[0], focus) from None
+        focus = s.after
+    while stack:
+        focus = _plug(*stack.pop(), focus)
+    return focus
+
+
+def _replayed_by_plugging(th, start, trace):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_walk", _plugging_walk)
+        return replay_trace(th, start, trace)
+
+
+@pytest.fixture(scope="module")
+def zipper_traces(mltt, seed0):
+    """The seed-0 sweep's `eq_term` traces that take a step, and a few
+    `eq_subst` traces, whose walks start at a substitution."""
+    proofs = seed0[0]
+    traces = list(proofs)
+    for a, b in zip(proofs[::29], proofs[1::29]):
+        target = Telescope((("x", infer_term(mltt, EMPTY, a.start)),
+                            ("y", infer_term(mltt, EMPTY, b.start))))
+        traces.append(eq_subst(mltt, EMPTY,
+                               Subst((("x", a.end), ("y", b.start))),
+                               Subst((("x", a.start), ("y", b.end))),
+                               target).trace)
+    return [t for t in traces if t.steps]
+
+
+def _reached(th, trace, n):
+    """The term the walk of `trace` reaches after its first n steps, or
+    None when one of them fails."""
+    try:
+        return _plugging_walk(th, trace.start, trace.steps[:n], trace.tele,
+                              {})
+    except kernel._Reject:
+        return None
+
+
+MUTATIONS = ("none", "path", "before", "drop", "swap", "subst")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_the_lazy_zipper_gives_the_plugging_walks_verdicts(
+        mltt, zipper_traces, data):
+    # the same node, or the same error index and reason, for recorded
+    # traces and copies with one mutation: a path index changed (at times
+    # out of range), the path cut short or made longer, a `before` swapped
+    # for another node of the trace, a step dropped, two steps swapped, or
+    # a `before` that is a substitution, at the step's path or the root
+    trace = data.draw(st.sampled_from(zipper_traces))
+    steps = list(trace.steps)
+    i = data.draw(st.integers(0, len(steps) - 1))
+    s = steps[i]
+    nodes = [trace.start, trace.end] + [x for t in steps
+                                        for x in (t.before, t.after)]
+    how = data.draw(st.sampled_from(MUTATIONS))
+    if how == "path":
+        j = data.draw(st.integers(0, len(s.path)))
+        index = data.draw(st.integers(-1, 8))
+        steps[i] = dataclasses.replace(s, path=data.draw(st.sampled_from((
+            s.path[:j] + (index,) + s.path[j + 1:], s.path[:j],
+            s.path + (index,)))))
+    elif how == "before":
+        steps[i] = dataclasses.replace(s, before=data.draw(
+            st.sampled_from(nodes)))
+    elif how == "drop":
+        del steps[i]
+    elif how == "swap":
+        j = data.draw(st.integers(0, len(steps) - 1))
+        steps[i], steps[j] = steps[j], steps[i]
+    elif how == "subst":
+        reached = _reached(mltt, trace, i)
+        substs = [x.args for x in nodes + [reached] if isinstance(x, Cut)]
+        substs += [x for x in (trace.start, reached) if isinstance(x, Subst)]
+        steps[i] = dataclasses.replace(
+            s, before=data.draw(st.sampled_from(substs)),
+            path=data.draw(st.sampled_from((s.path, ()))))
+    mutated = dataclasses.replace(trace, steps=tuple(steps))
+    out = replay_trace(mltt, trace.start, mutated)
+    expected = _replayed_by_plugging(mltt, trace.start, mutated)
+    assert out == expected
+    assert isinstance(out, ReplayError) or out is expected
+    assert how != "none" or out is trace.end
+
+
+def test_replaying_the_sweep_traces_creates_no_node(mltt, seed0, monkeypatch):
+    # every node the walk leaves changed is a subterm of the trace's end,
+    # and a step that lands on a node is compared with it entry by entry,
+    # so no node is made; the plugging walk makes 2 978 here, parents it
+    # rebuilt half rewritten on each move to a sibling
+    created = []
+    new = syntax._new
+    monkeypatch.setattr(syntax, "_new",
+                        lambda *args: created.append(args[0]) or new(*args))
+    for th in (mltt.copy(), mltt):  # a cold and a warm instance cache
+        for trace in seed0[0]:
+            assert replay_trace(th, trace.start, trace) is trace.end
+    assert created == []
+    for trace in seed0[0]:
+        assert _replayed_by_plugging(mltt, trace.start, trace) is trace.end
+    assert created
+
+
+def test_a_step_landing_on_a_changed_node_is_compared_with_it(mltt, seed0):
+    # a step on a node whose entries the step before rewrote, forged with
+    # another head, with the entry that step rewrote as it was before, and
+    # as a substitution: each is rejected where it stands, as the plugging
+    # walk rejects it
+    trace, n = next(
+        (t, n) for t in seed0[0] for n in range(1, len(t.steps))
+        if len(t.steps[n].path) < len(t.steps[n - 1].path)
+        and t.steps[n - 1].path[:len(t.steps[n].path)] == t.steps[n].path)
+    s, last = trace.steps[n], trace.steps[n - 1]
+    other = next(h for h in mltt.op_decls if h != s.before.head)
+    stale = replace_at(s.before, last.path[len(s.path):], last.before)
+    assert stale is not s.before
+    for before in (Cut(other, s.before.args), stale, s.before.args):
+        forged = _with_step(trace, n, before=before)
+        expected = ReplayError(
+            n, "recorded subterm differs from the current one")
+        for th in (mltt, mltt.copy()):  # a warm and a cold instance cache
+            assert replay_trace(th, trace.start, forged) == expected
+            assert _replayed_by_plugging(th, trace.start, forged) == expected
 
 
 # -- the trust boundary ------------------------------------------------------

@@ -15,6 +15,7 @@ from gat.surface import parse_term
 from gat.syntax import (
     Cut,
     Subst,
+    Telescope,
     Var,
     replace_at,
     subst_apply_sort,
@@ -379,3 +380,17 @@ def test_a_result_held_only_by_the_memo_dies_with_its_substitution():
         del psi
         gc.collect()
         assert result() is None
+
+
+def test_a_telescopes_names_are_made_once_and_change_nothing_else():
+    ob = parse_term("ob{}")
+    tele = Telescope((("x", ob), ("y", ob)))
+    twin = Telescope((("x", ob), ("y", ob)))
+    assert tele.names() == ("x", "y") and tele.names() is tele.names()
+    # equality, hash, repr, copies and pickles see the bindings only
+    assert tele == twin and hash(tele) == hash(twin)
+    assert repr(tele) == repr(twin) == (
+        f"Telescope(bindings={tele.bindings!r})")
+    for other in (copy.deepcopy(tele), pickle.loads(pickle.dumps(tele))):
+        assert other == tele and other.names() == ("x", "y")
+    assert Telescope().names() == ()
